@@ -156,13 +156,13 @@ def shared_store_agent(
 
 
 def shared_get(k: str, binder: str, cont: P.Process) -> P.Process:
-    c = P.fresh_name("c", P.all_process_names(cont) | {binder, k})
+    c = P.fresh_name("c", P.free_names(cont).terms.keys() | {binder, k})
     ep = P.Endpoint(c)
     return P.Request(k, c, P.Select(ep, "get", P.RecvVal(ep, binder, cont)))
 
 
 def shared_put(k: str, value: P.Value, cont: P.Process) -> P.Process:
-    c = P.fresh_name("c", P.all_process_names(cont) | {k} | P.value_var_names(value))
+    c = P.fresh_name("c", P.free_names(cont).terms.keys() | {k, *P.value_var_names(value)})
     ep = P.Endpoint(c)
     return P.Request(k, c, P.Select(ep, "put", P.SendVal(ep, value, cont)))
 
@@ -194,11 +194,6 @@ _PURE_CONST_VALUES = {"zero": P.NatLit(0), "unit": P.UNIT_VALUE}
 _PURE_OP_VALUES = {"suc": P.SucOf}
 
 
-def _interp_type(tau: ValueType) -> ValueType:
-    # Value types are shared between the calculi; the mapping is identity.
-    return tau
-
-
 # ----------------------------------------------------------- pure fragment
 
 def embed_pure(
@@ -207,8 +202,10 @@ def embed_pure(
     env: TypeEnv | None = None,
     store_type: ValueType = ValueType.NAT,
     supply: NameSupply | None = None,
+    then: P.Process = P.NIL,
 ) -> P.Process:
-    """CBV embedding of a pure term: the result travels over ``r``.
+    """CBV embedding of a pure term: the result travels over ``r``, and
+    ``then`` runs after the result is sent.
 
     Restriction annotations are attached when a typing environment is
     supplied; otherwise the output is bare.
@@ -219,15 +216,15 @@ def embed_pure(
         if local_env is None:
             return None
         tau, _ = infer(local_env, store_type, term)
-        return S.Send(_interp_type(tau), S.END)
+        return S.Send(tau, S.END)
 
-    def go(term: Term, res: P.Endpoint, local_env: TypeEnv | None) -> P.Process:
+    def go(term: Term, res: P.Endpoint, local_env: TypeEnv | None, then: P.Process) -> P.Process:
         if isinstance(term, Var):
-            return P.SendVal(res, P.VarRef(term.name), P.NIL)
+            return P.SendVal(res, P.VarRef(term.name), then)
         if isinstance(term, Const):
             if term.const not in _PURE_CONST_VALUES:
                 raise EmbeddingError(f"constant {term.const} is effectful; no pure embedding")
-            return P.SendVal(res, _PURE_CONST_VALUES[term.const], P.NIL)
+            return P.SendVal(res, _PURE_CONST_VALUES[term.const], then)
         if isinstance(term, OpApp):
             if term.op not in _PURE_OP_VALUES:
                 raise EmbeddingError(f"operation {term.op} is effectful; no pure embedding")
@@ -238,7 +235,7 @@ def embed_pure(
             return P.New(
                 q,
                 annot(term.arg, local_env),
-                P.par(go(term.arg, qe, local_env), P.RecvVal(qe.flip(), x, P.SendVal(res, payload, P.NIL))),
+                P.par(go(term.arg, qe, local_env, P.NIL), P.RecvVal(qe.flip(), x, P.SendVal(res, payload, then))),
             )
         if isinstance(term, Let):
             q = supply.fresh("q")
@@ -251,47 +248,13 @@ def embed_pure(
                 q,
                 annot(term.bound, local_env),
                 P.par(
-                    go(term.bound, qe, local_env),
-                    P.RecvVal(qe.flip(), term.name, go(term.body, res, env2)),
+                    go(term.bound, qe, local_env, P.NIL),
+                    P.RecvVal(qe.flip(), term.name, go(term.body, res, env2, then)),
                 ),
             )
         raise TypeError(f"not a term: {term!r}")
 
-    return go(t, r, env)
-
-
-def _graft_after_result(p: P.Process, r: P.Endpoint, cont: P.Process) -> P.Process:
-    """Append ``cont`` after the unique send on the result endpoint."""
-
-    count = 0
-
-    def go(q: P.Process) -> P.Process:
-        nonlocal count
-        if isinstance(q, P.SendVal) and q.chan == r:
-            if not isinstance(q.cont, P.Nil):
-                raise EmbeddingError("result send already has a continuation")
-            count += 1
-            return P.SendVal(q.chan, q.value, cont)
-        if isinstance(q, (P.RecvVal, P.RecvChan)):
-            return type(q)(q.chan, q.binder, go(q.cont))
-        if isinstance(q, P.SendVal):
-            return P.SendVal(q.chan, q.value, go(q.cont))
-        if isinstance(q, P.SendChan):
-            return P.SendChan(q.chan, q.sent, go(q.cont))
-        if isinstance(q, P.New):
-            return P.New(q.name, q.annotation, go(q.body))
-        if isinstance(q, P.Par):
-            return P.Par(go(q.left), go(q.right))
-        if isinstance(q, P.Select):
-            return P.Select(q.chan, q.label, go(q.cont))
-        if isinstance(q, P.Branch):
-            return P.Branch(q.chan, tuple((l, go(c)) for l, c in q.branches))
-        return q
-
-    out = go(p)
-    if count != 1:
-        raise EmbeddingError(f"expected exactly one result send on {r}, found {count}")
-    return out
+    return go(t, r, env, then)
 
 
 # ----------------------------------------------------- intermediate layer
@@ -347,8 +310,8 @@ def embed_intermediate(
         if isinstance(term, OpApp):
             if term.op in _PURE_OP_VALUES:
                 c = supply.fresh("c")
-                pure = embed_pure(term, res, env, store_type, supply)
-                return P.RecvChan(ei, c, _graft_after_result(pure, res, P.SendChan(eo_bar, P.Endpoint(c), P.NIL)))
+                pure = embed_pure(term, res, env, store_type, supply, P.SendChan(eo_bar, P.Endpoint(c), P.NIL))
+                return P.RecvChan(ei, c, pure)
             if term.op == "put":
                 q = supply.fresh("q")
                 c = supply.fresh("c")
@@ -372,7 +335,7 @@ def embed_intermediate(
                     ),
                 )
                 pure = embed_pure(term.arg, qe, env, store_type, supply)
-                return P.New(q, S.Send(_interp_type(store_type), S.END), P.par(pure, doput))
+                return P.New(q, S.Send(store_type, S.END), P.par(pure, doput))
             raise EmbeddingError(f"effectful operation {term.op} has no embedding clause")
         if isinstance(term, Let):
             sigma, _ = infer(env, store_type, term.bound)
@@ -386,7 +349,7 @@ def embed_intermediate(
             right = P.RecvVal(qe.flip(), term.name, go(term.body, P.Endpoint(ea), eo, res, env2, tail))
             return P.New(
                 q,
-                S.Send(_interp_type(sigma), S.END),
+                S.Send(sigma, S.END),
                 P.New(ea, chan_annot(STATE_ALGEBRA.combine(g_eff, tail)), P.par(left, right)),
             )
         raise TypeError(f"not a term: {term!r}")
@@ -439,7 +402,7 @@ def embed_term_top(
         P.New(eo, S.Recv(leftover, S.END), P.par(body, harness)),
     )
     delta = {
-        r: S.Send(_interp_type(tau), S.END),
+        r: S.Send(tau, S.END),
         eff: eff_session,
     }
     return EmbeddingResult(process, delta, dict(env), tau, f_eff)
@@ -502,8 +465,8 @@ def naive_parallel_encode(
             P.SendVal(r, P.Pair(P.VarRef(x), P.VarRef(y)), P.NIL),
         ),
     )
-    tau1 = S.Send(_interp_type(left.source_type), S.END)
-    tau2 = S.Send(_interp_type(right.source_type), S.END)
+    tau1 = S.Send(left.source_type, S.END)
+    tau2 = S.Send(right.source_type, S.END)
     return P.New(q1, tau1, P.New(q2, tau2, P.par(left.process, right.process, collect)))
 
 
@@ -571,10 +534,10 @@ def optimize_commuting(
     collect = P.RecvVal(qe.flip(), x, P.RecvVal(se.flip(), y, enc_p))
     return P.New(
         q,
-        S.Send(_interp_type(sigma_m), S.END),
+        S.Send(sigma_m, S.END),
         P.New(
             s_name,
-            S.Send(_interp_type(sigma_n), S.END),
+            S.Send(sigma_n, S.END),
             P.New(
                 ea,
                 S.Recv(effect_to_session(STATE_ALGEBRA.combine(g_eff, tail)), S.END),

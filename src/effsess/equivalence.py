@@ -48,7 +48,6 @@ def build_lts(
     configs = [initial]
     edges: list[dict[M.TransitionLabel, frozenset[int]]] = []
     frontier = [0]
-    expanded = 0
     partial = False
     depth = 0
     while frontier:
@@ -72,7 +71,6 @@ def build_lts(
                     next_frontier.append(tid)
                 out.setdefault(label, set()).add(tid)
             edges[state] = {label: frozenset(ts) for label, ts in out.items()}
-            expanded += 1
         frontier = next_frontier
         depth += 1
     while len(edges) < len(configs):

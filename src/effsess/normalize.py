@@ -25,255 +25,17 @@ from . import process as P
 _MAX_TIE_ARRANGEMENTS = 720
 
 
-def serialize_process(p: P.Process, erase: frozenset[str] = frozenset()) -> str:
-    """A total, alpha-invariant textual key: binders are de-Bruijn levels,
-    so the key never depends on bound-name spelling.  Names in ``erase``
-    are hidden (polarity kept) and the key describes the wiring-free
-    skeleton; free names print concretely."""
-
-    def ep(e: P.Endpoint, env: dict[str, int]) -> str:
-        mark = "~" if e.dual else ""
-        if e.name in env:
-            return f"<{env[e.name]}{mark}>"
-        if e.name in erase:
-            return f"<nu{mark}>"
-        return mark + e.name
-
-    def val(v: P.Value, env: dict[str, int]) -> str:
-        if isinstance(v, P.VarRef):
-            if v.name in env:
-                return f"<{env[v.name]}>"
-            return v.name
-        if isinstance(v, P.SucOf):
-            return f"suc {val(v.arg, env)}"
-        if isinstance(v, P.Pair):
-            return f"({val(v.fst, env)},{val(v.snd, env)})"
-        return P.format_value(v)
-
-    def bind(env: dict[str, int], name: str) -> dict[str, int]:
-        env2 = dict(env)
-        env2[name] = len(env)
-        return env2
-
-    def go(q: P.Process, env: dict[str, int]) -> str:
-        if isinstance(q, P.Nil):
-            return "(nil)"
-        if isinstance(q, (P.RecvVal, P.RecvChan)):
-            tag = "rv" if isinstance(q, P.RecvVal) else "rc"
-            return f"({tag} {ep(q.chan, env)} {go(q.cont, bind(env, q.binder))})"
-        if isinstance(q, P.SendVal):
-            return f"(sv {ep(q.chan, env)} {val(q.value, env)} {go(q.cont, env)})"
-        if isinstance(q, P.SendChan):
-            return f"(sc {ep(q.chan, env)} {ep(q.sent, env)} {go(q.cont, env)})"
-        if isinstance(q, P.Branch):
-            inner = " ".join(f"{label} {go(c, env)}" for label, c in q.branches)
-            return f"(br {ep(q.chan, env)} {inner})"
-        if isinstance(q, P.Select):
-            return f"(sel {ep(q.chan, env)} {q.label} {go(q.cont, env)})"
-        if isinstance(q, P.Def):
-            env_body = env
-            for name, _ in q.val_params:
-                env_body = bind(env_body, name)
-            for name, _ in q.chan_params:
-                env_body = bind(env_body, name)
-            arity = f"{len(q.val_params)};{len(q.chan_params)}"
-            return f"(def {q.name} ({arity}) {go(q.body, env_body)} {go(q.scope, env)})"
-        if isinstance(q, P.Call):
-            vals = " ".join(val(v, env) for v in q.val_args)
-            chans = " ".join(ep(e, env) for e in q.chan_args)
-            return f"(call {q.name} ({vals};{chans}))"
-        if isinstance(q, P.New):
-            return f"(new {go(q.body, bind(env, q.name))})"
-        if isinstance(q, P.Par):
-            return f"(par {go(q.left, env)} {go(q.right, env)})"
-        if isinstance(q, (P.Accept, P.Request)):
-            tag = "acc" if isinstance(q, P.Accept) else "req"
-            shared = q.shared if q.shared not in env else f"<{env[q.shared]}>"
-            return f"({tag} {shared} {go(q.cont, bind(env, q.binder))})"
-        raise TypeError(f"not a process: {q!r}")
-
-    return go(p, {})
-
-
-def _endpoint_names_in_order(p: P.Process, wanted: frozenset[str], out: list[str]) -> None:
-    def note(name: str) -> None:
-        if name in wanted and name not in out:
-            out.append(name)
-
-    def go(q: P.Process) -> None:
-        if isinstance(q, (P.RecvVal, P.RecvChan, P.Select)):
-            note(q.chan.name)
-            go(q.cont)
-        elif isinstance(q, P.SendVal):
-            note(q.chan.name)
-            go(q.cont)
-        elif isinstance(q, P.SendChan):
-            note(q.chan.name)
-            note(q.sent.name)
-            go(q.cont)
-        elif isinstance(q, P.Branch):
-            note(q.chan.name)
-            for _, cont in q.branches:
-                go(cont)
-        elif isinstance(q, P.Def):
-            go(q.body)
-            go(q.scope)
-        elif isinstance(q, P.Call):
-            for e in q.chan_args:
-                note(e.name)
-        elif isinstance(q, P.New):
-            go(q.body)
-        elif isinstance(q, P.Par):
-            go(q.left)
-            go(q.right)
-        elif isinstance(q, (P.Accept, P.Request)):
-            go(q.cont)
-
-    go(p)
-
-
-def _canon_binders(
-    p: P.Process, counter: list[int], env: dict[str, str], avoid: frozenset[str] = frozenset()
-) -> P.Process:
-    """Positional renaming of every binder to `%k`, value and channel alike.
-
-    ``avoid`` holds the component's free names so a fresh binder can never
-    capture one (hoisted restrictions appear free at component level and may
-    themselves be `%k`-shaped after nested normalization rounds).
-    """
-
-    def fresh() -> str:
-        while f"%{counter[0]}" in avoid:
-            counter[0] += 1
-        name = f"%{counter[0]}"
-        counter[0] += 1
-        return name
-
-    def ep(e: P.Endpoint) -> P.Endpoint:
-        if e.name in env:
-            return P.Endpoint(env[e.name], e.dual)
-        return e
-
-    def val(v: P.Value) -> P.Value:
-        if isinstance(v, P.VarRef):
-            return P.VarRef(env.get(v.name, v.name))
-        if isinstance(v, P.SucOf):
-            return P.SucOf(val(v.arg))
-        if isinstance(v, P.Pair):
-            return P.Pair(val(v.fst), val(v.snd))
-        return v
-
-    def scoped(binder: str):
-        new = fresh()
-        env2 = dict(env)
-        env2[binder] = new
-        return new, env2
-
-    if isinstance(p, (P.RecvVal, P.RecvChan)):
-        cls = type(p)
-        chan = ep(p.chan)
-        binder, env2 = scoped(p.binder)
-        return cls(chan, binder, _canon_binders(p.cont, counter, env2, avoid))
-    if isinstance(p, P.SendVal):
-        return P.SendVal(ep(p.chan), val(p.value), _canon_binders(p.cont, counter, env, avoid))
-    if isinstance(p, P.SendChan):
-        return P.SendChan(ep(p.chan), ep(p.sent), _canon_binders(p.cont, counter, env, avoid))
-    if isinstance(p, P.Branch):
-        chan = ep(p.chan)
-        return P.Branch(chan, tuple((l, _canon_binders(c, counter, env, avoid)) for l, c in p.branches))
-    if isinstance(p, P.Select):
-        return P.Select(ep(p.chan), p.label, _canon_binders(p.cont, counter, env, avoid))
-    if isinstance(p, P.Def):
-        env_body = dict(env)
-        vparams = []
-        for name, _ in p.val_params:
-            new = fresh()
-            env_body[name] = new
-            vparams.append((new, None))
-        cparams = []
-        for name, _ in p.chan_params:
-            new = fresh()
-            env_body[name] = new
-            cparams.append((new, None))
-        body = _canon_binders(p.body, counter, env_body, avoid)
-        scope = _canon_binders(p.scope, counter, env, avoid)
-        return P.Def(p.name, tuple(vparams), tuple(cparams), body, scope)
-    if isinstance(p, P.Call):
-        return P.Call(p.name, tuple(val(v) for v in p.val_args), tuple(ep(e) for e in p.chan_args))
-    if isinstance(p, P.New):
-        name, env2 = scoped(p.name)
-        return P.New(name, None, _canon_binders(p.body, counter, env2, avoid))
-    if isinstance(p, P.Par):
-        return P.Par(_canon_binders(p.left, counter, env, avoid), _canon_binders(p.right, counter, env, avoid))
-    if isinstance(p, P.Nil):
-        return p
-    if isinstance(p, (P.Accept, P.Request)):
-        cls = type(p)
-        shared = env.get(p.shared, p.shared)
-        binder, env2 = scoped(p.binder)
-        return cls(shared, binder, _canon_binders(p.cont, counter, env2, avoid))
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _rename_bases(p: P.Process, mapping: dict[str, str]) -> P.Process:
-    """Simultaneous renaming of free base names.  Binders shadow; callers
-    must pick target names that cannot capture (canonical `#k` targets never
-    collide with `%k` binders)."""
-
-    def go(q: P.Process, m: dict[str, str]) -> P.Process:
-        if not m:
-            return q
-
-        def ep(e: P.Endpoint) -> P.Endpoint:
-            return P.Endpoint(m.get(e.name, e.name), e.dual)
-
-        def drop(name: str) -> dict[str, str]:
-            if name in m:
-                m2 = dict(m)
-                del m2[name]
-                return m2
-            return m
-
-        if isinstance(q, (P.RecvVal, P.RecvChan)):
-            return type(q)(ep(q.chan), q.binder, go(q.cont, drop(q.binder)))
-        if isinstance(q, P.SendVal):
-            return P.SendVal(ep(q.chan), q.value, go(q.cont, m))
-        if isinstance(q, P.SendChan):
-            return P.SendChan(ep(q.chan), ep(q.sent), go(q.cont, m))
-        if isinstance(q, P.Branch):
-            return P.Branch(ep(q.chan), tuple((l, go(c, m)) for l, c in q.branches))
-        if isinstance(q, P.Select):
-            return P.Select(ep(q.chan), q.label, go(q.cont, m))
-        if isinstance(q, P.Def):
-            params = {n for n, _ in q.val_params} | {n for n, _ in q.chan_params}
-            m_body = {k: v for k, v in m.items() if k not in params}
-            return P.Def(q.name, q.val_params, q.chan_params, go(q.body, m_body), go(q.scope, m))
-        if isinstance(q, P.Call):
-            return P.Call(q.name, q.val_args, tuple(ep(e) for e in q.chan_args))
-        if isinstance(q, P.New):
-            return P.New(q.name, q.annotation, go(q.body, drop(q.name)))
-        if isinstance(q, P.Par):
-            return P.Par(go(q.left, m), go(q.right, m))
-        if isinstance(q, P.Nil):
-            return q
-        if isinstance(q, (P.Accept, P.Request)):
-            return type(q)(q.shared, q.binder, go(q.cont, drop(q.binder)))
-        raise TypeError(f"not a process: {q!r}")
-
-    return go(p, dict(mapping))
-
-
-def _decompose(p: P.Process) -> tuple[list[str], list[P.Process]]:
-    """Flatten to (hoisted restricted names, parallel components); inner
-    structure of each component is recursively normalized."""
-    if isinstance(p, P.Nil):
-        return [], []
-    if isinstance(p, P.Par):
-        r1, c1 = _decompose(p.left)
-        r2, c2 = _decompose(p.right)
-        taken = set(r1)
-        for comp in c1:
-            taken |= P.all_process_names(comp)
+def _decompose(p: P.Process) -> tuple[list[str], list[P.Process], list[dict[str, None]]]:
+    """Flatten to (hoisted restricted names, parallel components, free
+    names of each component); inner structure of each component is
+    recursively normalized."""
+    cls = type(p)
+    if cls is P.Nil:
+        return [], [], []
+    if cls is P.Par:
+        r1, c1, f1 = _decompose(p.left)
+        r2, c2, f2 = _decompose(p.right)
+        taken = set(r1).union(*f1)
         renames: dict[str, str] = {}
         for name in r2:
             if name in taken:
@@ -283,11 +45,9 @@ def _decompose(p: P.Process) -> tuple[list[str], list[P.Process]]:
             else:
                 taken.add(name)
         if renames:
-            c2 = [_rename_bases(comp, renames) for comp in c2]
+            c2, f2 = _renamed(c2, renames)
             r2 = [renames.get(name, name) for name in r2]
-        other_free: set[str] = set()
-        for comp in c2:
-            other_free |= P.free_endpoint_bases(comp)
+        other_free = set().union(*f2)
         clash = [name for name in r1 if name in other_free]
         if clash:
             renames1 = {}
@@ -296,37 +56,26 @@ def _decompose(p: P.Process) -> tuple[list[str], list[P.Process]]:
                 fresh = P.fresh_name(name, avoid)
                 renames1[name] = fresh
                 avoid.add(fresh)
-            c1 = [_rename_bases(comp, renames1) for comp in c1]
+            c1, f1 = _renamed(c1, renames1)
             r1 = [renames1.get(name, name) for name in r1]
-        return r1 + r2, c1 + c2
-    if isinstance(p, P.New):
-        r, c = _decompose(p.body)
-        if p.name in r:
-            # the inner restriction shadowed this one entirely
-            return r, c
-        used = any(p.name in P.free_endpoint_bases(comp) for comp in c)
-        if not used:
-            return r, c
-        return [p.name] + r, c
-    # atomic component: normalize inside
-    if isinstance(p, (P.RecvVal, P.RecvChan)):
-        return [], [type(p)(p.chan, p.binder, _normalize_once(p.cont))]
-    if isinstance(p, P.SendVal):
-        return [], [P.SendVal(p.chan, p.value, _normalize_once(p.cont))]
-    if isinstance(p, P.SendChan):
-        return [], [P.SendChan(p.chan, p.sent, _normalize_once(p.cont))]
-    if isinstance(p, P.Branch):
-        branches = tuple(sorted((label, _normalize_once(cont)) for label, cont in p.branches))
-        return [], [P.Branch(p.chan, branches)]
-    if isinstance(p, P.Select):
-        return [], [P.Select(p.chan, p.label, _normalize_once(p.cont))]
-    if isinstance(p, P.Def):
-        return [], [P.Def(p.name, p.val_params, p.chan_params, _normalize_once(p.body), _normalize_once(p.scope))]
-    if isinstance(p, P.Call):
-        return [], [p]
-    if isinstance(p, (P.Accept, P.Request)):
-        return [], [type(p)(p.shared, p.binder, _normalize_once(p.cont))]
-    raise TypeError(f"not a process: {p!r}")
+        return r1 + r2, c1 + c2, f1 + f2
+    if cls is P.New:
+        r, c, f = _decompose(p.body)
+        # drop a restriction the inner one shadows entirely, or one unused
+        if p.name in r or not any(p.name in names for names in f):
+            return r, c, f
+        return [p.name] + r, c, f
+    kids = []
+    for sub in P.subterms(p):
+        kids.append(_normalize_once(sub))
+    comp = P.with_subterms(p, kids)
+    return [], [comp], [P.free_names(comp).terms]
+
+
+def _renamed(comps: list[P.Process], renames: dict[str, str]):
+    mapping = {old: P.Endpoint(new) for old, new in renames.items()}
+    comps = [P.substitute(comp, mapping) for comp in comps]
+    return comps, [P.free_names(comp).terms for comp in comps]
 
 
 def canonical_parts(restricted: list[str], comps: list[P.Process]) -> tuple[list[str], list[P.Process]]:
@@ -337,51 +86,41 @@ def canonical_parts(restricted: list[str], comps: list[P.Process]) -> tuple[list
     normalized only once positions are fixed, which makes the whole pass
     idempotent.
     """
-    live = [n for n in restricted if any(n in P.free_endpoint_bases(c) for c in comps)]
+    # Renaming binders changes neither the free names nor where they first
+    # occur, so one walk per component serves the whole pass.
+    frees = [P.free_names(c).terms for c in comps]
+    live = [n for n in restricted if any(n in names for names in frees)]
     erase = frozenset(live)
     # Binder names move into the %k namespace first: afterwards no binder
     # can collide with (or capture) a #k restriction target.
-    comps = [
-        _canon_binders(
-            c,
-            [0],
-            {},
-            frozenset(P.free_endpoint_bases(c))
-            | frozenset(P.free_value_names(c))
-            | frozenset(P.free_shared_names(c)),
-        )
-        for c in comps
-    ]
-    keyed = sorted(((serialize_process(c, erase), c) for c in comps), key=lambda kv: kv[0])
+    parts = [(P.canonical_binders(c, names), names) for c, names in zip(comps, frees)]
+    keyed = sorted(((P.serialize_process(c, erase), (c, names)) for c, names in parts), key=lambda kv: kv[0])
 
-    groups: list[list[P.Process]] = []
+    groups: list[list[tuple[P.Process, dict[str, None]]]] = []
     group_keys: list[str] = []
-    for key, comp in keyed:
+    for key, part in keyed:
         if group_keys and group_keys[-1] == key:
-            groups[-1].append(comp)
+            groups[-1].append(part)
         else:
             group_keys.append(key)
-            groups.append([comp])
+            groups.append([part])
 
     total = 1
     for g in groups:
         for i in range(2, len(g) + 1):
             total *= i
     if total > _MAX_TIE_ARRANGEMENTS:
-        arrangements = [[c for g in groups for c in g]]
+        arrangements = [[part for g in groups for part in g]]
     else:
         arrangements = [
-            [c for perm in combo for c in perm]
+            [part for perm in combo for part in perm]
             for combo in product(*(list(permutations(g)) for g in groups))
         ]
 
     # Canonical `#k` targets must avoid names occurring free in the
     # components (an enclosing normalization's restrictions look free from
     # here and must not be captured).
-    free_names: set[str] = set()
-    for comp in comps:
-        free_names |= P.free_endpoint_bases(comp) | P.free_value_names(comp) | P.free_shared_names(comp)
-    free_names -= erase
+    free_names = set().union(*frees) - erase
     targets: list[str] = []
     k = 0
     while len(targets) < len(live):
@@ -393,20 +132,24 @@ def canonical_parts(restricted: list[str], comps: list[P.Process]) -> tuple[list
     best: tuple[str, list[str], list[P.Process]] | None = None
     for arranged in arrangements:
         order: list[str] = []
-        for comp in arranged:
-            _endpoint_names_in_order(comp, erase, order)
-        mapping = {name: targets[i] for i, name in enumerate(order)}
-        renamed = [_rename_bases(comp, mapping) for comp in arranged]
-        key = "\n".join(serialize_process(c) for c in renamed)
+        for _, names in arranged:
+            for n in names:
+                if n in erase and n not in order:
+                    order.append(n)
+        mapping = {name: P.Endpoint(targets[i]) for i, name in enumerate(order)}
+        renamed = [
+            P.substitute(c, mapping) if any(n in mapping for n in names) else c for c, names in arranged
+        ]
+        if len(arrangements) == 1:
+            return targets[: len(order)], renamed
+        key = "\n".join(P.serialize_process(c) for c in renamed)
         if best is None or key < best[0]:
-            best = (key, [mapping[n] for n in order], renamed)
-    if best is None:
-        return [], []
+            best = (key, targets[: len(order)], renamed)
     return best[1], best[2]
 
 
 def _normalize_once(p: P.Process) -> P.Process:
-    restricted, comps = _decompose(p)
+    restricted, comps, _ = _decompose(p)
     restricted, comps = canonical_parts(restricted, comps)
     body: P.Process = P.par(*comps)
     for name in reversed(restricted):
@@ -423,7 +166,7 @@ def normalize(p: P.Process) -> P.Process:
     """
     for _ in range(8):
         q = _normalize_once(p)
-        if q == p:
+        if P.process_equal(q, p):
             return p
         p = q
     return p

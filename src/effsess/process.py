@@ -1,8 +1,30 @@
-"""Processes of the session pi-calculus: AST, parser, printer, substitution.
+"""Processes of the session pi-calculus: AST, binder table, printer, parser.
 
 Channels are endpoint pairs: `c` and its opposite endpoint `~c` share one
 base name.  Communication in the semantics happens between the two
 polarities of a restricted base, and `new` binds both.
+
+The binder table `FORMS` has one entry per constructor: its fields in
+declaration order, each with the role it plays.  A name slot holds an
+occurrence of one of four kinds:
+
+- endpoint: a channel endpoint, `c` or `~c`;
+- value: a variable inside a payload or a call argument;
+- shared: the shared channel of an `accept` or a `request`;
+- definition: the definition a call invokes.
+
+Endpoint, value and shared names form one namespace, so a binder binds its
+name in all three.  Definition names form a namespace of their own.  What
+each constructor binds:
+
+- `c?(x). P`, `accept k(x). P`, `request k(x). P`: x in P;
+- `new x. P`: x in P;
+- `def X(xs; cs) = P in Q`: xs and cs in P, and X in both P and Q;
+- sends, select, branch, calls, parallel composition and `0` bind nothing.
+
+Every name-aware operation walks this table: free names, simultaneous
+capture-avoiding substitution, canonical binder renaming, the
+alpha-invariant serialization, structural equality and kind resolution.
 
 The surface syntax cannot distinguish a received value from a received
 channel (`c?(x).P` covers both), so the parser resolves binder and payload
@@ -14,6 +36,8 @@ names can be forced to channel kind via `known_channels`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from typing import Iterator, NamedTuple
 
 from .sessions import SessionType, _TypeParser, format_session_type
 from .terms import ParseError, ValueType, _Lexer, parse_value_type
@@ -76,14 +100,15 @@ def eval_value(v: Value) -> Value:
     return v
 
 
-def value_var_names(v: Value) -> frozenset[str]:
+def value_var_names(v: Value) -> tuple[str, ...]:
+    """The variables of ``v``, left to right."""
     if isinstance(v, VarRef):
-        return frozenset({v.name})
+        return (v.name,)
     if isinstance(v, SucOf):
         return value_var_names(v.arg)
     if isinstance(v, Pair):
-        return value_var_names(v.fst) | value_var_names(v.snd)
-    return frozenset()
+        return value_var_names(v.fst) + value_var_names(v.snd)
+    return ()
 
 
 def format_value(v: Value) -> str:
@@ -228,154 +253,115 @@ def par(*procs: Process) -> Process:
     return result
 
 
-def _subterms(p: Process) -> tuple[Process, ...]:
-    if isinstance(p, (RecvVal, SendVal, RecvChan, SendChan, Select, Accept, Request)):
-        return (p.cont,)
-    if isinstance(p, Branch):
-        return tuple(cont for _, cont in p.branches)
-    if isinstance(p, Def):
-        return (p.body, p.scope)
-    if isinstance(p, New):
-        return (p.body,)
-    if isinstance(p, Par):
-        return (p.left, p.right)
-    return ()
+# ------------------------------------------------------------ binder table
+
+# Roles of a constructor's fields.  Name slots:
+ENDPOINT, ENDPOINTS = "endpoint", "endpoints"
+VALUE, VALUES = "value", "values"
+SHARED = "shared"
+DEFINITION = "definition"
+# Binders.  Term binders and parameters scope over the node's SCOPED
+# subterms; DEFINES binds a definition name in all of the node's subterms.
+CHANNEL_BINDER, VALUE_BINDER = "channel binder", "value binder"
+CHANNEL_PARAMS, VALUE_PARAMS = "channel params", "value params"
+DEFINES = "defines"
+# Subterms, and fields that hold no names:
+SCOPED, OPEN, ARMS = "scoped", "open", "arms"
+LABEL, ANNOTATION = "label", "annotation"
+
+_PARAMS = (CHANNEL_PARAMS, VALUE_PARAMS)
+_BINDERS = (CHANNEL_BINDER, VALUE_BINDER) + _PARAMS
+# Consecutive fields of these roles serialize as one group "(a;b)".
+_SEQUENCES = (ENDPOINTS, VALUES) + _PARAMS
 
 
-def _free_walk(p: Process, on_endpoint, on_value, on_shared) -> None:
-    """Single linear pass over free occurrences, tracking bound names.
+class Form(NamedTuple):
+    """A row of the binder table: the constructor's serialization tag and
+    its fields, in declaration order, with their roles."""
 
-    Binders shadow both the channel and the value namespace; shared names
-    live in the same pool.
-    """
+    tag: str
+    fields: tuple[tuple[str, str], ...]
 
-    def values(v: Value, bound: frozenset[str]) -> None:
-        if isinstance(v, VarRef):
-            if v.name not in bound:
-                on_value(v.name)
-        elif isinstance(v, SucOf):
-            values(v.arg, bound)
-        elif isinstance(v, Pair):
-            values(v.fst, bound)
-            values(v.snd, bound)
 
-    def go(q: Process, bound: frozenset[str]) -> None:
-        if isinstance(q, (RecvVal, RecvChan)):
-            if q.chan.name not in bound:
-                on_endpoint(q.chan)
-            go(q.cont, bound | {q.binder})
-        elif isinstance(q, SendVal):
-            if q.chan.name not in bound:
-                on_endpoint(q.chan)
-            values(q.value, bound)
-            go(q.cont, bound)
-        elif isinstance(q, SendChan):
-            if q.chan.name not in bound:
-                on_endpoint(q.chan)
-            if q.sent.name not in bound:
-                on_endpoint(q.sent)
-            go(q.cont, bound)
-        elif isinstance(q, Branch):
-            if q.chan.name not in bound:
-                on_endpoint(q.chan)
-            for _, cont in q.branches:
-                go(cont, bound)
-        elif isinstance(q, Select):
-            if q.chan.name not in bound:
-                on_endpoint(q.chan)
-            go(q.cont, bound)
-        elif isinstance(q, Def):
-            params = frozenset(n for n, _ in q.val_params) | frozenset(n for n, _ in q.chan_params)
-            go(q.body, bound | params)
-            go(q.scope, bound)
-        elif isinstance(q, Call):
-            for v in q.val_args:
-                values(v, bound)
-            for ep in q.chan_args:
-                if ep.name not in bound:
-                    on_endpoint(ep)
-        elif isinstance(q, New):
-            go(q.body, bound | {q.name})
-        elif isinstance(q, Par):
-            go(q.left, bound)
-            go(q.right, bound)
-        elif isinstance(q, (Accept, Request)):
-            if q.shared not in bound:
-                on_shared(q.shared)
-            go(q.cont, bound | {q.binder})
+_SESSION = (("shared", SHARED), ("binder", CHANNEL_BINDER), ("cont", SCOPED))
 
-    go(p, frozenset())
+FORMS: dict[type, Form] = {
+    RecvVal: Form("rv", (("chan", ENDPOINT), ("binder", VALUE_BINDER), ("cont", SCOPED))),
+    SendVal: Form("sv", (("chan", ENDPOINT), ("value", VALUE), ("cont", OPEN))),
+    RecvChan: Form("rc", (("chan", ENDPOINT), ("binder", CHANNEL_BINDER), ("cont", SCOPED))),
+    SendChan: Form("sc", (("chan", ENDPOINT), ("sent", ENDPOINT), ("cont", OPEN))),
+    Branch: Form("br", (("chan", ENDPOINT), ("branches", ARMS))),
+    Select: Form("sel", (("chan", ENDPOINT), ("label", LABEL), ("cont", OPEN))),
+    Def: Form("def", (("name", DEFINES), ("val_params", VALUE_PARAMS), ("chan_params", CHANNEL_PARAMS),
+                      ("body", SCOPED), ("scope", OPEN))),
+    Call: Form("call", (("name", DEFINITION), ("val_args", VALUES), ("chan_args", ENDPOINTS))),
+    New: Form("new", (("name", CHANNEL_BINDER), ("annotation", ANNOTATION), ("body", SCOPED))),
+    Par: Form("par", (("left", OPEN), ("right", OPEN))),
+    Nil: Form("nil", ()),
+    Accept: Form("acc", _SESSION),
+    Request: Form("req", _SESSION),
+}
+
+
+def _binders(role: str, x) -> tuple[str, ...]:
+    """The term names a binder field binds."""
+    return tuple(name for name, _ in x) if role in _PARAMS else (x,)
+
+
+class FreeNames(NamedTuple):
+    """``terms``: every free endpoint base, value variable and shared name,
+    in order of first occurrence (pre-order, fields in table order).
+    ``endpoints``: the free endpoints with their polarity; the two
+    polarities of one base are distinct linear resources.
+    ``definitions``: called definition names no enclosing ``def`` binds."""
+
+    terms: dict[str, None]
+    endpoints: set[Endpoint]
+    definitions: set[str]
+
+
+def free_names(p: Process) -> FreeNames:
+    out = FreeNames({}, set(), set())
+
+    def go(q: Process, bound: frozenset[str], defs: frozenset[str]) -> None:
+        inner = bound
+        for field, role in FORMS[type(q)].fields:
+            x = getattr(q, field)
+            if role is ENDPOINT or role is ENDPOINTS:
+                for e in (x,) if role is ENDPOINT else x:
+                    if e.name not in bound:
+                        out.endpoints.add(e)
+                        out.terms[e.name] = None
+            elif role is SCOPED or role is OPEN:
+                go(x, inner if role is SCOPED else bound, defs)
+            elif role is VALUE or role is VALUES:
+                for v in (x,) if role is VALUE else x:
+                    for name in value_var_names(v):
+                        if name not in bound:
+                            out.terms[name] = None
+            elif role is SHARED:
+                if x not in bound:
+                    out.terms[x] = None
+            elif role in _BINDERS:
+                inner = inner.union(_binders(role, x))
+            elif role is ARMS:
+                for _, cont in x:
+                    go(cont, bound, defs)
+            elif role is DEFINES:
+                defs = defs | {x}
+            elif role is DEFINITION and x not in defs:
+                out.definitions.add(x)
+
+    go(p, frozenset(), frozenset())
+    return out
 
 
 def free_endpoints(p: Process) -> frozenset[Endpoint]:
-    """Endpoints (base name with polarity) occurring free in ``p``.
-
-    The two polarities of one base are distinct linear resources; binders
-    shadow both polarities of their name.
-    """
-    out: set[Endpoint] = set()
-    _free_walk(p, out.add, lambda n: None, lambda n: None)
-    return frozenset(out)
+    """Endpoints (base name with polarity) occurring free in ``p``."""
+    return frozenset(free_names(p).endpoints)
 
 
-def free_endpoint_bases(p: Process) -> frozenset[str]:
-    """Base names of channel endpoints occurring free in ``p``."""
-    out: set[str] = set()
-    _free_walk(p, lambda e: out.add(e.name), lambda n: None, lambda n: None)
-    return frozenset(out)
-
-
-def free_shared_names(p: Process) -> frozenset[str]:
-    out: set[str] = set()
-    _free_walk(p, lambda e: None, lambda n: None, out.add)
-    return frozenset(out)
-
-
-def free_value_names(p: Process) -> frozenset[str]:
-    out: set[str] = set()
-    _free_walk(p, lambda e: None, out.add, lambda n: None)
-    return frozenset(out)
-
-
-def all_process_names(p: Process) -> set[str]:
-    """Every identifier in ``p``: endpoints, binders, value names, defs."""
-    names: set[str] = set()
-
-    def walk_value(v: Value) -> None:
-        names.update(value_var_names(v))
-
-    def walk(q: Process) -> None:
-        if isinstance(q, (RecvVal, RecvChan)):
-            names.add(q.chan.name)
-            names.add(q.binder)
-        elif isinstance(q, SendVal):
-            names.add(q.chan.name)
-            walk_value(q.value)
-        elif isinstance(q, SendChan):
-            names.update((q.chan.name, q.sent.name))
-        elif isinstance(q, (Branch, Select)):
-            names.add(q.chan.name)
-        elif isinstance(q, Def):
-            names.add(q.name)
-            names.update(name for name, _ in q.val_params)
-            names.update(name for name, _ in q.chan_params)
-        elif isinstance(q, Call):
-            names.add(q.name)
-            for v in q.val_args:
-                walk_value(v)
-            names.update(ep.name for ep in q.chan_args)
-        elif isinstance(q, New):
-            names.add(q.name)
-        elif isinstance(q, (Accept, Request)):
-            names.update((q.shared, q.binder))
-        for sub in _subterms(q):
-            walk(sub)
-
-    walk(p)
-    return names
-
-
-def fresh_name(base: str, avoid: set[str]) -> str:
+def fresh_name(base: str, avoid) -> str:
     if base not in avoid:
         return base
     k = 1
@@ -386,128 +372,250 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 
 # ------------------------------------------------------------ substitution
 
-def _rename_any_binder(cont: Process, old: str, fresh: str) -> Process:
-    """Rename a binder occurrence-wise in both namespaces; each pass only
-    touches its own kind of occurrence, so applying both is safe."""
-    cont = subst_endpoint(cont, old, Endpoint(fresh))
-    return subst_value_name(cont, old, VarRef(fresh))
+Replacement = Endpoint | Value
+
+
+def substitute(
+    p: Process, mapping: dict[str, Replacement] | None = None, definitions: dict[str, Call] | None = None
+) -> Process:
+    """Simultaneous, capture-avoiding substitution of free names.
+
+    ``mapping`` sends a term name to an endpoint or a value.  An endpoint
+    replaces endpoint occurrences polarity-wise (with x -> ~d, a use of ~x
+    becomes d) and renames value and shared occurrences to its base name.  A
+    value replaces value occurrences; a variable also renames endpoint and
+    shared occurrences, and any other value leaves them alone.
+    ``definitions`` sends a definition name to a partial call: a call of the
+    name becomes a call of the partial call's name, its arguments first.
+    A binder that would capture a name the substitution brings in is renamed.
+    """
+    return _rewrite(p, mapping or {}, definitions or {}, None)
+
+
+def canonical_binders(p: Process, avoid) -> Process:
+    """Rename every term binder to `%k`, numbered in pre-order and skipping
+    the names in ``avoid``, and drop type annotations.  Pass the free names
+    of ``p`` as ``avoid`` so that no new binder can capture one."""
+    return _rewrite(p, {}, {}, (f"%{k}" for k in count() if f"%{k}" not in avoid))
+
+
+def _rewrite(p: Process, mapping: dict, definitions: dict, canonical: Iterator[str] | None) -> Process:
+    """Rebuild ``p`` with free names replaced through the mappings.  A
+    ``canonical`` rewrite takes every term binder's new name from the
+    iterator and drops annotations; otherwise binders keep their names
+    unless they would capture."""
+    introduced = set().union(
+        *((r.name,) if isinstance(r, Endpoint) else value_var_names(r) for r in mapping.values()),
+        *(free_names(call).terms for call in definitions.values()),
+    )
+    introduced_defs = {call.name for call in definitions.values()}
+
+    def bind(name: str, m: dict, q: Process) -> tuple[str, dict]:
+        if canonical is not None:
+            fresh = next(canonical)
+        else:
+            if name in m:
+                m = {k: r for k, r in m.items() if k != name}
+            if not m or name not in introduced:
+                return name, m
+            fields = FORMS[type(q)].fields
+            scoped = [free_names(getattr(q, f)).terms for f, role in fields if role is SCOPED]
+            siblings = [_binders(role, getattr(q, f)) for f, role in fields if role in _BINDERS]
+            fresh = fresh_name(name, introduced.union(m, *scoped, *siblings))
+        return fresh, {**m, name: Endpoint(fresh)}
+
+    def bind_definition(name: str, dm: dict, q: Process) -> tuple[str, dict]:
+        if name in dm:
+            dm = {k: call for k, call in dm.items() if k != name}
+        if not dm or name not in introduced_defs:
+            return name, dm
+        fresh = fresh_name(name, introduced_defs.union(dm, free_names(q).definitions))
+        return fresh, {**dm, name: Call(fresh, (), ())}
+
+    def endpoint(e: Endpoint, m: dict) -> Endpoint:
+        r = m.get(e.name)
+        if isinstance(r, Endpoint):
+            return Endpoint(r.name, r.dual != e.dual)
+        return Endpoint(r.name, e.dual) if isinstance(r, VarRef) else e
+
+    def value(v: Value, m: dict) -> Value:
+        if isinstance(v, VarRef):
+            r = m.get(v.name, v)
+            return VarRef(r.name) if isinstance(r, Endpoint) else r
+        if isinstance(v, SucOf):
+            return SucOf(value(v.arg, m))
+        if isinstance(v, Pair):
+            return Pair(value(v.fst, m), value(v.snd, m))
+        return v
+
+    def go(q: Process, m: dict, dm: dict) -> Process:
+        fields = FORMS[type(q)].fields
+        if not fields or (canonical is None and not m and not dm):
+            return q
+        out = []
+        inner, partial = m, None
+        for field, role in fields:
+            x = getattr(q, field)
+            if role is ENDPOINT:
+                x = endpoint(x, m)
+            elif role is SCOPED or role is OPEN:
+                x = go(x, inner if role is SCOPED else m, dm)
+            elif role is VALUE:
+                x = value(x, m)
+            elif role is CHANNEL_BINDER or role is VALUE_BINDER:
+                x, inner = bind(x, inner, q)
+            elif role is ARMS:
+                arms = []
+                for label, cont in x:
+                    arms.append((label, go(cont, m, dm)))
+                x = tuple(arms)
+            elif role is SHARED:
+                r = m.get(x)
+                x = r.name if isinstance(r, (Endpoint, VarRef)) else x
+            elif role is ENDPOINTS:
+                x = (partial.chan_args if partial is not None else ()) + tuple([endpoint(e, m) for e in x])
+            elif role is VALUES:
+                x = (partial.val_args if partial is not None else ()) + tuple([value(v, m) for v in x])
+            elif role in _PARAMS:
+                params = []
+                for name, annotation in x:
+                    name, inner = bind(name, inner, q)
+                    params.append((name, None if canonical else annotation))
+                x = tuple(params)
+            elif role is DEFINES:
+                x, dm = bind_definition(x, dm, q)
+            elif role is DEFINITION:
+                partial = dm.get(x)
+                x = x if partial is None else partial.name
+            elif role is ANNOTATION and canonical:
+                x = None
+            out.append(x)
+        return type(q)(*out)
+
+    return go(p, mapping, definitions)
 
 
 def subst_endpoint(p: Process, name: str, ep: Endpoint) -> Process:
-    """Capture-avoiding substitution of a base name by an endpoint.
-
-    Occurrences at the opposite polarity map to the opposite endpoint:
-    with name -> ~d, a use of ~name becomes d.
-    """
-
-    def res(e: Endpoint) -> Endpoint:
-        if e.name == name:
-            return Endpoint(ep.name, ep.dual ^ e.dual)
-        return e
-
-    def binder_cont(binder: str, cont: Process) -> tuple[str, Process] | None:
-        """None when the binder shadows the substituted name."""
-        if binder == name:
-            return None
-        if binder == ep.name:
-            fresh = fresh_name(binder, all_process_names(cont) | {name, ep.name})
-            return fresh, subst_endpoint(_rename_any_binder(cont, binder, fresh), name, ep)
-        return binder, subst_endpoint(cont, name, ep)
-
-    if isinstance(p, (RecvVal, RecvChan)):
-        cls = type(p)
-        out = binder_cont(p.binder, p.cont)
-        if out is None:
-            return cls(res(p.chan), p.binder, p.cont)
-        return cls(res(p.chan), out[0], out[1])
-    if isinstance(p, SendVal):
-        return SendVal(res(p.chan), p.value, subst_endpoint(p.cont, name, ep))
-    if isinstance(p, SendChan):
-        return SendChan(res(p.chan), res(p.sent), subst_endpoint(p.cont, name, ep))
-    if isinstance(p, Branch):
-        return Branch(res(p.chan), tuple((l, subst_endpoint(c, name, ep)) for l, c in p.branches))
-    if isinstance(p, Select):
-        return Select(res(p.chan), p.label, subst_endpoint(p.cont, name, ep))
-    if isinstance(p, Def):
-        params = {n for n, _ in p.val_params} | {n for n, _ in p.chan_params}
-        body = p.body if name in params else subst_endpoint(p.body, name, ep)
-        return Def(p.name, p.val_params, p.chan_params, body, subst_endpoint(p.scope, name, ep))
-    if isinstance(p, Call):
-        return Call(p.name, p.val_args, tuple(res(e) for e in p.chan_args))
-    if isinstance(p, New):
-        if p.name == name:
-            return p
-        if p.name == ep.name:
-            fresh = fresh_name(p.name, all_process_names(p.body) | {name, ep.name})
-            body = subst_endpoint(p.body, p.name, Endpoint(fresh))
-            return New(fresh, p.annotation, subst_endpoint(body, name, ep))
-        return New(p.name, p.annotation, subst_endpoint(p.body, name, ep))
-    if isinstance(p, Par):
-        return Par(subst_endpoint(p.left, name, ep), subst_endpoint(p.right, name, ep))
-    if isinstance(p, Nil):
-        return p
-    if isinstance(p, (Accept, Request)):
-        cls = type(p)
-        out = binder_cont(p.binder, p.cont)
-        if out is None:
-            return cls(p.shared, p.binder, p.cont)
-        return cls(p.shared, out[0], out[1])
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _subst_in_value(v: Value, name: str, replacement: Value) -> Value:
-    if isinstance(v, VarRef):
-        return replacement if v.name == name else v
-    if isinstance(v, SucOf):
-        return SucOf(_subst_in_value(v.arg, name, replacement))
-    if isinstance(v, Pair):
-        return Pair(_subst_in_value(v.fst, name, replacement), _subst_in_value(v.snd, name, replacement))
-    return v
+    """Capture-avoiding substitution of a base name by an endpoint."""
+    return substitute(p, {name: ep})
 
 
 def subst_value_name(p: Process, name: str, replacement: Value) -> Process:
     """Capture-avoiding substitution of a value variable."""
-    avoid = value_var_names(replacement)
+    return substitute(p, {name: replacement})
 
-    def go(q: Process) -> Process:
-        if isinstance(q, (RecvVal, RecvChan)):
-            cls = type(q)
-            if q.binder == name:
-                return q
-            if q.binder in avoid:
-                fresh = fresh_name(q.binder, all_process_names(q) | set(avoid) | {name})
-                cont = subst_value_name(q.cont, q.binder, VarRef(fresh))
-                cont = subst_endpoint(cont, q.binder, Endpoint(fresh)) if q.binder in free_endpoint_bases(q.cont) else cont
-                return cls(q.chan, fresh, go(cont))
-            return cls(q.chan, q.binder, go(q.cont))
-        if isinstance(q, SendVal):
-            return SendVal(q.chan, _subst_in_value(q.value, name, replacement), go(q.cont))
-        if isinstance(q, SendChan):
-            return SendChan(q.chan, q.sent, go(q.cont))
-        if isinstance(q, Branch):
-            return Branch(q.chan, tuple((l, go(c)) for l, c in q.branches))
-        if isinstance(q, Select):
-            return Select(q.chan, q.label, go(q.cont))
-        if isinstance(q, Def):
-            params = {n for n, _ in q.val_params} | {n for n, _ in q.chan_params}
-            body = q.body if name in params else go(q.body)
-            return Def(q.name, q.val_params, q.chan_params, body, go(q.scope))
-        if isinstance(q, Call):
-            return Call(q.name, tuple(_subst_in_value(v, name, replacement) for v in q.val_args), q.chan_args)
-        if isinstance(q, New):
-            return New(q.name, q.annotation, go(q.body))
-        if isinstance(q, Par):
-            return Par(go(q.left), go(q.right))
-        if isinstance(q, Nil):
-            return q
-        if isinstance(q, (Accept, Request)):
-            cls = type(q)
-            if q.binder == name:
-                return q
-            return cls(q.shared, q.binder, go(q.cont))
-        raise TypeError(f"not a process: {q!r}")
 
-    return go(p)
+# --------------------------------------------- subterms, key and equality
+
+def subterms(p: Process) -> list[Process]:
+    """The immediate subprocesses of ``p``, in field order."""
+    out: list[Process] = []
+    for field, role in FORMS[type(p)].fields:
+        if role is SCOPED or role is OPEN:
+            out.append(getattr(p, field))
+        elif role is ARMS:
+            out.extend(cont for _, cont in getattr(p, field))
+    return out
+
+
+def with_subterms(p: Process, kids: list[Process]) -> Process:
+    """``p`` with its immediate subprocesses replaced, listed as
+    ``subterms`` lists them.  Branch arms come back sorted by label: their
+    order carries no meaning, and a canonical form needs one order."""
+    kids_left = iter(kids)
+    out = []
+    for field, role in FORMS[type(p)].fields:
+        x = getattr(p, field)
+        if role is SCOPED or role is OPEN:
+            x = next(kids_left)
+        elif role is ARMS:
+            x = tuple(sorted(((label, next(kids_left)) for label, _ in x), key=lambda arm: arm[0]))
+        out.append(x)
+    return type(p)(*out)
+
+
+def serialize_process(p: Process, erase: frozenset[str] = frozenset()) -> str:
+    """A total, alpha-invariant textual key: binders are de-Bruijn levels,
+    so the key never depends on bound-name spelling.  Free names in
+    ``erase`` are hidden (polarity kept) and the key describes the
+    wiring-free skeleton; other free names print concretely."""
+
+    def name(n: str, env: dict[str, int], mark: str = "") -> str:
+        if n in env:
+            return f"<{env[n]}{mark}>"
+        return f"<nu{mark}>" if n in erase else mark + n
+
+    def value(v: Value, env: dict[str, int]) -> str:
+        if isinstance(v, VarRef):
+            return name(v.name, env)
+        if isinstance(v, SucOf):
+            return f"suc {value(v.arg, env)}"
+        if isinstance(v, Pair):
+            return f"({value(v.fst, env)},{value(v.snd, env)})"
+        return format_value(v)
+
+    def go(q: Process, env: dict[str, int], depth: int) -> str:
+        form = FORMS[type(q)]
+        parts, group = ["(" + form.tag], []
+        inner, inner_depth = env, depth
+        for field, role in form.fields:
+            x = getattr(q, field)
+            if group and role not in _SEQUENCES:
+                parts.append(f"({';'.join(group)})")
+                group = []
+            if role is ENDPOINT:
+                parts.append(name(x.name, env, "~" if x.dual else ""))
+            elif role is SCOPED or role is OPEN:
+                parts.append(go(x, inner, inner_depth) if role is SCOPED else go(x, env, depth))
+            elif role is VALUE:
+                parts.append(value(x, env))
+            elif role is SHARED:
+                parts.append(name(x, env))
+            elif role in _BINDERS:
+                inner = dict(inner)
+                for bound in _binders(role, x):
+                    inner[bound] = inner_depth
+                    inner_depth += 1
+                if role in _PARAMS:
+                    group.append(str(len(x)))
+            elif role is ARMS:
+                for label, cont in x:
+                    parts.append(label)
+                    parts.append(go(cont, env, depth))
+            elif role is ENDPOINTS:
+                group.append(" ".join([name(e.name, env, "~" if e.dual else "") for e in x]))
+            elif role is VALUES:
+                group.append(" ".join([value(v, env) for v in x]))
+            elif role is not ANNOTATION:
+                parts.append(x)
+        if group:
+            parts.append(f"({';'.join(group)})")
+        return " ".join(parts) + ")"
+
+    return go(p, {}, 0)
+
+
+def process_equal(p: Process, q: Process) -> bool:
+    """Structural equality, walked with an explicit stack so that deep
+    processes compare without deep recursion."""
+    stack = [(p, q)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        for field, role in FORMS[type(a)].fields:
+            x, y = getattr(a, field), getattr(b, field)
+            if role is ARMS:
+                if [label for label, _ in x] != [label for label, _ in y]:
+                    return False
+                stack.extend((cx, cy) for (_, cx), (_, cy) in zip(x, y))
+            elif role is SCOPED or role is OPEN:
+                stack.append((x, y))
+            elif x != y:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------- printer
@@ -572,10 +680,6 @@ _PROC_PUNCT = (
 _PROC_KEYWORDS = ("def", "in", "new", "accept", "request", "zero", "unit", "suc", "end", "mu")
 
 
-class _Ambig(VarRef):
-    """A bare identifier payload whose kind is resolved after parsing."""
-
-
 class _ProcParser:
     def __init__(self, lex: _Lexer):
         self.lex = lex
@@ -625,7 +729,7 @@ class _ProcParser:
                 return SucOf(self.value())
             if tok[1] in _PROC_KEYWORDS:
                 raise ParseError(f"unexpected keyword {tok[1]!r} in value", tok[2], tok[3])
-            return _Ambig(tok[1])
+            return VarRef(tok[1])
         raise ParseError(f"unexpected token {tok[1]!r} in value", tok[2], tok[3])
 
     def cont(self) -> Process:
@@ -794,91 +898,41 @@ def parse_process(text: str, known_channels=()) -> Process:
 
 # ------------------------------------------------------- kind resolution
 
-def _used_as_channel(p: Process, name: str) -> bool:
-    """Does ``name`` occur in an unambiguous channel position in ``p``,
-    before being rebound?"""
-    if isinstance(p, (RecvVal, RecvChan)):
-        if p.chan.name == name:
-            return True
-        if p.binder == name:
-            return False
-        return _used_as_channel(p.cont, name)
-    if isinstance(p, (SendVal, Select)):
-        if p.chan.name == name:
-            return True
-        return _used_as_channel(p.cont, name)
-    if isinstance(p, SendChan):
-        if name in (p.chan.name, p.sent.name):
-            return True
-        return _used_as_channel(p.cont, name)
-    if isinstance(p, Branch):
-        if p.chan.name == name:
-            return True
-        return any(_used_as_channel(c, name) for _, c in p.branches)
-    if isinstance(p, Call):
-        return any(ep.name == name for ep in p.chan_args)
-    if isinstance(p, Def):
-        params = {n for n, _ in p.val_params} | {n for n, _ in p.chan_params}
-        in_body = name not in params and _used_as_channel(p.body, name)
-        return in_body or _used_as_channel(p.scope, name)
-    if isinstance(p, New):
-        if p.name == name:
-            return False
-        return _used_as_channel(p.body, name)
-    if isinstance(p, Par):
-        return _used_as_channel(p.left, name) or _used_as_channel(p.right, name)
-    if isinstance(p, (Accept, Request)):
-        if p.binder == name:
-            return False
-        return _used_as_channel(p.cont, name)
-    return False
-
-
-def _deambig_value(v: Value) -> Value:
-    if isinstance(v, _Ambig):
-        return VarRef(v.name)
-    if isinstance(v, SucOf):
-        return SucOf(_deambig_value(v.arg))
-    if isinstance(v, Pair):
-        return Pair(_deambig_value(v.fst), _deambig_value(v.snd))
-    return v
-
-
 def resolve_kinds(p: Process, known_channels: frozenset[str] = frozenset()) -> Process:
     """Canonicalize receive nodes and bare-identifier payloads.
 
-    A receive binder becomes a channel binder exactly when it is used as a
-    channel in its scope; a bare identifier payload is a channel send
-    exactly when the name is channel-kind where it occurs.
+    A receive binder becomes a channel binder exactly when it occurs free
+    in an endpoint slot of its scope; a bare identifier payload is a channel
+    send exactly when the name is channel-kind where it occurs.  A name is
+    channel-kind under a channel binder or channel parameter, and value-kind
+    under a value binder or value parameter.
     """
 
     def go(q: Process, chans: frozenset[str]) -> Process:
-        if isinstance(q, (RecvVal, RecvChan)):
-            if _used_as_channel(q.cont, q.binder):
-                return RecvChan(q.chan, q.binder, go(q.cont, chans | {q.binder}))
-            return RecvVal(q.chan, q.binder, go(q.cont, chans - {q.binder}))
-        if isinstance(q, SendVal):
-            if isinstance(q.value, VarRef) and q.value.name in chans:
-                return SendChan(q.chan, Endpoint(q.value.name, False), go(q.cont, chans))
-            return SendVal(q.chan, _deambig_value(q.value), go(q.cont, chans))
-        if isinstance(q, SendChan):
-            return SendChan(q.chan, q.sent, go(q.cont, chans))
-        if isinstance(q, Branch):
-            return Branch(q.chan, tuple((l, go(c, chans)) for l, c in q.branches))
-        if isinstance(q, Select):
-            return Select(q.chan, q.label, go(q.cont, chans))
-        if isinstance(q, Def):
-            body_chans = frozenset(n for n, _ in q.chan_params)
-            return Def(q.name, q.val_params, q.chan_params, go(q.body, body_chans), go(q.scope, chans))
-        if isinstance(q, Call):
-            return Call(q.name, tuple(_deambig_value(v) for v in q.val_args), q.chan_args)
-        if isinstance(q, New):
-            return New(q.name, q.annotation, go(q.body, chans | {q.name}))
-        if isinstance(q, Par):
-            return Par(go(q.left, chans), go(q.right, chans))
-        if isinstance(q, (Accept, Request)):
-            cls = type(q)
-            return cls(q.shared, q.binder, go(q.cont, chans | {q.binder}))
-        return q
+        cls = type(q)
+        if cls is RecvVal or cls is RecvChan:
+            used = any(e.name == q.binder for e in free_names(q.cont).endpoints)
+            cls = RecvChan if used else RecvVal
+        elif cls is SendVal and isinstance(q.value, VarRef) and q.value.name in chans:
+            return SendChan(q.chan, Endpoint(q.value.name, False), go(q.cont, chans))
+        out = []
+        inner = chans
+        for field, role in FORMS[cls].fields:
+            x = getattr(q, field)
+            if role is SCOPED:
+                x = go(x, inner)
+            elif role is OPEN:
+                x = go(x, chans)
+            elif role is ARMS:
+                arms = []
+                for label, cont in x:
+                    arms.append((label, go(cont, chans)))
+                x = tuple(arms)
+            elif role is CHANNEL_BINDER or role is CHANNEL_PARAMS:
+                inner = inner.union(_binders(role, x))
+            elif role is VALUE_BINDER or role is VALUE_PARAMS:
+                inner = inner.difference(_binders(role, x))
+            out.append(x)
+        return cls(*out)
 
     return go(p, known_channels)

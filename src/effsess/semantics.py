@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from . import process as P
-from .normalize import canonical_parts, serialize_process, _decompose
+from .normalize import canonical_parts, _decompose
 
 
 class RuntimeSafetyViolation(Exception):
@@ -122,12 +122,15 @@ class Configuration:
     key: str
 
     def all_names(self) -> set[str]:
+        """Names a fresh name must avoid: the restricted and observable
+        names, the definitions, and the free names of the components and of
+        the definition bodies."""
         names = set(self.restricted) | self.observables
         for comp in self.components:
-            names |= P.all_process_names(comp)
+            names.update(P.free_names(comp).terms)
         for name, (_, _, body) in self.defs:
             names.add(name)
-            names |= P.all_process_names(body)
+            names.update(P.free_names(body).terms)
         return names
 
     def residual_process(self) -> P.Process:
@@ -137,47 +140,12 @@ class Configuration:
         return body
 
 
-def _rename_calls(p: P.Process, old: str, new: str) -> P.Process:
-    def go(q: P.Process) -> P.Process:
-        if isinstance(q, P.Call) and q.name == old:
-            return P.Call(new, q.val_args, q.chan_args)
-        if isinstance(q, P.Def):
-            body = q.body if q.name == old else go(q.body)
-            scope = q.scope if q.name == old else go(q.scope)
-            return P.Def(q.name, q.val_params, q.chan_params, body, scope)
-        if isinstance(q, (P.RecvVal, P.RecvChan, P.Select, P.Accept, P.Request)):
-            return type(q)(*_head_fields(q), go(q.cont))
-        if isinstance(q, P.SendVal):
-            return P.SendVal(q.chan, q.value, go(q.cont))
-        if isinstance(q, P.SendChan):
-            return P.SendChan(q.chan, q.sent, go(q.cont))
-        if isinstance(q, P.Branch):
-            return P.Branch(q.chan, tuple((l, go(c)) for l, c in q.branches))
-        if isinstance(q, P.New):
-            return P.New(q.name, q.annotation, go(q.body))
-        if isinstance(q, P.Par):
-            return P.Par(go(q.left), go(q.right))
-        return q
-
-    return go(p)
-
-
-def _head_fields(q: P.Process) -> tuple:
-    if isinstance(q, (P.RecvVal, P.RecvChan)):
-        return (q.chan, q.binder)
-    if isinstance(q, P.Select):
-        return (q.chan, q.label)
-    if isinstance(q, (P.Accept, P.Request)):
-        return (q.shared, q.binder)
-    raise TypeError(q)
-
-
 def make_configuration(
     p: P.Process,
     observables: frozenset[str] = frozenset(),
     defs: dict[str, DefClosure] | None = None,
 ) -> Configuration:
-    restricted, comps = _decompose(p)
+    restricted, comps, _ = _decompose(p)
     return _assemble(restricted, comps, dict(defs or {}), observables)
 
 
@@ -193,39 +161,37 @@ def _assemble(
     body: P.Process = P.par(*comps)
     for name in reversed(restricted):
         body = P.New(name, None, body)
-    restricted, pending = _decompose(body)
+    restricted, pending, _ = _decompose(body)
     comps = []
     while pending:
         comp = pending.pop(0)
         if isinstance(comp, P.Def):
+            comp = _close_over_restricted(comp, restricted)
             name = comp.name
             scope = comp.scope
             def_body = comp.body
             if name in defs and defs[name][2] != _close_def(comp)[2]:
-                fresh = P.fresh_name(
-                    name, set(defs) | P.all_process_names(scope) | P.all_process_names(def_body)
-                )
-                def_body = _rename_calls(def_body, name, fresh)
-                scope = _rename_calls(scope, name, fresh)
+                fresh = P.fresh_name(name, set(defs) | P.free_names(comp).definitions)
+                renamed = {name: P.Call(fresh, (), ())}
+                def_body = P.substitute(def_body, definitions=renamed)
+                scope = P.substitute(scope, definitions=renamed)
                 name = fresh
             defs[name] = _close_def(P.Def(name, comp.val_params, comp.chan_params, def_body, P.NIL))
-            sub_restricted, sub_comps = _decompose(scope)
-            taken = set(restricted) | {n for c in (comps + pending) for n in P.all_process_names(c)}
+            sub_restricted, sub_comps, _ = _decompose(scope)
+            taken = set(restricted) | {n for c in (comps + pending) for n in P.free_names(c).terms}
             for sub in sub_restricted:
                 if sub in taken:
                     fresh = P.fresh_name(sub, taken | set(sub_restricted))
-                    sub_comps = [P.subst_endpoint(c, sub, P.Endpoint(fresh)) for c in sub_comps]
+                    sub_comps = [P.substitute(c, {sub: P.Endpoint(fresh)}) for c in sub_comps]
                     sub = fresh
                 restricted.append(sub)
                 taken.add(sub)
             pending = sub_comps + pending
-        elif isinstance(comp, P.Nil):
-            continue
         else:
             comps.append(comp)
     restricted, comps = canonical_parts(restricted, comps)
     key_parts = [",".join(restricted)]
-    key_parts.extend(serialize_process(c) for c in comps)
+    key_parts.extend(P.serialize_process(c) for c in comps)
     key_parts.append("|defs:" + ",".join(sorted(name for name, _ in sorted(defs.items()))))
     return Configuration(
         restricted=tuple(restricted),
@@ -236,16 +202,32 @@ def _assemble(
     )
 
 
+def _close_over_restricted(d: P.Def, restricted: list[str]) -> P.Def:
+    """Closure conversion: definitions live in one global environment, out
+    of reach of restrictions, so the restricted names a definition body
+    uses become leading value parameters and every call passes them."""
+    private = set(restricted)
+    own = P.free_names(P.Def(d.name, d.val_params, d.chan_params, d.body, P.NIL)).terms
+    captured = tuple(name for name in own if name in private)
+    if not captured:
+        return d
+    partial = {d.name: P.Call(d.name, tuple(P.VarRef(name) for name in captured), ())}
+    return P.Def(
+        d.name,
+        tuple((name, None) for name in captured) + d.val_params,
+        d.chan_params,
+        P.substitute(d.body, definitions=partial),
+        P.substitute(d.scope, definitions=partial),
+    )
+
+
 def _close_def(d: P.Def) -> DefClosure:
     """Canonicalize a definition body with positional parameter names."""
     val_names = tuple(f"%v{i}" for i in range(len(d.val_params)))
     chan_names = tuple(f"%c{i}" for i in range(len(d.chan_params)))
-    body = d.body
-    for (old, _), new in zip(d.val_params, val_names):
-        body = P.subst_value_name(body, old, P.VarRef(new))
-    for (old, _), new in zip(d.chan_params, chan_names):
-        body = P.subst_endpoint(body, old, P.Endpoint(new))
-    return (val_names, chan_names, body)
+    mapping: dict[str, P.Replacement] = {old: P.VarRef(new) for (old, _), new in zip(d.val_params, val_names)}
+    mapping.update({old: P.Endpoint(new) for (old, _), new in zip(d.chan_params, chan_names)})
+    return (val_names, chan_names, P.substitute(d.body, mapping))
 
 
 def _fresh_supply_name(cfg: Configuration) -> str:
@@ -272,17 +254,7 @@ _RECV_HEADS = (P.RecvVal, P.RecvChan)
 
 def _receive(cont_holder: P.Process, payload) -> P.Process:
     """Substitute an incoming item (value or endpoint) for the binder."""
-    binder = cont_holder.binder
-    cont = cont_holder.cont
-    if isinstance(payload, P.Endpoint):
-        return P.subst_endpoint(cont, binder, payload)
-    return P.subst_value_name(cont, binder, payload)
-
-
-def _payload(send_head: P.Process):
-    if isinstance(send_head, P.SendVal):
-        return P.eval_value(send_head.value)
-    return send_head.sent
+    return P.substitute(cont_holder.cont, {cont_holder.binder: payload})
 
 
 def _sync_mismatch(a: P.Process, b: P.Process) -> str | None:
@@ -349,7 +321,8 @@ def transitions(
                     raise RuntimeSafetyViolation(reason)
                 continue
             if isinstance(a, _SEND_HEADS):
-                target = rebuild(replaced2(i, j, a.cont, _receive(b, _payload(a))))
+                payload = P.eval_value(a.value) if isinstance(a, P.SendVal) else a.sent
+                target = rebuild(replaced2(i, j, a.cont, _receive(b, payload)))
             else:
                 target = rebuild(replaced2(i, j, a.cont, b.get(a.label)))
             out.append((TAU, target))
@@ -362,8 +335,8 @@ def transitions(
             if not isinstance(b, P.Request) or b.shared != a.shared:
                 continue
             session = _fresh_session_name(cfg)
-            acc = P.subst_endpoint(a.cont, a.binder, P.Endpoint(session, False))
-            req = P.subst_endpoint(b.cont, b.binder, P.Endpoint(session, True))
+            acc = _receive(a, P.Endpoint(session, False))
+            req = _receive(b, P.Endpoint(session, True))
             target = rebuild(replaced2(i, j, acc, req), list(cfg.restricted) + [session])
             label: TransitionLabel = (
                 SharedInit(a.shared) if a.shared in cfg.observables else TAU
@@ -380,11 +353,11 @@ def transitions(
         val_names, chan_names, body = closure
         if len(val_names) != len(a.val_args) or len(chan_names) != len(a.chan_args):
             raise RuntimeSafetyViolation(f"arity mismatch calling {a.name!r}")
-        for name, value in zip(val_names, a.val_args):
-            body = P.subst_value_name(body, name, P.eval_value(value))
-        for name, ep in zip(chan_names, a.chan_args):
-            body = P.subst_endpoint(body, name, ep)
-        out.append((TAU, rebuild(replaced(i, body))))
+        mapping: dict[str, P.Replacement] = {
+            name: P.eval_value(value) for name, value in zip(val_names, a.val_args)
+        }
+        mapping.update(zip(chan_names, a.chan_args))
+        out.append((TAU, rebuild(replaced(i, P.substitute(body, mapping)))))
 
     # visible actions on observable free endpoints; names drawn from the
     # canonical fresh supply (@k) are observable by construction
@@ -400,7 +373,7 @@ def transitions(
             sent = a.sent
             if sent.name in restricted:
                 fresh = _fresh_supply_name(cfg)
-                renamed = [P.subst_endpoint(c, sent.name, P.Endpoint(fresh)) for c in replaced(i, a.cont)]
+                renamed = [P.substitute(c, {sent.name: P.Endpoint(fresh)}) for c in replaced(i, a.cont)]
                 rest = [n for n in cfg.restricted if n != sent.name]
                 out.append(
                     (OutChan(subj, str(P.Endpoint(fresh, sent.dual))), rebuild(renamed, rest))

@@ -253,7 +253,7 @@ def _check(env: ProcEnv, gamma: dict, delta: SessionEnv, p: P.Process, width: fr
         name = p.name
         body = p.body
         if any(e.name == name for e in delta):
-            fresh = P.fresh_name(name, P.all_process_names(body) | {e.name for e in delta})
+            fresh = P.fresh_name(name, P.free_names(body).terms.keys() | {e.name for e in delta})
             body = P.subst_endpoint(body, name, P.Endpoint(fresh))
             name = fresh
         plain, dual_ep = P.Endpoint(name, False), P.Endpoint(name, True)
@@ -291,7 +291,7 @@ def _check(env: ProcEnv, gamma: dict, delta: SessionEnv, p: P.Process, width: fr
         session = side if isinstance(p, P.Accept) else S.dual(side)
         binder, cont = p.binder, p.cont
         if any(e.name == binder for e in delta):
-            fresh = P.fresh_name(binder, P.all_process_names(cont) | {e.name for e in delta})
+            fresh = P.fresh_name(binder, P.free_names(cont).terms.keys() | {e.name for e in delta})
             cont = P.subst_endpoint(cont, binder, P.Endpoint(fresh))
             binder = fresh
         delta2 = dict(delta)

@@ -132,11 +132,6 @@ def test_criterion_03_soundness_theorem_instances():
 FORWARDING_TERMS = ["zero", "get", "put zero", "let x = get in put (suc x)", "suc zero", "unit"]
 
 
-def forwarding_sides(term, ei, mid, eo, r, p_cont):
-    inner = embedding.embed_intermediate(term, ei, mid, r, {}, NAT)
-    return inner, p_cont
-
-
 def test_criterion_04_forwarding_lemma():
     with criterion(4, "forwarding holds in both directions for sampled terms"):
         ei, eo, ea, r = (P.Endpoint(n) for n in ("ei", "eo", "ea", "r"))
@@ -254,8 +249,8 @@ def test_criterion_08_optimizer_soundness():
             assert len(parts) == 3
             # [[M]]_q uses only its result channel; the encoding of N holds
             # the effect-channel input ei; the collector joins both
-            assert P.free_endpoint_bases(parts[0]) == {"q"}
-            assert "ei" in P.free_endpoint_bases(parts[1])
+            assert {e.name for e in P.free_names(parts[0]).endpoints} == {"q"}
+            assert "ei" in {e.name for e in P.free_names(parts[1]).endpoints}
             assert isinstance(parts[2], P.RecvVal) and parts[2].chan == P.Endpoint("q", True)
             session_check(ProcEnv(), optimized.delta, optimized.process)
 
