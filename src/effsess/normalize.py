@@ -27,8 +27,9 @@ _MAX_TIE_ARRANGEMENTS = 720
 
 def _decompose(p: P.Process) -> tuple[list[str], list[P.Process], list[dict[str, None]]]:
     """Flatten to (hoisted restricted names, parallel components, free
-    names of each component); inner structure of each component is
-    recursively normalized."""
+    names of each component).  The subterms of each component are
+    normalized once, by recursion into this function alone, so a level of
+    process nesting costs one Python frame."""
     cls = type(p)
     if cls is P.Nil:
         return [], [], []
@@ -67,7 +68,8 @@ def _decompose(p: P.Process) -> tuple[list[str], list[P.Process], list[dict[str,
         return [p.name] + r, c, f
     kids = []
     for sub in P.subterms(p):
-        kids.append(_normalize_once(sub))
+        restricted, comps = canonical_parts(*_decompose(sub))
+        kids.append(P.new(restricted, P.par(*comps)))
     comp = P.with_subterms(p, kids)
     return [], [comp], [P.free_names(comp).terms]
 
@@ -78,8 +80,11 @@ def _renamed(comps: list[P.Process], renames: dict[str, str]):
     return comps, [P.free_names(comp).terms for comp in comps]
 
 
-def canonical_parts(restricted: list[str], comps: list[P.Process]) -> tuple[list[str], list[P.Process]]:
-    """Sort components and rename restricted names canonically.
+def canonical_parts(
+    restricted: list[str], comps: list[P.Process], frees: list[dict[str, None]]
+) -> tuple[list[str], list[P.Process]]:
+    """Sort components and rename restricted names canonically.  ``frees``
+    holds the free names of each component, as `_decompose` returns them.
 
     Sorting uses de-Bruijn skeletons, so it is independent of both bound
     names and the restricted names being (re)assigned; binder names are
@@ -88,7 +93,6 @@ def canonical_parts(restricted: list[str], comps: list[P.Process]) -> tuple[list
     """
     # Renaming binders changes neither the free names nor where they first
     # occur, so one walk per component serves the whole pass.
-    frees = [P.free_names(c).terms for c in comps]
     live = [n for n in restricted if any(n in names for names in frees)]
     erase = frozenset(live)
     # Binder names move into the %k namespace first: afterwards no binder
@@ -149,12 +153,8 @@ def canonical_parts(restricted: list[str], comps: list[P.Process]) -> tuple[list
 
 
 def _normalize_once(p: P.Process) -> P.Process:
-    restricted, comps, _ = _decompose(p)
-    restricted, comps = canonical_parts(restricted, comps)
-    body: P.Process = P.par(*comps)
-    for name in reversed(restricted):
-        body = P.New(name, None, body)
-    return body
+    restricted, comps = canonical_parts(*_decompose(p))
+    return P.new(restricted, P.par(*comps))
 
 
 def normalize(p: P.Process) -> P.Process:

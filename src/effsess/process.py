@@ -410,27 +410,30 @@ def _rewrite(p: Process, mapping: dict, definitions: dict, canonical: Iterator[s
     )
     introduced_defs = {call.name for call in definitions.values()}
 
-    def bind(name: str, m: dict, q: Process) -> tuple[str, dict]:
+    # ``intro`` holds the names the mapping in scope may bring in: the
+    # mapping's own, plus the fresh names of binders renamed further out,
+    # which a nested binder of that spelling would otherwise capture.
+    def bind(name: str, m: dict, intro: set, q: Process) -> tuple[str, dict, set]:
         if canonical is not None:
             fresh = next(canonical)
-        else:
-            if name in m:
-                m = {k: r for k, r in m.items() if k != name}
-            if not m or name not in introduced:
-                return name, m
-            fields = FORMS[type(q)].fields
-            scoped = [free_names(getattr(q, f)).terms for f, role in fields if role is SCOPED]
-            siblings = [_binders(role, getattr(q, f)) for f, role in fields if role in _BINDERS]
-            fresh = fresh_name(name, introduced.union(m, *scoped, *siblings))
-        return fresh, {**m, name: Endpoint(fresh)}
+            return fresh, {**m, name: Endpoint(fresh)}, intro
+        if name in m:
+            m = {k: r for k, r in m.items() if k != name}
+        if not m or name not in intro:
+            return name, m, intro
+        fields = FORMS[type(q)].fields
+        scoped = [free_names(getattr(q, f)).terms for f, role in fields if role is SCOPED]
+        siblings = [_binders(role, getattr(q, f)) for f, role in fields if role in _BINDERS]
+        fresh = fresh_name(name, intro.union(m, *scoped, *siblings))
+        return fresh, {**m, name: Endpoint(fresh)}, intro | {fresh}
 
-    def bind_definition(name: str, dm: dict, q: Process) -> tuple[str, dict]:
+    def bind_definition(name: str, dm: dict, intro: set, q: Process) -> tuple[str, dict, set]:
         if name in dm:
             dm = {k: call for k, call in dm.items() if k != name}
-        if not dm or name not in introduced_defs:
-            return name, dm
-        fresh = fresh_name(name, introduced_defs.union(dm, free_names(q).definitions))
-        return fresh, {**dm, name: Call(fresh, (), ())}
+        if not dm or name not in intro:
+            return name, dm, intro
+        fresh = fresh_name(name, intro.union(dm, free_names(q).definitions))
+        return fresh, {**dm, name: Call(fresh, (), ())}, intro | {fresh}
 
     def endpoint(e: Endpoint, m: dict) -> Endpoint:
         r = m.get(e.name)
@@ -448,26 +451,28 @@ def _rewrite(p: Process, mapping: dict, definitions: dict, canonical: Iterator[s
             return Pair(value(v.fst, m), value(v.snd, m))
         return v
 
-    def go(q: Process, m: dict, dm: dict) -> Process:
+    def go(q: Process, m: dict, dm: dict, intro: set, dintro: set) -> Process:
         fields = FORMS[type(q)].fields
         if not fields or (canonical is None and not m and not dm):
             return q
         out = []
-        inner, partial = m, None
+        inner, inner_intro, partial = m, intro, None
         for field, role in fields:
             x = getattr(q, field)
             if role is ENDPOINT:
                 x = endpoint(x, m)
-            elif role is SCOPED or role is OPEN:
-                x = go(x, inner if role is SCOPED else m, dm)
+            elif role is SCOPED:
+                x = go(x, inner, dm, inner_intro, dintro)
+            elif role is OPEN:
+                x = go(x, m, dm, intro, dintro)
             elif role is VALUE:
                 x = value(x, m)
             elif role is CHANNEL_BINDER or role is VALUE_BINDER:
-                x, inner = bind(x, inner, q)
+                x, inner, inner_intro = bind(x, inner, inner_intro, q)
             elif role is ARMS:
                 arms = []
                 for label, cont in x:
-                    arms.append((label, go(cont, m, dm)))
+                    arms.append((label, go(cont, m, dm, intro, dintro)))
                 x = tuple(arms)
             elif role is SHARED:
                 r = m.get(x)
@@ -479,11 +484,11 @@ def _rewrite(p: Process, mapping: dict, definitions: dict, canonical: Iterator[s
             elif role in _PARAMS:
                 params = []
                 for name, annotation in x:
-                    name, inner = bind(name, inner, q)
+                    name, inner, inner_intro = bind(name, inner, inner_intro, q)
                     params.append((name, None if canonical else annotation))
                 x = tuple(params)
             elif role is DEFINES:
-                x, dm = bind_definition(x, dm, q)
+                x, dm, dintro = bind_definition(x, dm, dintro, q)
             elif role is DEFINITION:
                 partial = dm.get(x)
                 x = x if partial is None else partial.name
@@ -492,7 +497,7 @@ def _rewrite(p: Process, mapping: dict, definitions: dict, canonical: Iterator[s
             out.append(x)
         return type(q)(*out)
 
-    return go(p, mapping, definitions)
+    return go(p, mapping, definitions, introduced, introduced_defs)
 
 
 def subst_endpoint(p: Process, name: str, ep: Endpoint) -> Process:

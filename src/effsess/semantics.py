@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from . import process as P
-from .normalize import canonical_parts, _decompose
+from .normalize import canonical_parts, _decompose, _renamed
 
 
 class RuntimeSafetyViolation(Exception):
@@ -134,10 +134,7 @@ class Configuration:
         return names
 
     def residual_process(self) -> P.Process:
-        body: P.Process = P.par(*self.components)
-        for name in reversed(self.restricted):
-            body = P.New(name, None, body)
-        return body
+        return P.new(self.restricted, P.par(*self.components))
 
 
 def make_configuration(
@@ -145,8 +142,7 @@ def make_configuration(
     observables: frozenset[str] = frozenset(),
     defs: dict[str, DefClosure] | None = None,
 ) -> Configuration:
-    restricted, comps, _ = _decompose(p)
-    return _assemble(restricted, comps, dict(defs or {}), observables)
+    return _assemble([], [p], dict(defs or {}), observables)
 
 
 def _assemble(
@@ -158,13 +154,10 @@ def _assemble(
     # Reduction exposes fresh structure (restrictions, parallels,
     # definitions) at component roots, so rebuild and re-flatten the whole
     # soup, pulling definitions into the environment as they surface.
-    body: P.Process = P.par(*comps)
-    for name in reversed(restricted):
-        body = P.New(name, None, body)
-    restricted, pending, _ = _decompose(body)
-    comps = []
+    restricted, pending, pending_frees = _decompose(P.new(restricted, P.par(*comps)))
+    comps, frees = [], []
     while pending:
-        comp = pending.pop(0)
+        comp, names = pending.pop(0), pending_frees.pop(0)
         if isinstance(comp, P.Def):
             comp = _close_over_restricted(comp, restricted)
             name = comp.name
@@ -177,19 +170,23 @@ def _assemble(
                 scope = P.substitute(scope, definitions=renamed)
                 name = fresh
             defs[name] = _close_def(P.Def(name, comp.val_params, comp.chan_params, def_body, P.NIL))
-            sub_restricted, sub_comps, _ = _decompose(scope)
-            taken = set(restricted) | {n for c in (comps + pending) for n in P.free_names(c).terms}
+            sub_restricted, sub_comps, sub_frees = _decompose(scope)
+            taken = set(restricted).union(*frees, *pending_frees)
+            renames = {}
             for sub in sub_restricted:
                 if sub in taken:
                     fresh = P.fresh_name(sub, taken | set(sub_restricted))
-                    sub_comps = [P.substitute(c, {sub: P.Endpoint(fresh)}) for c in sub_comps]
+                    renames[sub] = fresh
                     sub = fresh
                 restricted.append(sub)
                 taken.add(sub)
-            pending = sub_comps + pending
+            if renames:
+                sub_comps, sub_frees = _renamed(sub_comps, renames)
+            pending, pending_frees = sub_comps + pending, sub_frees + pending_frees
         else:
             comps.append(comp)
-    restricted, comps = canonical_parts(restricted, comps)
+            frees.append(names)
+    restricted, comps = canonical_parts(restricted, comps, frees)
     key_parts = [",".join(restricted)]
     key_parts.extend(P.serialize_process(c) for c in comps)
     key_parts.append("|defs:" + ",".join(sorted(name for name, _ in sorted(defs.items()))))

@@ -77,10 +77,12 @@ def tricky(j: int) -> str:
     return ("%{}", "#{}", "v{}")[j % 3].format(j // 3)
 
 
-@settings(max_examples=150, deadline=None)
-@given(shapes, st.sampled_from(FREE), st.sampled_from(("v0", "v1", "v2", "c")), st.booleans())
-def test_substitution_replaces_exactly_the_free_occurrences(shape, x, y, as_endpoint):
-    p = build(shape, plain)
+def clashing(j: int) -> str:
+    # substituting v0 renames a capturing binder v0 to the fresh name v01
+    return ("v0", "v01")[j % 2]
+
+
+def _check_substitution(p: P.Process, x: str, y: str, as_endpoint: bool) -> None:
     free = P.free_names(p).terms
     replacement = P.Endpoint(y) if as_endpoint else P.VarRef(y)
     q = P.substitute(p, {x: replacement})
@@ -88,6 +90,19 @@ def test_substitution_replaces_exactly_the_free_occurrences(shape, x, y, as_endp
     assert set(P.free_names(q).terms) == (set(free) - {x}) | ({y} if x in free else set())
     # nothing is captured: with x and y hidden, the two have one skeleton
     assert P.serialize_process(q, frozenset({y})) == P.serialize_process(p, frozenset({x}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes, st.sampled_from(FREE), st.sampled_from(("v0", "v1", "v2", "c")), st.booleans())
+def test_substitution_replaces_exactly_the_free_occurrences(shape, x, y, as_endpoint):
+    _check_substitution(build(shape, plain), x, y, as_endpoint)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes, st.sampled_from(FREE), st.booleans())
+def test_substitution_is_not_captured_by_binders_spelled_like_fresh_names(shape, x, as_endpoint):
+    # a renamed binder's new name must not be captured by nested binders
+    _check_substitution(build(shape, clashing), x, "v0", as_endpoint)
 
 
 @settings(max_examples=100, deadline=None)

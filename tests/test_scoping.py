@@ -13,11 +13,16 @@ from effsess.process import (
     NatLit,
     New,
     NIL,
+    Par,
     SendVal,
+    UNIT_VALUE,
     VarRef,
     format_process,
     par,
+    serialize_process,
+    subst_endpoint,
     subst_value_name,
+    substitute,
 )
 from effsess.semantics import run
 from effsess.terms import ValueType, parse_program
@@ -47,6 +52,26 @@ def test_value_substitution_renames_a_capturing_parameter():
     assert param not in ("y", "y1") and out.val_params[1][0] == "y1"
     assert out.body == SendVal(Endpoint("a"), VarRef("y"), Call("D", (VarRef(param), VarRef("y1")), ()))
     assert out.scope == Call("D", (VarRef("y"), NatLit(0)), ())
+
+
+def test_renamed_binder_is_not_captured_by_a_nested_binder():
+    # renaming the outer y to avoid the incoming y must not hand its
+    # occurrences to a nested binder spelled like the new name
+    inner = New("y1", None, SendVal(Endpoint("y"), UNIT_VALUE, NIL))
+    p = New("y", None, Par(SendVal(Endpoint("a"), VarRef("x"), NIL), inner))
+    out = subst_endpoint(p, "x", Endpoint("y"))
+    renamed_inner = New("w", None, SendVal(Endpoint("z"), UNIT_VALUE, NIL))
+    expected = New("z", None, Par(SendVal(Endpoint("a"), VarRef("y"), NIL), renamed_inner))
+    assert serialize_process(out) == serialize_process(expected)
+
+
+def test_renamed_definition_is_not_captured_by_a_nested_definition():
+    # X := Y renames the outer def Y; the nested def Y1 must not capture it
+    p = Def("Y", (), (), NIL, Par(Call("X", (), ()), Def("Y1", (), (), NIL, Call("Y", (), ()))))
+    out = substitute(p, definitions={"X": Call("Y", (), ())})
+    nested = out.scope.right
+    assert out.name not in ("X", "Y") and out.scope.left == Call("Y", (), ())
+    assert nested.name != out.name and nested.scope == Call(out.name, (), ())
 
 
 def _private_store_world(init: int):
