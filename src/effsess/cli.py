@@ -1,8 +1,11 @@
 """Command line front end: check, translate, pi-check, run, equiv.
 
 Exit codes: 0 success (or BISIMILAR), 1 negative analysis verdict, 2
-usage or parse errors.  ``--json`` switches every subcommand to versioned
-machine-readable records (schema 1).
+usage or parse errors, 3 an execution or exploration that stopped without
+an answer (fuel exhausted, state cap exceeded, runtime safety violation,
+or an LTS left partial by its fuel).  ``--json`` switches every subcommand
+to versioned machine-readable records (schema 1); an exit code 3 prints
+``{"schema": 1, "ok": false, "kind": ..., "error": ...}``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,15 @@ from .session_check import ProcEnv, SessionTypeError, session_check
 from .terms import ParseError, ValueType, parse_program, parse_value_type
 
 SCHEMA = 1
+NO_ANSWER = 3
+
+# The kind each no-answer error reports.
+_NO_ANSWER_KINDS = {
+    semantics.FuelExhausted: "fuel",
+    semantics.StateCapExceeded: "state-cap",
+    semantics.RuntimeSafetyViolation: "runtime-safety",
+    equivalence.PartialLTS: "partial-lts",
+}
 
 
 def _read(path: str) -> str:
@@ -194,6 +206,13 @@ def cmd_equiv(args) -> int:
     return 0 if verdict.equivalent else 1
 
 
+def _fuel(text: str) -> int:
+    fuel = int(text)
+    if fuel <= 0:
+        raise argparse.ArgumentTypeError(f"fuel must be positive, not {fuel}")
+    return fuel
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="effsess",
@@ -219,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("file")
     p_run.add_argument("--all-schedules", action="store_true")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--fuel", type=int, default=10_000)
+    p_run.add_argument("--fuel", type=_fuel, default=10_000)
     p_run.add_argument("--optimize", action="store_true")
     p_run.add_argument("--send-stop", action="store_true", help="shut the store down cleanly")
     p_run.set_defaults(func=cmd_run)
@@ -228,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq.add_argument("file1")
     p_eq.add_argument("file2")
     p_eq.add_argument("--values", default="0,1", help="finite input domain, e.g. 0,1")
-    p_eq.add_argument("--fuel", type=int, default=10_000)
+    p_eq.add_argument("--fuel", type=_fuel, default=10_000)
     p_eq.set_defaults(func=cmd_equiv)
     return parser
 
@@ -244,6 +263,13 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"cannot read {exc.filename}", file=sys.stderr)
         return 2
+    except tuple(_NO_ANSWER_KINDS) as exc:
+        kind = _NO_ANSWER_KINDS[type(exc)]
+        if args.json:
+            print(json.dumps({"schema": SCHEMA, "ok": False, "kind": kind, "error": str(exc)}))
+        else:
+            print(f"no answer ({kind}): {exc}", file=sys.stderr)
+        return NO_ANSWER
 
 
 if __name__ == "__main__":

@@ -25,7 +25,45 @@ from . import process as P
 _MAX_TIE_ARRANGEMENTS = 720
 
 
-def _decompose(p: P.Process) -> tuple[list[str], list[P.Process], list[dict[str, None]]]:
+class ComponentSteps:
+    """The per-component steps of a normalization pass.  Each is a pure
+    function of a component's structure; this class computes them afresh on
+    every call, and `semantics.ComponentTable` memoizes them for one
+    exploration."""
+
+    def leaf(self, p: P.Process) -> tuple[P.Process, dict[str, None]]:
+        """A component with its subterms normalized, and its free names."""
+        kids = []
+        for sub in P.subterms(p):
+            restricted, comps = canonical_parts(*_decompose(sub, self), self)
+            kids.append(P.new(restricted, P.par(*comps)))
+        comp = P.with_subterms(p, kids)
+        return comp, P.free_names(comp).terms
+
+    def binders(self, c: P.Process, names: dict[str, None]) -> P.Process:
+        """`canonical_binders` of a component whose free names are ``names``."""
+        return P.canonical_binders(c, names)
+
+    def skeleton(self, c: P.Process, erase: frozenset[str]) -> str:
+        """The sort key of a component; ``erase`` holds only free names of it."""
+        return P.serialize_process(c, erase)
+
+    def renamed(self, c: P.Process, renames: tuple[tuple[str, str], ...]) -> P.Process:
+        """``c`` with free names renamed to `#k` targets.  ``c`` has canonical
+        binders, which are spelled `%k`, so no binder can capture a target."""
+        return P.substitute(c, {old: P.Endpoint(new) for old, new in renames})
+
+    def key(self, c: P.Process) -> str:
+        """The serialization of a canonical component."""
+        return P.serialize_process(c)
+
+
+_STEPS = ComponentSteps()
+
+
+def _decompose(
+    p: P.Process, steps: ComponentSteps = _STEPS
+) -> tuple[list[str], list[P.Process], list[dict[str, None]]]:
     """Flatten to (hoisted restricted names, parallel components, free
     names of each component).  The subterms of each component are
     normalized once, by recursion into this function alone, so a level of
@@ -34,8 +72,10 @@ def _decompose(p: P.Process) -> tuple[list[str], list[P.Process], list[dict[str,
     if cls is P.Nil:
         return [], [], []
     if cls is P.Par:
-        r1, c1, f1 = _decompose(p.left)
-        r2, c2, f2 = _decompose(p.right)
+        r1, c1, f1 = _decompose(p.left, steps)
+        r2, c2, f2 = _decompose(p.right, steps)
+        if not r1 and not r2:  # no restriction to keep apart
+            return [], c1 + c2, f1 + f2
         taken = set(r1).union(*f1)
         renames: dict[str, str] = {}
         for name in r2:
@@ -61,17 +101,22 @@ def _decompose(p: P.Process) -> tuple[list[str], list[P.Process], list[dict[str,
             r1 = [renames1.get(name, name) for name in r1]
         return r1 + r2, c1 + c2, f1 + f2
     if cls is P.New:
-        r, c, f = _decompose(p.body)
-        # drop a restriction the inner one shadows entirely, or one unused
-        if p.name in r or not any(p.name in names for names in f):
-            return r, c, f
-        return [p.name] + r, c, f
-    kids = []
-    for sub in P.subterms(p):
-        restricted, comps = canonical_parts(*_decompose(sub))
-        kids.append(P.new(restricted, P.par(*comps)))
-    comp = P.with_subterms(p, kids)
-    return [], [comp], [P.free_names(comp).terms]
+        names = []
+        while type(p) is P.New:
+            names.append(p.name)
+            p = p.body
+        r, c, f = _decompose(p, steps)
+        # drop a restriction an inner one shadows entirely, or one unused
+        used = set().union(*f)
+        bound = set(r)
+        kept = []
+        for name in reversed(names):
+            if name not in bound and name in used:
+                kept.append(name)
+                bound.add(name)
+        return kept[::-1] + r, c, f
+    comp, names = steps.leaf(p)
+    return [], [comp], [names]
 
 
 def _renamed(comps: list[P.Process], renames: dict[str, str]):
@@ -81,7 +126,10 @@ def _renamed(comps: list[P.Process], renames: dict[str, str]):
 
 
 def canonical_parts(
-    restricted: list[str], comps: list[P.Process], frees: list[dict[str, None]]
+    restricted: list[str],
+    comps: list[P.Process],
+    frees: list[dict[str, None]],
+    steps: ComponentSteps = _STEPS,
 ) -> tuple[list[str], list[P.Process]]:
     """Sort components and rename restricted names canonically.  ``frees``
     holds the free names of each component, as `_decompose` returns them.
@@ -93,12 +141,15 @@ def canonical_parts(
     """
     # Renaming binders changes neither the free names nor where they first
     # occur, so one walk per component serves the whole pass.
-    live = [n for n in restricted if any(n in names for names in frees)]
+    occurring = set().union(*frees)
+    live = [n for n in restricted if n in occurring]
     erase = frozenset(live)
     # Binder names move into the %k namespace first: afterwards no binder
     # can collide with (or capture) a #k restriction target.
-    parts = [(P.canonical_binders(c, names), names) for c, names in zip(comps, frees)]
-    keyed = sorted(((P.serialize_process(c, erase), (c, names)) for c, names in parts), key=lambda kv: kv[0])
+    parts = [(steps.binders(c, names), names) for c, names in zip(comps, frees)]
+    keyed = sorted(
+        ((steps.skeleton(c, erase.intersection(names)), (c, names)) for c, names in parts), key=lambda kv: kv[0]
+    )
 
     groups: list[list[tuple[P.Process, dict[str, None]]]] = []
     group_keys: list[str] = []
@@ -124,7 +175,7 @@ def canonical_parts(
     # Canonical `#k` targets must avoid names occurring free in the
     # components (an enclosing normalization's restrictions look free from
     # here and must not be captured).
-    free_names = set().union(*frees) - erase
+    free_names = occurring - erase
     targets: list[str] = []
     k = 0
     while len(targets) < len(live):
@@ -135,18 +186,19 @@ def canonical_parts(
 
     best: tuple[str, list[str], list[P.Process]] | None = None
     for arranged in arrangements:
-        order: list[str] = []
+        order: dict[str, None] = {}
         for _, names in arranged:
             for n in names:
-                if n in erase and n not in order:
-                    order.append(n)
-        mapping = {name: P.Endpoint(targets[i]) for i, name in enumerate(order)}
-        renamed = [
-            P.substitute(c, mapping) if any(n in mapping for n in names) else c for c, names in arranged
-        ]
+                if n in erase:
+                    order[n] = None
+        mapping = dict(zip(order, targets))
+        renamed = []
+        for c, names in arranged:
+            renames = tuple((n, mapping[n]) for n in names if n in mapping and mapping[n] != n)
+            renamed.append(steps.renamed(c, renames) if renames else c)
         if len(arrangements) == 1:
             return targets[: len(order)], renamed
-        key = "\n".join(P.serialize_process(c) for c in renamed)
+        key = "\n".join(steps.key(c) for c in renamed)
         if best is None or key < best[0]:
             best = (key, targets[: len(order)], renamed)
     return best[1], best[2]

@@ -127,36 +127,55 @@ def format_value(v: Value) -> str:
 
 # -------------------------------------------------------------- processes
 
-@dataclass(frozen=True)
-class RecvVal:
+class _Node:
+    """Base of the process constructors.  Equality is structural, through
+    `process_equal`; the hash is structural too, cached on each node the
+    first time it is asked for, so that a table keyed by whole components
+    hashes each node once.  Neither recurses, so deep processes can key a
+    dict."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return process_equal(self, other)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            return _structural_hash(self)
+
+
+@dataclass(frozen=True, eq=False)
+class RecvVal(_Node):
     chan: Endpoint
     binder: str
     cont: "Process"
 
 
-@dataclass(frozen=True)
-class SendVal:
+@dataclass(frozen=True, eq=False)
+class SendVal(_Node):
     chan: Endpoint
     value: Value
     cont: "Process"
 
 
-@dataclass(frozen=True)
-class RecvChan:
+@dataclass(frozen=True, eq=False)
+class RecvChan(_Node):
     chan: Endpoint
     binder: str
     cont: "Process"
 
 
-@dataclass(frozen=True)
-class SendChan:
+@dataclass(frozen=True, eq=False)
+class SendChan(_Node):
     chan: Endpoint
     sent: Endpoint
     cont: "Process"
 
 
-@dataclass(frozen=True)
-class Branch:
+@dataclass(frozen=True, eq=False)
+class Branch(_Node):
     chan: Endpoint
     branches: tuple[tuple[str, "Process"], ...]
 
@@ -171,15 +190,15 @@ class Branch:
         return dict(self.branches).get(label)
 
 
-@dataclass(frozen=True)
-class Select:
+@dataclass(frozen=True, eq=False)
+class Select(_Node):
     chan: Endpoint
     label: str
     cont: "Process"
 
 
-@dataclass(frozen=True)
-class Def:
+@dataclass(frozen=True, eq=False)
+class Def(_Node):
     name: str
     val_params: tuple[tuple[str, ValueType | None], ...]
     chan_params: tuple[tuple[str, SessionType | None], ...]
@@ -187,40 +206,40 @@ class Def:
     scope: "Process"
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False)
+class Call(_Node):
     name: str
     val_args: tuple[Value, ...]
     chan_args: tuple[Endpoint, ...]
 
 
-@dataclass(frozen=True)
-class New:
+@dataclass(frozen=True, eq=False)
+class New(_Node):
     name: str
     annotation: SessionType | None
     body: "Process"
 
 
-@dataclass(frozen=True)
-class Par:
+@dataclass(frozen=True, eq=False)
+class Par(_Node):
     left: "Process"
     right: "Process"
 
 
-@dataclass(frozen=True)
-class Nil:
+@dataclass(frozen=True, eq=False)
+class Nil(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Accept:
+@dataclass(frozen=True, eq=False)
+class Accept(_Node):
     shared: str
     binder: str
     cont: "Process"
 
 
-@dataclass(frozen=True)
-class Request:
+@dataclass(frozen=True, eq=False)
+class Request(_Node):
     shared: str
     binder: str
     cont: "Process"
@@ -456,9 +475,10 @@ def _rewrite(p: Process, mapping: dict, definitions: dict, canonical: Iterator[s
         if not fields or (canonical is None and not m and not dm):
             return q
         out = []
+        same = True
         inner, inner_intro, partial = m, intro, None
         for field, role in fields:
-            x = getattr(q, field)
+            old = x = getattr(q, field)
             if role is ENDPOINT:
                 x = endpoint(x, m)
             elif role is SCOPED:
@@ -495,7 +515,9 @@ def _rewrite(p: Process, mapping: dict, definitions: dict, canonical: Iterator[s
             elif role is ANNOTATION and canonical:
                 x = None
             out.append(x)
-        return type(q)(*out)
+            if same and x is not old:
+                same = _same_field(role, x, old)
+        return q if same else type(q)(*out)
 
     return go(p, mapping, definitions, introduced, introduced_defs)
 
@@ -529,14 +551,29 @@ def with_subterms(p: Process, kids: list[Process]) -> Process:
     order carries no meaning, and a canonical form needs one order."""
     kids_left = iter(kids)
     out = []
+    same = True
     for field, role in FORMS[type(p)].fields:
-        x = getattr(p, field)
+        old = x = getattr(p, field)
         if role is SCOPED or role is OPEN:
             x = next(kids_left)
         elif role is ARMS:
             x = tuple(sorted(((label, next(kids_left)) for label, _ in x), key=lambda arm: arm[0]))
         out.append(x)
-    return type(p)(*out)
+        if same and x is not old:
+            same = _same_field(role, x, old)
+    return p if same else type(p)(*out)
+
+
+def _same_field(role: str, new, old) -> bool:
+    """Whether a rebuilt field holds what it held.  A node whose fields all
+    do is kept rather than copied, so unchanged subterms stay shared.
+    Subterms and endpoints count as the same only when they are the same
+    object: a rewrite hands back an untouched one as it was."""
+    if role is ENDPOINT or role is SCOPED or role is OPEN:
+        return False
+    if role is ARMS:
+        return all(a[0] == b[0] and a[1] is b[1] for a, b in zip(new, old))
+    return new == old
 
 
 def serialize_process(p: Process, erase: frozenset[str] = frozenset()) -> str:
@@ -598,6 +635,30 @@ def serialize_process(p: Process, erase: frozenset[str] = frozenset()) -> str:
         return " ".join(parts) + ")"
 
     return go(p, {}, 0)
+
+
+def _structural_hash(p: Process) -> int:
+    """Hash ``p`` bottom-up with an explicit stack, caching each node's hash
+    on the node (frozen dataclasses take it through ``object.__setattr__``;
+    it is not a field, so it is invisible to equality and printing)."""
+    stack = [p]
+    while stack:
+        q = stack[-1]
+        kids = [k for k in subterms(q) if not hasattr(k, "_hash")]
+        if kids:
+            stack.extend(kids)
+            continue
+        stack.pop()
+        parts: list = [type(q)]
+        for field, role in FORMS[type(q)].fields:
+            x = getattr(q, field)
+            if role is SCOPED or role is OPEN:
+                x = x._hash
+            elif role is ARMS:
+                x = tuple([(label, cont._hash) for label, cont in x])
+            parts.append(x)
+        object.__setattr__(q, "_hash", hash(tuple(parts)))
+    return p._hash
 
 
 def process_equal(p: Process, q: Process) -> bool:

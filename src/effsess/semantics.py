@@ -9,17 +9,24 @@ enumerated over a finite value domain and channel inputs drawn from a
 canonical fresh-name supply.
 
 States are interned by the structural-congruence normal form, so
-exploration is finite whenever the process is.
+exploration is finite whenever the process is.  Each exploration has one
+component table (`ComponentTable`): `make_configuration` creates it, every
+configuration derived from that one carries it, and it memoizes the steps
+of building a normal form that are pure functions of one component (its
+subterms' normal forms and free names, canonical binders, sort key,
+renaming and serialization).  A transition therefore normalizes only the
+continuations it creates and looks up every component it leaves alone,
+and keys and successors are those an uncached normalization gives.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import process as P
-from .normalize import canonical_parts, _decompose, _renamed
+from .normalize import ComponentSteps, canonical_parts, _decompose, _renamed
 
 
 class RuntimeSafetyViolation(Exception):
@@ -113,6 +120,66 @@ def format_label(label: TransitionLabel) -> str:
 DefClosure = tuple[tuple[str, ...], tuple[str, ...], P.Process]
 
 
+class ComponentTable(ComponentSteps):
+    """The per-component steps of a normalization pass, memoized for one
+    exploration, and each component's free names.  Components key the
+    memos by structure (a step's other arguments follow from the component,
+    except the erased names and the renaming, which join the key);
+    `process._Node` caches each node's hash, so an untouched component
+    costs one lookup.  The memos die with the configurations that carry
+    the table."""
+
+    def __init__(self):
+        self._leaves: dict[P.Process, tuple[P.Process, dict[str, None]]] = {}
+        self._binders: dict[P.Process, P.Process] = {}
+        self._skeletons: dict[tuple[P.Process, frozenset[str]], str] = {}
+        self._renamed: dict[tuple[P.Process, tuple[tuple[str, str], ...]], P.Process] = {}
+        self._keys: dict[P.Process, str] = {}
+        self._free: dict[P.Process, dict[str, None]] = {}
+
+    @property
+    def normalized(self) -> int:
+        """How many components had their subterms normalized: the leaf
+        step's misses, at every level of nesting."""
+        return len(self._leaves)
+
+    def leaf(self, p):
+        found = self._leaves.get(p)
+        if found is None:
+            found = self._leaves[p] = super().leaf(p)
+        return found
+
+    def binders(self, c, names):
+        found = self._binders.get(c)
+        if found is None:
+            found = self._binders[c] = super().binders(c, names)
+        return found
+
+    def skeleton(self, c, erase):
+        found = self._skeletons.get((c, erase))
+        if found is None:
+            found = self._skeletons[c, erase] = super().skeleton(c, erase)
+        return found
+
+    def renamed(self, c, renames):
+        found = self._renamed.get((c, renames))
+        if found is None:
+            found = self._renamed[c, renames] = super().renamed(c, renames)
+        return found
+
+    def key(self, c):
+        found = self._keys.get(c)
+        if found is None:
+            found = self._keys[c] = super().key(c)
+        return found
+
+    def free_names(self, c: P.Process) -> dict[str, None]:
+        found = self._free.get(c)
+        if found is None:
+            found = self._free[c] = P.free_names(c).terms
+        return found
+
+
 @dataclass(frozen=True)
 class Configuration:
     restricted: tuple[str, ...]
@@ -120,6 +187,7 @@ class Configuration:
     defs: tuple[tuple[str, DefClosure], ...]
     observables: frozenset[str]
     key: str
+    table: ComponentTable = field(compare=False, repr=False)
 
     def all_names(self) -> set[str]:
         """Names a fresh name must avoid: the restricted and observable
@@ -127,10 +195,10 @@ class Configuration:
         the definition bodies."""
         names = set(self.restricted) | self.observables
         for comp in self.components:
-            names.update(P.free_names(comp).terms)
+            names.update(self.table.free_names(comp))
         for name, (_, _, body) in self.defs:
             names.add(name)
-            names.update(P.free_names(body).terms)
+            names.update(self.table.free_names(body))
         return names
 
     def residual_process(self) -> P.Process:
@@ -142,7 +210,7 @@ def make_configuration(
     observables: frozenset[str] = frozenset(),
     defs: dict[str, DefClosure] | None = None,
 ) -> Configuration:
-    return _assemble([], [p], dict(defs or {}), observables)
+    return _assemble([], [p], dict(defs or {}), observables, ComponentTable())
 
 
 def _assemble(
@@ -150,11 +218,12 @@ def _assemble(
     comps: list[P.Process],
     defs: dict[str, DefClosure],
     observables: frozenset[str],
+    table: ComponentTable,
 ) -> Configuration:
     # Reduction exposes fresh structure (restrictions, parallels,
     # definitions) at component roots, so rebuild and re-flatten the whole
     # soup, pulling definitions into the environment as they surface.
-    restricted, pending, pending_frees = _decompose(P.new(restricted, P.par(*comps)))
+    restricted, pending, pending_frees = _decompose(P.new(restricted, P.par(*comps)), table)
     comps, frees = [], []
     while pending:
         comp, names = pending.pop(0), pending_frees.pop(0)
@@ -170,7 +239,7 @@ def _assemble(
                 scope = P.substitute(scope, definitions=renamed)
                 name = fresh
             defs[name] = _close_def(P.Def(name, comp.val_params, comp.chan_params, def_body, P.NIL))
-            sub_restricted, sub_comps, sub_frees = _decompose(scope)
+            sub_restricted, sub_comps, sub_frees = _decompose(scope, table)
             taken = set(restricted).union(*frees, *pending_frees)
             renames = {}
             for sub in sub_restricted:
@@ -186,9 +255,9 @@ def _assemble(
         else:
             comps.append(comp)
             frees.append(names)
-    restricted, comps = canonical_parts(restricted, comps, frees)
+    restricted, comps = canonical_parts(restricted, comps, frees, table)
     key_parts = [",".join(restricted)]
-    key_parts.extend(P.serialize_process(c) for c in comps)
+    key_parts.extend(table.key(c) for c in comps)
     key_parts.append("|defs:" + ",".join(sorted(name for name, _ in sorted(defs.items()))))
     return Configuration(
         restricted=tuple(restricted),
@@ -196,6 +265,7 @@ def _assemble(
         defs=tuple(sorted(defs.items())),
         observables=observables,
         key="\n".join(key_parts),
+        table=table,
     )
 
 
@@ -225,22 +295,6 @@ def _close_def(d: P.Def) -> DefClosure:
     mapping: dict[str, P.Replacement] = {old: P.VarRef(new) for (old, _), new in zip(d.val_params, val_names)}
     mapping.update({old: P.Endpoint(new) for (old, _), new in zip(d.chan_params, chan_names)})
     return (val_names, chan_names, P.substitute(d.body, mapping))
-
-
-def _fresh_supply_name(cfg: Configuration) -> str:
-    taken = cfg.all_names()
-    k = 0
-    while f"@{k}" in taken:
-        k += 1
-    return f"@{k}"
-
-
-def _fresh_session_name(cfg: Configuration) -> str:
-    taken = cfg.all_names()
-    k = 0
-    while f"s{k}'" in taken:
-        k += 1
-    return f"s{k}'"
 
 
 # ------------------------------------------------------------- transitions
@@ -291,7 +345,20 @@ def transitions(
             [c for c in new_comps if not isinstance(c, P.Nil)],
             dict(defs),
             cfg.observables,
+            cfg.table,
         )
+
+    taken: set[str] = set()
+
+    def fresh(template: str) -> str:
+        """The first ``template.format(k)`` that is no name of ``cfg``; the
+        names are gathered once per call."""
+        if not taken:
+            taken.update(cfg.all_names())
+        k = 0
+        while template.format(k) in taken:
+            k += 1
+        return template.format(k)
 
     def replaced(i: int, *new: P.Process) -> list[P.Process]:
         return [c for k, c in enumerate(comps) if k != i] + list(new)
@@ -299,22 +366,21 @@ def transitions(
     def replaced2(i: int, j: int, *new: P.Process) -> list[P.Process]:
         return [c for k, c in enumerate(comps) if k not in (i, j)] + list(new)
 
-    # internal synchronization on dual endpoints
+    # internal synchronization on dual endpoints, each pair counted once,
+    # from the active side; partners are found by subject, in order
+    by_subject: dict[P.Endpoint, list[int]] = {}
+    for j, b in enumerate(comps):
+        subj_b = getattr(b, "chan", None)
+        if subj_b is not None:
+            by_subject.setdefault(subj_b, []).append(j)
     for i, a in enumerate(comps):
-        subj_a = getattr(a, "chan", None)
-        if subj_a is None:
+        if not isinstance(a, _SEND_HEADS) and not isinstance(a, P.Select):
             continue
-        for j, b in enumerate(comps):
-            if i == j:
-                continue
-            subj_b = getattr(b, "chan", None)
-            if subj_b is None or subj_b != subj_a.flip():
-                continue
-            if not isinstance(a, _SEND_HEADS) and not isinstance(a, P.Select):
-                continue  # count each pair once, from the active side
+        for j in by_subject.get(a.chan.flip(), ()):
+            b = comps[j]
             reason = _sync_mismatch(a, b)
             if reason is not None:
-                if subj_a.name in restricted:
+                if a.chan.name in restricted:
                     raise RuntimeSafetyViolation(reason)
                 continue
             if isinstance(a, _SEND_HEADS):
@@ -331,7 +397,7 @@ def transitions(
         for j, b in enumerate(comps):
             if not isinstance(b, P.Request) or b.shared != a.shared:
                 continue
-            session = _fresh_session_name(cfg)
+            session = fresh("s{}'")
             acc = _receive(a, P.Endpoint(session, False))
             req = _receive(b, P.Endpoint(session, True))
             target = rebuild(replaced2(i, j, acc, req), list(cfg.restricted) + [session])
@@ -369,11 +435,11 @@ def transitions(
         elif isinstance(a, P.SendChan):
             sent = a.sent
             if sent.name in restricted:
-                fresh = _fresh_supply_name(cfg)
-                renamed = [P.substitute(c, {sent.name: P.Endpoint(fresh)}) for c in replaced(i, a.cont)]
+                supply = fresh("@{}")
+                renamed = [P.substitute(c, {sent.name: P.Endpoint(supply)}) for c in replaced(i, a.cont)]
                 rest = [n for n in cfg.restricted if n != sent.name]
                 out.append(
-                    (OutChan(subj, str(P.Endpoint(fresh, sent.dual))), rebuild(renamed, rest))
+                    (OutChan(subj, str(P.Endpoint(supply, sent.dual))), rebuild(renamed, rest))
                 )
             else:
                 out.append((OutChan(subj, str(sent)), rebuild(replaced(i, a.cont))))
@@ -381,8 +447,8 @@ def transitions(
             for v in value_domain:
                 out.append((InVal(subj, v), rebuild(replaced(i, _receive(a, v)))))
         elif isinstance(a, P.RecvChan):
-            fresh = _fresh_supply_name(cfg)
-            out.append((InChan(subj, fresh), rebuild(replaced(i, _receive(a, P.Endpoint(fresh, False))))))
+            supply = fresh("@{}")
+            out.append((InChan(subj, supply), rebuild(replaced(i, _receive(a, P.Endpoint(supply, False))))))
         elif isinstance(a, P.Select):
             out.append((SelectL(subj, a.label), rebuild(replaced(i, a.cont))))
         elif isinstance(a, P.Branch):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from effsess import semantics
 from effsess.cli import main
 
 SAMPLE = "store nat init 0\nlet x = get in put (suc x)\n"
@@ -124,3 +125,48 @@ def test_translate_optimize_flag(tmp_path, capsys):
 
 def test_missing_file(capsys):
     assert main(["check", "/nonexistent/x.eff"]) == 2
+
+
+def test_run_out_of_fuel_exits_3(sample, capsys):
+    assert main(["run", sample, "--fuel", "3"]) == 3
+    assert "no answer (fuel)" in capsys.readouterr().err
+
+
+def test_run_out_of_fuel_json_record(sample, capsys):
+    assert main(["--json", "run", sample, "--all-schedules", "--fuel", "3"]) == 3
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["schema"] == 1 and record["ok"] is False
+    assert record["kind"] == "fuel" and "3 steps" in record["error"]
+
+
+def test_equiv_partial_lts_exits_3(tmp_path, capsys):
+    a = tmp_path / "a.eff"
+    a.write_text("store nat init 0\nlet x = get in x\n")
+    assert main(["--json", "equiv", str(a), str(a), "--fuel", "2"]) == 3
+    assert json.loads(capsys.readouterr().out.strip())["kind"] == "partial-lts"
+
+
+@pytest.mark.parametrize(
+    "error, kind",
+    [
+        (semantics.StateCapExceeded("more than 1 configurations explored"), "state-cap"),
+        (semantics.RuntimeSafetyViolation("send on #0 meets Branch"), "runtime-safety"),
+    ],
+)
+def test_run_exploration_errors_exit_3(sample, capsys, monkeypatch, error, kind):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(semantics, "run", fail)
+    assert main(["--json", "run", sample]) == 3
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record == {"schema": 1, "ok": False, "kind": kind, "error": str(error)}
+
+
+@pytest.mark.parametrize("command", ["run", "equiv"])
+def test_nonpositive_fuel_is_a_usage_error(sample, capsys, command):
+    files = [sample] if command == "run" else [sample, sample]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *files, "--fuel", "0"])
+    assert exit_info.value.code == 2
+    assert "fuel must be positive" in capsys.readouterr().err

@@ -1,0 +1,114 @@
+"""Golden differential test: execution outcomes and LTS sizes frozen from
+the uncached exploration, before the component table existed, so that a
+faster exploration cannot change what it explores.
+
+Each case pins every ``run("all")`` outcome (emitted values, store,
+residual hash, steps), the ``build_lts`` state and transition counts, and a
+digest of the LTS state keys in discovery order.
+The cases: corpus programs up to depth 6, the introduction's shared-store
+race, two private shared-store worlds side by side, and two criterion-3
+equation pairs.
+"""
+
+import hashlib
+
+import pytest
+
+from effsess import embedding
+from effsess import process as P
+from effsess.equations import apply_equation
+from effsess.equivalence import build_lts, weak_bisimilar
+from effsess.semantics import find_store_value, run
+from effsess.terms import ValueType, parse_term
+
+from oracle import corpus
+
+NAT = ValueType.NAT
+TOP_OBS = frozenset({"r", "eff"})
+DOMAIN = (P.NatLit(0), P.NatLit(1))
+
+
+def _observe(system, run_obs, lts_obs):
+    outcomes = run(system, "all", observables=run_obs, store_reader=find_store_value)
+    lts = build_lts(system, lts_obs, DOMAIN)
+    transitions = sum(len(targets) for table in lts.edges for targets in table.values())
+    return (
+        sorted(
+            (
+                tuple(P.format_value(v) for v in o.emitted),
+                None if o.store is None else P.format_value(o.store),
+                o.residual_hash(),
+                o.steps,
+            )
+            for o in outcomes
+        ),
+        (lts.n_states, transitions, hashlib.sha256("\n\n".join(lts.keys).encode()).hexdigest()[:12]),
+    )
+
+
+def _corpus_system(index: int):
+    prog = corpus(seed=3, count=11, depth=6)[index]
+    result = embedding.embed_top(prog)
+    return embedding.compose_with_store(result, embedding.initial_store_value(prog), prog.store_type)
+
+
+def _race():
+    store = embedding.shared_store_agent(P.NatLit(0), "k", NAT)
+    plus2 = embedding.shared_get("k", "x", embedding.shared_put("k", P.SucOf(P.SucOf(P.VarRef("x"))), P.NIL))
+    plus1 = embedding.shared_get("k", "x", embedding.shared_put("k", P.SucOf(P.VarRef("x")), P.NIL))
+    return P.par(store, plus2, plus1)
+
+
+def _private_world(init: int):
+    store = embedding.shared_store_agent(P.NatLit(init), "k", NAT)
+    client = embedding.shared_get("k", "x", P.SendVal(P.Endpoint("r"), P.VarRef("x"), P.NIL))
+    return P.New("k", None, P.par(store, client))
+
+
+def _equation_side(text: str, rule: str | None):
+    term = parse_term(text)
+    if rule is not None:
+        term = apply_equation(term, rule, 0, {}, NAT)
+    return embedding.embed_term_top(term, {}, NAT).process
+
+
+CASES = {
+    **{f"corpus-{i}": (lambda i=i: _corpus_system(i), frozenset({"r"}), TOP_OBS) for i in (0, 1, 4, 7, 9, 10)},
+    "intro-race": (_race, frozenset(), frozenset()),
+    "private-worlds": (lambda: P.par(_private_world(0), _private_world(5)), frozenset({"r"}), frozenset({"r"})),
+    **{
+        f"{rule}-{side}": (lambda text=text, rule=rule if side == "rhs" else None: _equation_side(text, rule),
+                           TOP_OBS, TOP_OBS)
+        for rule, text in (("unitR", "let x = get in x"), ("comm", "let x = zero in let y = get in put x"))
+        for side in ("lhs", "rhs")
+    },
+}
+
+GOLDEN = {
+    "comm-lhs": ([((), None, "ce5144517a0a", 3)], (14, 14, "cb199f081a96")),
+    "comm-rhs": ([((), None, "74424759d883", 1)], (14, 14, "b409bb3c3dd7")),
+    "corpus-0": ([(("1",), "0", "94bc2154a61e", 11)], (19, 25, "d1c8422f5662")),
+    "corpus-1": ([(("unit",), "0", "94bc2154a61e", 9)], (17, 24, "6d5296765362")),
+    "corpus-10": ([(("unit",), "3", "7787c9317b21", 13)], (33, 56, "26c8c4fd7575")),
+    "corpus-4": ([(("unit",), "1", "3425f5ea34ec", 42)], (70, 98, "a85b58ea5ed0")),
+    "corpus-7": ([(("unit",), "1", "3425f5ea34ec", 14)], (37, 64, "3772392361c8")),
+    "corpus-9": ([(("1",), "3", "7787c9317b21", 31)], (56, 82, "53d3c4780999")),
+    "intro-race": ([((), "1", "79cf8a29f91f", 17), ((), "2", "93fa725feee4", 17), ((), "3", "566f232be8c2", 17)],
+                   (54, 55, "d2ee6032d133")),
+    "private-worlds": ([(("0", "5"), "0", "2f6529ae4af6", 12), (("5", "0"), "0", "2f6529ae4af6", 12)],
+                       (64, 128, "452ea142c63b")),
+    "unitR-lhs": ([((), None, "bc793545a39c", 1)], (11, 11, "7a12b5158cb7")),
+    "unitR-rhs": ([((), None, "fb3597f2911a", 1)], (7, 7, "d0984e5d10e6")),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_golden_outcomes_and_lts_sizes(label):
+    build, run_obs, lts_obs = CASES[label]
+    assert _observe(build(), run_obs, lts_obs) == GOLDEN[label]
+
+
+def test_golden_equation_pairs_stay_bisimilar():
+    for rule in ("unitR", "comm"):
+        sides = [build_lts(CASES[f"{rule}-{side}"][0](), TOP_OBS, DOMAIN) for side in ("lhs", "rhs")]
+        assert weak_bisimilar(*sides).equivalent

@@ -1,4 +1,5 @@
-"""Laws of the binder table, checked on generated processes.
+"""Laws of the binder table and of normalization, checked on generated
+processes.
 
 A generated shape fixes a process up to the spelling of its binders: each
 name occurrence is free (`a` or `b`) or refers to an enclosing binder, and
@@ -8,10 +9,12 @@ spellings of one shape are alpha-equivalent.
 
 from itertools import count
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from effsess import process as P
+from effsess.equivalence import build_lts, weak_bisimilar
 from effsess.normalize import normalize
+from effsess.semantics import RuntimeSafetyViolation, StateCapExceeded
 
 FREE = ("a", "b")
 
@@ -118,3 +121,16 @@ def test_simultaneous_swap_is_an_involution(shape):
 def test_normalize_is_alpha_invariant(shape):
     p, variant = build(shape, plain), build(shape, tricky)
     assert P.format_process(normalize(variant)) == P.format_process(normalize(p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes)
+def test_normalize_preserves_weak_bisimilarity(shape):
+    p = build(shape, plain)
+    try:
+        ltss = [build_lts(q, FREE, (P.NatLit(0), P.NatLit(1)), cap=300) for q in (p, normalize(p))]
+    except (RuntimeSafetyViolation, StateCapExceeded):
+        # ill-formed (a reachable call of the wrong arity, a label clash on
+        # a private channel) or too large to explore: no law to check
+        assume(False)
+    assert weak_bisimilar(*ltss).equivalent

@@ -1,7 +1,7 @@
 import pytest
 
 from effsess import embedding
-from effsess.process import Endpoint, NatLit, NIL, SucOf, VarRef, par, parse_process
+from effsess.process import Endpoint, NatLit, New, NIL, RecvVal, SendVal, SucOf, VarRef, par, parse_process
 from effsess.semantics import (
     FuelExhausted,
     InVal,
@@ -151,3 +151,39 @@ def test_transitions_commute_with_normalization():
     ta = transitions(ca)
     tb = transitions(cb)
     assert [(format_label(l), t.key) for l, t in ta] == [(format_label(l), t.key) for l, t in tb]
+
+
+def _idle_and_pair(k: int, messages: int = 4):
+    """k idle components, half of them blocked on a private channel, and a
+    pair that exchanges ``messages`` values on a channel of its own."""
+    idle = [
+        New(f"e{i}", None, SendVal(Endpoint(f"e{i}"), NatLit(i), NIL))
+        if i % 2 == 0
+        else RecvVal(Endpoint(f"a{i}"), "x", SendVal(Endpoint(f"b{i}"), VarRef("x"), NIL))
+        for i in range(k)
+    ]
+    sender, receiver = NIL, NIL
+    for j in reversed(range(messages)):
+        sender = SendVal(Endpoint("c"), NatLit(j), sender)
+        receiver = RecvVal(Endpoint("c", True), f"y{j}", receiver)
+    return par(*idle, New("c", None, par(sender, receiver)))
+
+
+def _normalizations_per_step(k: int) -> list[int]:
+    cfg = make_configuration(_idle_and_pair(k))
+    counts = []
+    while True:
+        before = cfg.table.normalized
+        successors = transitions(cfg)
+        if not successors:
+            return counts
+        counts.append(cfg.table.normalized - before)
+        ((_, cfg),) = successors
+
+
+def test_step_cost_does_not_grow_with_untouched_components():
+    # The first step also normalizes each idle component once in its
+    # canonical form; from then on the table looks the idle ones up.
+    few, many = _normalizations_per_step(2), _normalizations_per_step(8)
+    assert len(few) == len(many) == 4
+    assert few[1:] == many[1:]
