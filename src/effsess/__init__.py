@@ -4,7 +4,6 @@ semantics, and a weak-bisimulation engine for checking the translation's
 equational soundness."""
 
 from .effects import (
-    EffectAlgebra,
     EffectAnnotation,
     Get,
     IDENTITY,

@@ -1,11 +1,14 @@
 """Command line front end: check, translate, pi-check, run, equiv.
 
 Exit codes: 0 success (or BISIMILAR), 1 negative analysis verdict, 2
-usage or parse errors, 3 an execution or exploration that stopped without
-an answer (fuel exhausted, state cap exceeded, runtime safety violation,
-or an LTS left partial by its fuel).  ``--json`` switches every subcommand
-to versioned machine-readable records (schema 1); an exit code 3 prints
-``{"schema": 1, "ok": false, "kind": ..., "error": ...}``.
+usage or parse errors, 3 a command that stopped without an answer: fuel
+exhausted, state cap exceeded, runtime safety violation, an LTS left
+partial by its fuel, or a program nested too deeply for Python's recursion
+limit (kinds ``fuel``, ``state-cap``, ``runtime-safety``, ``partial-lts``
+and ``depth``).  ``--json`` switches every subcommand to versioned
+machine-readable records (schema 1); an exit code 3 prints
+``{"schema": 1, "ok": false, "kind": ..., "error": ...}``, and otherwise a
+``no answer (kind): ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ _NO_ANSWER_KINDS = {
     semantics.StateCapExceeded: "state-cap",
     semantics.RuntimeSafetyViolation: "runtime-safety",
     equivalence.PartialLTS: "partial-lts",
+    RecursionError: "depth",
 }
 
 
@@ -64,10 +68,6 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _translate(prog, optimize: bool, send_stop: bool = False) -> embedding.EmbeddingResult:
-    return embedding.embed_top(prog, optimize=optimize, send_stop=send_stop)
-
-
 def render_translation(result: embedding.EmbeddingResult) -> str:
     lines = []
     for name, tau in sorted(result.gamma.items()):
@@ -81,7 +81,7 @@ def render_translation(result: embedding.EmbeddingResult) -> str:
 def cmd_translate(args) -> int:
     prog = parse_program(_read(args.file))
     try:
-        result = _translate(prog, args.optimize)
+        result = embedding.embed_top(prog, optimize=args.optimize)
     except EffectTypeError as exc:
         print(f"type error: {exc}", file=sys.stderr)
         return 1
@@ -145,7 +145,7 @@ def cmd_pi_check(args) -> int:
 def cmd_run(args) -> int:
     prog = parse_program(_read(args.file))
     try:
-        result = _translate(prog, args.optimize, send_stop=args.send_stop)
+        result = embedding.embed_top(prog, optimize=args.optimize, send_stop=args.send_stop)
     except EffectTypeError as exc:
         print(f"type error: {exc}", file=sys.stderr)
         return 1

@@ -7,7 +7,6 @@ records the exact sequence of store interactions.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from .terms import ValueType
@@ -49,32 +48,10 @@ def well_causal(f: EffectAnnotation, store_type: ValueType) -> bool:
     return True
 
 
-class EffectAlgebra(ABC):
-    """A monoid of effect annotations: sequential composition with a unit."""
-
-    @abstractmethod
-    def combine(self, f: EffectAnnotation, g: EffectAnnotation) -> EffectAnnotation: ...
-
-    @abstractmethod
-    def identity(self) -> EffectAnnotation: ...
-
-    @abstractmethod
-    def equal(self, f: EffectAnnotation, g: EffectAnnotation) -> bool: ...
-
-    def no_inverses(self, f: EffectAnnotation, g: EffectAnnotation) -> bool:
-        """Check the no-inverse condition on one pair: if ``f . g`` is the
-        identity then both components must themselves be the identity."""
-        if not self.equal(self.combine(f, g), self.identity()):
-            return True
-        return self.equal(f, self.identity()) and self.equal(g, self.identity())
-
-
-class StateEffectAlgebra(EffectAlgebra):
-    """The list instance: concatenation with the empty list as identity.
-
-    Lists are already canonical monoid elements, so equality is plain
-    structural equality with no normalization.
-    """
+class StateEffectAlgebra:
+    """The monoid of annotations: concatenation with the empty list as
+    identity.  Lists are already canonical monoid elements, so equality is
+    plain structural equality with no normalization."""
 
     def combine(self, f: EffectAnnotation, g: EffectAnnotation) -> EffectAnnotation:
         return f + g
@@ -84,6 +61,11 @@ class StateEffectAlgebra(EffectAlgebra):
 
     def equal(self, f: EffectAnnotation, g: EffectAnnotation) -> bool:
         return f == g
+
+    def no_inverses(self, f: EffectAnnotation, g: EffectAnnotation) -> bool:
+        """Check the no-inverse condition on one pair: if ``f . g`` is the
+        identity then both components must themselves be the identity."""
+        return f + g != IDENTITY or f == g == IDENTITY
 
 
 STATE_ALGEBRA = StateEffectAlgebra()

@@ -17,7 +17,7 @@ from . import process as P
 from . import sessions as S
 from .effects import EffectAnnotation, Get, IDENTITY, Put, STATE_ALGEBRA
 from .infer import EffectTypeError, TypeEnv, infer
-from .terms import Const, Let, OpApp, Program, Term, ValueType, Var, all_names, free_vars
+from .terms import Const, Let, OpApp, Program, Term, ValueType, Var, all_names, free_vars, fresh_name
 
 
 class EmbeddingError(Exception):
@@ -34,40 +34,31 @@ RESERVED_EFFECT = "eff"
 
 # ------------------------------------------------- effect/session bijection
 
-def effect_to_session(f: EffectAnnotation) -> S.SessionType:
-    if not f:
-        return S.END
-    head, rest = f[0], f[1:]
-    inner = effect_to_session(rest)
-    if isinstance(head, Get):
-        return S.Select((("get", S.Recv(head.param, inner)),))
-    return S.Select((("put", S.Send(head.param, inner)),))
+def effect_to_session(f: EffectAnnotation, tail: S.SessionType = S.END) -> S.SessionType:
+    """The select chain of ``f``, continuing as ``tail`` (``end`` in the
+    image of an annotation)."""
+    s = tail
+    for token in reversed(f):
+        if isinstance(token, Get):
+            s = S.Select((("get", S.Recv(token.param, s)),))
+        else:
+            s = S.Select((("put", S.Send(token.param, s)),))
+    return s
 
 
 def session_to_effect(s: S.SessionType) -> EffectAnnotation:
     """The unique preimage under the effect interpretation."""
-    if isinstance(s, S.End):
-        return IDENTITY
-    if isinstance(s, S.Select) and len(s.choices) == 1:
-        label, cont = s.choices[0]
+    tokens = []
+    while not isinstance(s, S.End):
+        label, cont = s.choices[0] if isinstance(s, S.Select) and len(s.choices) == 1 else (None, None)
         if label == "get" and isinstance(cont, S.Recv) and S.is_value_payload(cont.payload):
-            return (Get(cont.payload),) + session_to_effect(cont.cont)
-        if label == "put" and isinstance(cont, S.Send) and S.is_value_payload(cont.payload):
-            return (Put(cont.payload),) + session_to_effect(cont.cont)
-    raise NotInImage(f"{S.format_session_type(s)} is not the image of an effect annotation")
-
-
-def _splice_tail(s: S.SessionType, tail: S.SessionType) -> S.SessionType:
-    """Replace the terminal end of a select chain."""
-    if isinstance(s, S.End):
-        return tail
-    if isinstance(s, S.Select) and len(s.choices) == 1:
-        label, cont = s.choices[0]
-        if isinstance(cont, S.Recv):
-            return S.Select(((label, S.Recv(cont.payload, _splice_tail(cont.cont, tail))),))
-        if isinstance(cont, S.Send):
-            return S.Select(((label, S.Send(cont.payload, _splice_tail(cont.cont, tail))),))
-    raise EmbeddingError("can only splice onto an effect-image session type")
+            tokens.append(Get(cont.payload))
+        elif label == "put" and isinstance(cont, S.Send) and S.is_value_payload(cont.payload):
+            tokens.append(Put(cont.payload))
+        else:
+            raise NotInImage(f"{S.format_session_type(s)} is not the image of an effect annotation")
+        s = cont.cont
+    return tuple(tokens)
 
 
 # ----------------------------------------------------------- store agents
@@ -177,11 +168,7 @@ class NameSupply:
     taken: set[str] = field(default_factory=set)
 
     def fresh(self, base: str) -> str:
-        name = base
-        k = 0
-        while name in self.taken:
-            k += 1
-            name = f"{base}{k}"
+        name = fresh_name(base, self.taken)
         self.taken.add(name)
         return name
 
@@ -388,11 +375,8 @@ def embed_term_top(
     build = optimize_commuting if optimize else embed_intermediate
     body = build(t, P.Endpoint(ei), P.Endpoint(eo), r, env, store_type, supply, IDENTITY)
 
-    eff_session = effect_to_session(f_eff)
-    leftover: S.SessionType = S.END
-    if send_stop:
-        leftover = S.Select((("stop", S.END),))
-        eff_session = _splice_tail(eff_session, leftover)
+    leftover: S.SessionType = S.Select((("stop", S.END),)) if send_stop else S.END
+    eff_session = effect_to_session(f_eff, tail=leftover)
     c = supply.fresh("c")
     tail_proc: P.Process = P.NIL if not send_stop else P.Select(P.Endpoint(c), "stop", P.NIL)
     harness = P.SendChan(P.Endpoint(ei, True), eff, P.RecvChan(P.Endpoint(eo), c, tail_proc))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .effects import IDENTITY, format_effect
 from .infer import TypeEnv, infer
-from .terms import Let, OpApp, Term, ValueType, Var, all_names, free_vars, substitute
+from .terms import Let, OpApp, Term, ValueType, Var, all_names, free_vars, fresh_name, substitute
 
 # Rule names: forward orientations of Fig.-style equations plus the
 # inverse orientations that have a canonical result.  The reverse of
@@ -142,12 +142,7 @@ def _rw_unit_r(sub: Term, env: TypeEnv, store_type: ValueType) -> Term:
 
 def _rw_unit_r_inv(sub: Term, env: TypeEnv, store_type: ValueType) -> Term:
     # M  ==>  let x = M in x, with x fresh
-    x = "x"
-    taken = all_names(sub)
-    k = 0
-    while x in taken:
-        k += 1
-        x = f"x{k}"
+    x = fresh_name("x", all_names(sub))
     return Let(x, sub, Var(x))
 
 

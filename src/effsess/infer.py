@@ -42,14 +42,6 @@ CONSTANTS: dict[str, ConstSignature] = {
 }
 
 
-def operation_is_pure(op: str, store_type: ValueType) -> bool:
-    return OPERATIONS[op](store_type)[2] == IDENTITY
-
-
-def constant_is_pure(const: str, store_type: ValueType) -> bool:
-    return CONSTANTS[const](store_type)[1] == IDENTITY
-
-
 def infer(env: TypeEnv, store_type: ValueType, t: Term) -> tuple[ValueType, EffectAnnotation]:
     if isinstance(t, Var):
         if t.name not in env:

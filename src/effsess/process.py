@@ -40,7 +40,7 @@ from itertools import count
 from typing import Iterator, NamedTuple
 
 from .sessions import SessionType, _TypeParser, format_session_type
-from .terms import ParseError, ValueType, _Lexer, parse_value_type
+from .terms import ParseError, ValueType, _Lexer, fresh_name, parse_value_type
 
 
 @dataclass(frozen=True)
@@ -378,15 +378,6 @@ def free_names(p: Process) -> FreeNames:
 def free_endpoints(p: Process) -> frozenset[Endpoint]:
     """Endpoints (base name with polarity) occurring free in ``p``."""
     return frozenset(free_names(p).endpoints)
-
-
-def fresh_name(base: str, avoid) -> str:
-    if base not in avoid:
-        return base
-    k = 1
-    while f"{base}{k}" in avoid:
-        k += 1
-    return f"{base}{k}"
 
 
 # ------------------------------------------------------------ substitution

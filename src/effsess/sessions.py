@@ -2,7 +2,31 @@
 
 Payloads are either value types or session types (channel delegation).
 Recursive types use mu-binders compared equi-recursively: a `Mu` is
-interchangeable with its unfolding, decided by memoized pair exploration.
+interchangeable with its unfolding.
+
+Equality, subtyping and duality are one coinductive walk over pairs of
+types (`_related`), set by two flags (Gay & Hole, *Subtyping for session
+types in the pi calculus*, 2005):
+
+- ``flip`` pairs each constructor with its dual (send with receive, select
+  with branch) instead of with itself;
+- ``width`` lets the selecting side offer fewer labels than the other side
+  (the left select in subtyping, the select facing a branch in duality).
+
+Payloads are always compared for equality, by the same walk.  Every
+relation is a conjunction of pair obligations, so the walk is a worklist
+loop that never backtracks or recurses on type depth.  A pair is recorded
+as an assumption only when a mu is unfolded (a `Mu` on either side): a walk
+can meet a pair again only through an unfolding, so a mu-free type hashes
+nothing.  Assumptions are keyed by structure, since unfolding builds new
+objects.
+
+Duality is complete duality (Bernardi, Dardha, Gay & Kouzapas, *On duality
+relations for session types*, 2014): constructors flip along
+continuations, but a payload keeps its type, so a payload's free mu
+variables are first closed with the mu-types they stood for.  Without
+that, ``dual(mu a. ![a]. a)`` would be ``mu a. ?[a]. a``, whose payload
+names the dual type instead of the original one.
 """
 
 from __future__ import annotations
@@ -10,9 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import ParseError, ValueType, _Lexer, parse_value_type
-
-Payload = "ValueType | SessionType"
-
 
 @dataclass(frozen=True)
 class Send:
@@ -114,135 +135,128 @@ def assert_wellformed(s: SessionType, bound: frozenset[str] = frozenset()) -> No
     raise TypeError(f"not a session type: {s!r}")
 
 
+# Each constructor and the one its dual pairs with.
+_FLIP = {Send: Recv, Recv: Send, Select: Branch, Branch: Select, End: End}
+
+
+def _conts(s: SessionType) -> tuple[SessionType, ...]:
+    """The continuations of ``s``, in label order; payloads are not among them."""
+    if isinstance(s, Mu):
+        return (s.body,)
+    if isinstance(s, (Send, Recv)):
+        return (s.cont,)
+    if isinstance(s, (Select, Branch)):
+        return tuple(cont for _, cont in s.choices)
+    return ()
+
+
 def dual(s: SessionType) -> SessionType:
-    if isinstance(s, Send):
-        return Recv(s.payload, dual(s.cont))
-    if isinstance(s, Recv):
-        return Send(s.payload, dual(s.cont))
-    if isinstance(s, Select):
-        return Branch(tuple((label, dual(cont)) for label, cont in s.choices))
-    if isinstance(s, Branch):
-        return Select(tuple((label, dual(cont)) for label, cont in s.choices))
-    if isinstance(s, Mu):
-        return Mu(s.var, dual(s.body))
-    if isinstance(s, (TVar, End)):
+    """Complete duality: flip every constructor along the continuations, and
+    close each session payload over the mu-types whose variables it names."""
+    built: list[SessionType] = []
+    todo: list[tuple[SessionType, dict, bool]] = [(s, {}, False)]
+    while todo:
+        t, env, ready = todo.pop()
+        if isinstance(t, (TVar, End)):
+            built.append(t)
+        elif not ready:
+            todo.append((t, env, True))
+            if isinstance(t, Mu):
+                env = {**env, t.var: _subst(t, env)}
+            todo.extend((cont, env, False) for cont in reversed(_conts(t)))
+        else:
+            n = len(_conts(t))
+            conts = built[-n:]
+            del built[-n:]
+            if isinstance(t, Mu):
+                built.append(Mu(t.var, conts[0]))
+            elif isinstance(t, (Send, Recv)):
+                payload = t.payload if is_value_payload(t.payload) else _subst(t.payload, env)
+                built.append(_FLIP[type(t)](payload, conts[0]))
+            else:
+                built.append(_FLIP[type(t)](tuple(zip(t.labels(), conts))))
+    return built[0]
+
+
+def _subst(s: SessionType, env: dict[str, SessionType]) -> SessionType:
+    """Replace the free type variables of ``s`` that ``env`` names."""
+    if not env:
         return s
-    raise TypeError(f"not a session type: {s!r}")
-
-
-def _subst_tvar(s: SessionType, name: str, replacement: SessionType) -> SessionType:
     if isinstance(s, TVar):
-        return replacement if s.name == name else s
+        return env.get(s.name, s)
     if isinstance(s, Mu):
-        if s.var == name:
-            return s
-        return Mu(s.var, _subst_tvar(s.body, name, replacement))
-    if isinstance(s, Send):
-        payload = s.payload if is_value_payload(s.payload) else _subst_tvar(s.payload, name, replacement)
-        return Send(payload, _subst_tvar(s.cont, name, replacement))
-    if isinstance(s, Recv):
-        payload = s.payload if is_value_payload(s.payload) else _subst_tvar(s.payload, name, replacement)
-        return Recv(payload, _subst_tvar(s.cont, name, replacement))
-    if isinstance(s, Select):
-        return Select(tuple((l, _subst_tvar(c, name, replacement)) for l, c in s.choices))
-    if isinstance(s, Branch):
-        return Branch(tuple((l, _subst_tvar(c, name, replacement)) for l, c in s.choices))
+        return Mu(s.var, _subst(s.body, {k: v for k, v in env.items() if k != s.var}))
+    if isinstance(s, (Send, Recv)):
+        payload = s.payload if is_value_payload(s.payload) else _subst(s.payload, env)
+        return type(s)(payload, _subst(s.cont, env))
+    if isinstance(s, (Select, Branch)):
+        return type(s)(tuple((label, _subst(cont, env)) for label, cont in s.choices))
     return s
 
 
 def unfold(s: SessionType) -> SessionType:
     """Unfold top-level mu-binders until the head is a proper constructor."""
     while isinstance(s, Mu):
-        s = _subst_tvar(s.body, s.var, s)
+        s = _subst(s.body, {s.var: s})
     return s
 
 
-def _payload_equal(p, q, go) -> bool:
-    if is_value_payload(p) != is_value_payload(q):
-        return False
-    if is_value_payload(p):
-        return p is q
-    return go(p, q)
+def _related(s: SessionType, t: SessionType, flip: bool, width: bool) -> bool:
+    """The relation walker (see the module docstring): every pair the walk
+    meets must match head to head.  A pair with a mu on either side is
+    assumed to hold from its first visit on, which closes every cycle."""
+    assumed: set[tuple[SessionType, SessionType, bool, bool]] = set()
+    todo = [(s, t, flip, width)]
+    while todo:
+        a, b, flip, width = todo.pop()
+        if isinstance(a, Mu) or isinstance(b, Mu):
+            key = (a, b, flip, width)
+            if key in assumed:
+                continue
+            assumed.add(key)
+            a, b = unfold(a), unfold(b)
+        head = type(a)
+        if head not in _FLIP or type(b) is not (_FLIP[head] if flip else head):
+            return False
+        if head is Send or head is Recv:
+            p, q = a.payload, b.payload
+            if is_value_payload(p) or is_value_payload(q):
+                if p is not q:
+                    return False
+            else:
+                todo.append((p, q, False, False))
+            todo.append((a.cont, b.cont, flip, width))
+        elif head is not End:
+            left, right = dict(a.choices), dict(b.choices)
+            if width and head is Select:
+                fits = left.keys() <= right.keys()
+            elif width and flip:
+                fits = right.keys() <= left.keys()
+            else:
+                fits = left.keys() == right.keys()
+            if not fits:
+                return False
+            todo.extend((cont, right[label], flip, width) for label, cont in left.items() if label in right)
+    return True
 
 
 def type_equal(s: SessionType, t: SessionType) -> bool:
     """Equality up to alpha-renaming of mu-binders and finite unfolding."""
-    assumed: set[tuple[SessionType, SessionType]] = set()
-
-    def go(a: SessionType, b: SessionType) -> bool:
-        key = (a, b)
-        if key in assumed:
-            return True
-        assumed.add(key)
-        a, b = unfold(a), unfold(b)
-        if isinstance(a, End) and isinstance(b, End):
-            return True
-        if isinstance(a, Send) and isinstance(b, Send):
-            return _payload_equal(a.payload, b.payload, go) and go(a.cont, b.cont)
-        if isinstance(a, Recv) and isinstance(b, Recv):
-            return _payload_equal(a.payload, b.payload, go) and go(a.cont, b.cont)
-        if isinstance(a, Select) and isinstance(b, Select) or isinstance(a, Branch) and isinstance(b, Branch):
-            if a.labels() != b.labels():
-                return False
-            return all(go(ca, cb) for (_, ca), (_, cb) in zip(a.choices, b.choices))
-        return False
-
-    return go(s, t)
+    return _related(s, t, flip=False, width=False)
 
 
 def select_subtype(s: SessionType, t: SessionType) -> bool:
     """Width subtyping on selects only: ``s`` is ``t`` with select label
     sets narrowed, covariantly through continuations and up to unfolding.
     Branch labels and payloads must match exactly."""
-    assumed: set[tuple[SessionType, SessionType]] = set()
-
-    def go(a: SessionType, b: SessionType) -> bool:
-        key = (a, b)
-        if key in assumed:
-            return True
-        assumed.add(key)
-        a, b = unfold(a), unfold(b)
-        if isinstance(a, End) and isinstance(b, End):
-            return True
-        if isinstance(a, Send) and isinstance(b, Send) or isinstance(a, Recv) and isinstance(b, Recv):
-            return _payload_equal(a.payload, b.payload, type_equal) and go(a.cont, b.cont)
-        if isinstance(a, Select) and isinstance(b, Select):
-            wide = dict(b.choices)
-            return all(label in wide and go(cont, wide[label]) for label, cont in a.choices)
-        if isinstance(a, Branch) and isinstance(b, Branch):
-            if a.labels() != b.labels():
-                return False
-            return all(go(ca, cb) for (_, ca), (_, cb) in zip(a.choices, b.choices))
-        return False
-
-    return go(s, t)
+    return _related(s, t, flip=False, width=True)
 
 
 def dual_compatible(s: SessionType, t: SessionType) -> bool:
     """Duality modulo select widening, the condition discharged at channel
     restriction: there is a widening ``s'`` of the select nodes such that
     ``s'`` equals ``dual(t)`` (applied symmetrically on either side)."""
-    assumed: set[tuple[SessionType, SessionType]] = set()
-
-    def go(a: SessionType, b: SessionType) -> bool:
-        key = (a, b)
-        if key in assumed:
-            return True
-        assumed.add(key)
-        a, b = unfold(a), unfold(b)
-        if isinstance(a, End) and isinstance(b, End):
-            return True
-        if isinstance(a, Send) and isinstance(b, Recv) or isinstance(a, Recv) and isinstance(b, Send):
-            return _payload_equal(a.payload, b.payload, type_equal) and go(a.cont, b.cont)
-        if isinstance(a, Select) and isinstance(b, Branch):
-            offered = dict(b.choices)
-            return all(label in offered and go(cont, offered[label]) for label, cont in a.choices)
-        if isinstance(a, Branch) and isinstance(b, Select):
-            offered = dict(a.choices)
-            return all(label in offered and go(offered[label], cont) for label, cont in b.choices)
-        return False
-
-    return go(s, t)
+    return _related(s, t, flip=True, width=True)
 
 
 def format_session_type(s: SessionType) -> str:

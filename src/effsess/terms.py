@@ -91,7 +91,8 @@ def all_names(t: Term) -> frozenset[str]:
     return frozenset()
 
 
-def _fresh(base: str, avoid: frozenset[str]) -> str:
+def fresh_name(base: str, avoid) -> str:
+    """The first of ``base``, ``base1``, ``base2``, ... not in ``avoid``."""
     if base not in avoid:
         return base
     k = 1
@@ -113,7 +114,7 @@ def substitute(t: Term, name: str, replacement: Term) -> Term:
         if t.name == name:
             return Let(t.name, bound, t.body)
         if t.name in free_vars(replacement) and name in free_vars(t.body):
-            renamed = _fresh(t.name, free_vars(replacement) | all_names(t.body))
+            renamed = fresh_name(t.name, free_vars(replacement) | all_names(t.body))
             body = substitute(t.body, t.name, Var(renamed))
             return Let(renamed, bound, substitute(body, name, replacement))
         return Let(t.name, bound, substitute(t.body, name, replacement))

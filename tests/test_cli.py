@@ -170,3 +170,22 @@ def test_nonpositive_fuel_is_a_usage_error(sample, capsys, command):
         main([command, *files, "--fuel", "0"])
     assert exit_info.value.code == 2
     assert "fuel must be positive" in capsys.readouterr().err
+
+
+@pytest.fixture
+def deep(tmp_path):
+    path = tmp_path / "deep.eff"
+    lets = " ".join(f"let x{i} = get in" for i in range(2000))
+    path.write_text(f"store nat init 0\n{lets} get\n")
+    return str(path)
+
+
+def test_deep_program_is_a_depth_error(deep, capsys):
+    assert main(["check", deep]) == 3
+    assert capsys.readouterr().err.startswith("no answer (depth): ")
+
+
+def test_deep_program_json_record(deep, capsys):
+    assert main(["--json", "check", deep]) == 3
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["schema"] == 1 and record["ok"] is False and record["kind"] == "depth"

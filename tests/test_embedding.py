@@ -87,13 +87,10 @@ def test_bijection_roundtrip_exhaustive():
 
 
 def test_monoid_homomorphism_shape():
-    def splice(s, tail):
-        return embedding._splice_tail(s, tail)
-
     for f in all_annotations(3):
         for g in all_annotations(2):
             lhs = embedding.effect_to_session(f + g)
-            rhs = splice(embedding.effect_to_session(f), embedding.effect_to_session(g))
+            rhs = embedding.effect_to_session(f, tail=embedding.effect_to_session(g))
             assert lhs == rhs
 
 
