@@ -76,25 +76,23 @@ def store_session_type(store_type: ValueType) -> S.SessionType:
     )
 
 
-def store_agent(
-    init: P.Value, c: P.Endpoint, store_type: ValueType, def_name: str = "Store"
-) -> P.Process:
+def store_agent(init: P.Value, c: P.Endpoint, store_type: ValueType) -> P.Process:
     """The recursive variable agent, instantiated at (init, c)."""
     s = P.Endpoint("s")
     body = P.Branch(
         s,
         (
-            ("get", P.SendVal(s, P.VarRef("x"), P.Call(def_name, (P.VarRef("x"),), (s,)))),
-            ("put", P.RecvVal(s, "y", P.Call(def_name, (P.VarRef("y"),), (s,)))),
+            ("get", P.SendVal(s, P.VarRef("x"), P.Call("Store", (P.VarRef("x"),), (s,)))),
+            ("put", P.RecvVal(s, "y", P.Call("Store", (P.VarRef("y"),), (s,)))),
             ("stop", P.NIL),
         ),
     )
     return P.Def(
-        def_name,
+        "Store",
         (("x", store_type),),
         (("s", store_session_type(store_type)),),
         body,
-        P.Call(def_name, (init,), (c,)),
+        P.Call("Store", (init,), (c,)),
     )
 
 
@@ -124,9 +122,7 @@ def shared_store_type(store_type: ValueType) -> S.SessionType:
     )
 
 
-def shared_store_agent(
-    init: P.Value, k: str, store_type: ValueType, def_name: str = "Store"
-) -> P.Process:
+def shared_store_agent(init: P.Value, k: str, store_type: ValueType) -> P.Process:
     """The store behind a shared channel: accept a session, serve one
     request atomically, recurse.  The shared name is ambient in the body
     since definition signatures carry only value and session types."""
@@ -137,13 +133,13 @@ def shared_store_agent(
         P.Branch(
             c,
             (
-                ("get", P.SendVal(c, P.VarRef("x"), P.Call(def_name, (P.VarRef("x"),), ()))),
-                ("put", P.RecvVal(c, "y", P.Call(def_name, (P.VarRef("y"),), ()))),
+                ("get", P.SendVal(c, P.VarRef("x"), P.Call("Store", (P.VarRef("x"),), ()))),
+                ("put", P.RecvVal(c, "y", P.Call("Store", (P.VarRef("y"),), ()))),
                 ("stop", P.NIL),
             ),
         ),
     )
-    return P.Def(def_name, (("x", store_type),), (), body, P.Call(def_name, (init,), ()))
+    return P.Def("Store", (("x", store_type),), (), body, P.Call("Store", (init,), ()))
 
 
 def shared_get(k: str, binder: str, cont: P.Process) -> P.Process:

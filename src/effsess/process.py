@@ -513,16 +513,6 @@ def _rewrite(p: Process, mapping: dict, definitions: dict, canonical: Iterator[s
     return go(p, mapping, definitions, introduced, introduced_defs)
 
 
-def subst_endpoint(p: Process, name: str, ep: Endpoint) -> Process:
-    """Capture-avoiding substitution of a base name by an endpoint."""
-    return substitute(p, {name: ep})
-
-
-def subst_value_name(p: Process, name: str, replacement: Value) -> Process:
-    """Capture-avoiding substitution of a value variable."""
-    return substitute(p, {name: replacement})
-
-
 # --------------------------------------------- subterms, key and equality
 
 def subterms(p: Process) -> list[Process]:

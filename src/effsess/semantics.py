@@ -205,12 +205,8 @@ class Configuration:
         return P.new(self.restricted, P.par(*self.components))
 
 
-def make_configuration(
-    p: P.Process,
-    observables: frozenset[str] = frozenset(),
-    defs: dict[str, DefClosure] | None = None,
-) -> Configuration:
-    return _assemble([], [p], dict(defs or {}), observables, ComponentTable())
+def make_configuration(p: P.Process, observables: frozenset[str] = frozenset()) -> Configuration:
+    return _assemble([], [p], {}, observables, ComponentTable())
 
 
 def _assemble(

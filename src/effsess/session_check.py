@@ -1,20 +1,35 @@
 """Session typing for processes: linear channel environments, duality at
 restriction, select-width subtyping, and shared-channel signatures.
 
-The checker is algorithmic: the session environment (delta) maps endpoints
-to the protocol they still owe, prefixes consume it, and parallel
-composition must split it disjointly.  Select subtyping is granted only
-where restriction or a shared-channel signature introduces the endpoint,
-matching the rule that widening happens when duality is discharged.
+The checker threads the linear environment (Walker, *Substructural Type
+Systems*, 2005; Vasconcelos, *Fundamentals of Session Types*, 2012).  The
+session environment (delta) maps endpoints to the protocol they still owe;
+checking a process consumes the entries it uses and returns the rest, its
+leftover.  Parallel composition checks the right side under what the left
+side left over, so an endpoint one side uses is gone for the other.
 
-Restricted channels without an annotation get their types synthesized from
-usage when possible (value chains, selects, branches, call signatures);
-delegation payloads generally need an annotation.
+- A prefix ends its own endpoint: once its continuation is checked, the
+  endpoint must be ``end`` or gone.  So do the scopes of ``new``, a channel
+  receive, ``accept``/``request`` and a definition body for the endpoints
+  they bind, and the top level for all of delta.  Only these report
+  ``leftover``.
+- A binder sets aside the outer entries for the endpoints it binds and
+  restores them, untouched, when its scope ends.
+- Only when a side of a parallel composition fails are both sides' free
+  endpoints computed; a shared one (which always fails a side, since the
+  other consumed it) makes the error ``linearity``, naming the first.
+
+Select subtyping is granted only where restriction or a shared-channel
+signature introduces the endpoint, matching the rule that widening happens
+when duality is discharged.  Restricted channels without an annotation get
+their types synthesized from usage when possible (value chains, selects,
+branches, call signatures); delegation payloads generally need an
+annotation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import process as P
 from . import sessions as S
@@ -59,250 +74,240 @@ def value_type(gamma: dict[str, ValueType], v: P.Value) -> ValueType:
     raise TypeError(f"not a value: {v!r}")
 
 
-def _try_value_type(gamma: dict[str, ValueType | None], v: P.Value) -> ValueType | None:
-    try:
-        known = {k: t for k, t in gamma.items() if t is not None}
-        return value_type(known, v)
-    except SessionTypeError:
-        return None
-
-
 def session_check(env: ProcEnv, delta: SessionEnv, p: P.Process) -> None:
     """Raise SessionTypeError unless ``p`` checks under exactly ``delta``."""
-    _check(env, dict(env.vars), dict(delta), p, frozenset())
+    leftover = _check(env, dict(env.vars), dict(delta), p, frozenset())
+    _close(leftover, list(leftover), "the process")
 
 
-def _take(delta: SessionEnv, e: P.Endpoint) -> S.SessionType:
-    if e not in delta:
+def _take(delta: SessionEnv, p: P.Process, shape: type, verb: str) -> S.SessionType:
+    """Consume ``p.chan``'s entry, unfolded, which must be of ``shape``."""
+    if p.chan not in delta:
         raise SessionTypeError(
-            "unbound", f"endpoint {e} is not available here (untyped, already consumed, or owned elsewhere)"
+            "unbound", f"endpoint {p.chan} is not available here (untyped, already consumed, or owned elsewhere)"
         )
-    return S.unfold(delta.pop(e))
+    s = S.unfold(delta.pop(p.chan))
+    if not isinstance(s, shape):
+        raise SessionTypeError("shape", f"{p.chan} {verb} but its type is {S.format_session_type(s)}")
+    return s
 
 
-def _leftover_end(delta: SessionEnv, where: str) -> None:
-    for e, s in delta.items():
+def _close(delta: SessionEnv, eps, where: str) -> None:
+    """End the scope of ``eps``: each must be used up, ``end`` or gone."""
+    for e in eps:
+        s = delta.pop(e, S.END)
         if not S.type_equal(s, S.END):
             raise SessionTypeError(
-                "leftover", f"endpoint {e} still owes {S.format_session_type(s)} at {where}"
+                "leftover", f"endpoint {e} still owes {S.format_session_type(s)} at the end of {where}"
             )
 
 
-def _check(env: ProcEnv, gamma: dict, delta: SessionEnv, p: P.Process, width: frozenset[str]) -> None:
-    if isinstance(p, P.Nil):
-        _leftover_end(delta, "0")
-        return
+def _bind(delta: SessionEnv, scopes: list, name: str, where: str) -> tuple[P.Endpoint, P.Endpoint]:
+    """Open the scope of a binder of ``name``: set aside the outer entries
+    for both endpoints it binds, to restore when the scope ends."""
+    eps = (P.Endpoint(name, False), P.Endpoint(name, True))
+    scopes.append((eps, {e: delta.pop(e) for e in eps if e in delta}, where))
+    return eps
 
-    if isinstance(p, P.Par):
-        left_eps = P.free_endpoints(p.left)
-        right_eps = P.free_endpoints(p.right)
-        overlap = left_eps & right_eps
-        if overlap:
-            name = sorted(str(e) for e in overlap)[0]
-            raise SessionTypeError(
-                "linearity", f"endpoint {name} is used by both sides of a parallel composition"
-            )
-        d_left = {e: s for e, s in delta.items() if e in left_eps or e not in right_eps}
-        d_right = {e: s for e, s in delta.items() if e not in d_left}
-        _check(env, gamma, d_left, p.left, width)
-        _check(env, gamma, d_right, p.right, width)
-        return
 
-    if isinstance(p, (P.RecvVal, P.RecvChan)):
-        s = _take(delta, p.chan)
-        if not isinstance(s, S.Recv):
-            raise SessionTypeError(
-                "shape", f"{p.chan} performs a receive but its type is {S.format_session_type(s)}"
-            )
-        delta[p.chan] = s.cont
-        if S.is_value_payload(s.payload):
-            gamma2 = dict(gamma)
-            gamma2[p.binder] = s.payload
-            _check(env, gamma2, delta, p.cont, width)
-        else:
-            # receive of a channel; the binder owns the delegated endpoint
-            delta[P.Endpoint(p.binder, False)] = s.payload
-            _check(env, gamma, delta, p.cont, width)
-        return
+def _signature(d: P.Def):
+    """A definition's parameter types, or None when one is unannotated."""
+    vals, chans = tuple(t for _, t in d.val_params), tuple(t for _, t in d.chan_params)
+    return None if any(t is None for t in vals + chans) else (vals, chans)
 
-    if isinstance(p, P.SendVal):
-        s = _take(delta, p.chan)
-        if not isinstance(s, S.Send):
-            raise SessionTypeError(
-                "shape", f"{p.chan} performs a send but its type is {S.format_session_type(s)}"
-            )
-        if S.is_value_payload(s.payload):
+
+def _check(env: ProcEnv, gamma: dict, delta: SessionEnv, p: P.Process, width: frozenset[str]) -> SessionEnv:
+    """Check ``p`` under ``delta``, consuming its entries in place, and
+    return the leftover.  A run of prefixes and binders is one loop, whose
+    scopes end in reverse once the run does; only parallel composition,
+    branching and definition bodies take a Python frame."""
+    scopes: list[tuple[tuple[P.Endpoint, ...], SessionEnv, str]] = []
+    while True:
+        if isinstance(p, (P.RecvVal, P.RecvChan)):
+            s = _take(delta, p, S.Recv, "performs a receive")
+            delta[p.chan] = s.cont
+            scopes.append(((p.chan,), {}, "its prefix"))
+            eps = _bind(delta, scopes, p.binder, f"the scope of {p.binder}")
+            if S.is_value_payload(s.payload):
+                gamma = {**gamma, p.binder: s.payload}
+            else:
+                # receive of a channel; the binder owns the delegated endpoint
+                delta[eps[0]] = s.payload
+            width = width - {p.binder}
+            p = p.cont
+
+        elif isinstance(p, P.SendVal):
+            s = _take(delta, p, S.Send, "performs a send")
+            if not S.is_value_payload(s.payload):
+                # session payload: accept a bare name the parser left as a value
+                if not isinstance(p.value, P.VarRef):
+                    raise SessionTypeError(
+                        "payload", f"{p.chan} expects a channel payload, got value {P.format_value(p.value)}"
+                    )
+                delta[p.chan] = s
+                p = P.SendChan(p.chan, P.Endpoint(p.value.name), p.cont)
+                continue
             actual = value_type(gamma, p.value)
             if actual is not s.payload:
-                raise SessionTypeError(
-                    "payload", f"{p.chan} expects a {s.payload} payload, got {actual}"
-                )
+                raise SessionTypeError("payload", f"{p.chan} expects a {s.payload} payload, got {actual}")
             delta[p.chan] = s.cont
-            _check(env, gamma, delta, p.cont, width)
-            return
-        # session payload: accept a bare name the parser left as a value
-        if isinstance(p.value, P.VarRef):
-            delta[p.chan] = S.Send(s.payload, s.cont)
-            _check(env, gamma, delta, P.SendChan(p.chan, P.Endpoint(p.value.name, False), p.cont), width)
-            return
-        raise SessionTypeError(
-            "payload", f"{p.chan} expects a channel payload, got value {P.format_value(p.value)}"
-        )
+            scopes.append(((p.chan,), {}, "its prefix"))
+            p = p.cont
 
-    if isinstance(p, P.SendChan):
-        s = _take(delta, p.chan)
-        if not isinstance(s, S.Send) or S.is_value_payload(s.payload):
-            raise SessionTypeError(
-                "shape",
-                f"{p.chan} delegates a channel but its type is {S.format_session_type(s)}",
-            )
-        sent_type = delta.pop(p.sent, None)
-        if sent_type is None:
-            raise SessionTypeError("unbound", f"delegated endpoint {p.sent} is not available here")
-        if not S.type_equal(sent_type, s.payload):
-            raise SessionTypeError(
-                "payload",
-                f"delegated endpoint {p.sent} has type {S.format_session_type(sent_type)}, "
-                f"expected {S.format_session_type(s.payload)}",
-            )
-        delta[p.chan] = s.cont
-        _check(env, gamma, delta, p.cont, width)
-        return
-
-    if isinstance(p, P.Branch):
-        s = _take(delta, p.chan)
-        if not isinstance(s, S.Branch):
-            raise SessionTypeError(
-                "shape", f"{p.chan} offers branches but its type is {S.format_session_type(s)}"
-            )
-        offered = tuple(sorted(label for label, _ in p.branches))
-        if offered != s.labels():
-            raise SessionTypeError(
-                "label",
-                f"{p.chan} offers {{{', '.join(offered)}}} but its type offers {{{', '.join(s.labels())}}}",
-            )
-        for label, cont in p.branches:
-            d2 = dict(delta)
-            d2[p.chan] = s.get(label)
-            _check(env, gamma, d2, cont, width)
-        return
-
-    if isinstance(p, P.Select):
-        s = _take(delta, p.chan)
-        if not isinstance(s, S.Select):
-            raise SessionTypeError(
-                "shape", f"{p.chan} selects but its type is {S.format_session_type(s)}"
-            )
-        cont_type = s.get(p.label)
-        if cont_type is None:
-            raise SessionTypeError(
-                "label", f"label {p.label} is not offered by {S.format_session_type(s)}"
-            )
-        if len(s.choices) > 1 and p.chan.name not in width:
-            raise SessionTypeError(
-                "label",
-                f"{p.chan} selects {p.label} from a multi-label type; width subtyping only "
-                f"applies at restriction and shared-channel introduction",
-            )
-        delta[p.chan] = cont_type
-        _check(env, gamma, delta, p.cont, width)
-        return
-
-    if isinstance(p, P.Def):
-        if any(t is None for _, t in p.val_params) or any(t is None for _, t in p.chan_params):
-            raise SessionTypeError(
-                "annotation", f"definition {p.name} needs parameter type annotations to be checked"
-            )
-        sig = (tuple(t for _, t in p.val_params), tuple(t for _, t in p.chan_params))
-        env2 = ProcEnv(dict(env.vars), dict(env.defs), dict(env.shared))
-        env2.defs[p.name] = sig
-        gamma_body = dict(gamma)
-        for name, t in p.val_params:
-            gamma_body[name] = t
-        delta_body = {P.Endpoint(name, False): t for name, t in p.chan_params}
-        _check(env2, gamma_body, delta_body, p.body, width)
-        _check(env2, gamma, delta, p.scope, width)
-        return
-
-    if isinstance(p, P.Call):
-        if p.name not in env.defs:
-            raise SessionTypeError("unbound", f"call to unknown definition {p.name!r}")
-        val_sig, chan_sig = env.defs[p.name]
-        if len(val_sig) != len(p.val_args) or len(chan_sig) != len(p.chan_args):
-            raise SessionTypeError("arity", f"call to {p.name} has the wrong number of arguments")
-        for v, expected in zip(p.val_args, val_sig):
-            actual = value_type(gamma, v)
-            if actual is not expected:
+        elif isinstance(p, P.SendChan):
+            s = _take(delta, p, S.Send, "delegates a channel")
+            if S.is_value_payload(s.payload):
                 raise SessionTypeError(
-                    "payload", f"call to {p.name}: argument {P.format_value(v)} is {actual}, expected {expected}"
+                    "shape", f"{p.chan} delegates a channel but its type is {S.format_session_type(s)}"
                 )
-        for ep, expected in zip(p.chan_args, chan_sig):
-            actual_type = delta.pop(ep, None)
-            if actual_type is None:
-                raise SessionTypeError("unbound", f"call to {p.name}: endpoint {ep} is not available here")
-            if not S.type_equal(actual_type, expected):
+            sent_type = delta.pop(p.sent, None)
+            if sent_type is None:
+                raise SessionTypeError("unbound", f"delegated endpoint {p.sent} is not available here")
+            if not S.type_equal(sent_type, s.payload):
                 raise SessionTypeError(
                     "payload",
-                    f"call to {p.name}: endpoint {ep} has type {S.format_session_type(actual_type)}, "
-                    f"expected {S.format_session_type(expected)}",
+                    f"delegated endpoint {p.sent} has type {S.format_session_type(sent_type)}, "
+                    f"expected {S.format_session_type(s.payload)}",
                 )
-        _leftover_end(delta, f"call to {p.name}")
-        return
+            delta[p.chan] = s.cont
+            scopes.append(((p.chan,), {}, "its prefix"))
+            p = p.cont
 
-    if isinstance(p, P.New):
-        name = p.name
-        body = p.body
-        if any(e.name == name for e in delta):
-            fresh = P.fresh_name(name, P.free_names(body).terms.keys() | {e.name for e in delta})
-            body = P.subst_endpoint(body, name, P.Endpoint(fresh))
-            name = fresh
-        plain, dual_ep = P.Endpoint(name, False), P.Endpoint(name, True)
-        if p.annotation is not None:
-            s_plain: S.SessionType | None = p.annotation
-            s_dual: S.SessionType | None = S.dual(p.annotation)
+        elif isinstance(p, P.Select):
+            s = _take(delta, p, S.Select, "selects")
+            cont_type = s.get(p.label)
+            if cont_type is None:
+                raise SessionTypeError("label", f"label {p.label} is not offered by {S.format_session_type(s)}")
+            if len(s.choices) > 1 and p.chan.name not in width:
+                raise SessionTypeError(
+                    "label",
+                    f"{p.chan} selects {p.label} from a multi-label type; width subtyping only "
+                    f"applies at restriction and shared-channel introduction",
+                )
+            delta[p.chan] = cont_type
+            scopes.append(((p.chan,), {}, "its prefix"))
+            p = p.cont
+
+        elif isinstance(p, P.New):
+            eps = _bind(delta, scopes, p.name, f"the scope of new {p.name}")
+            if p.annotation is not None:
+                s_plain: S.SessionType | None = p.annotation
+                s_dual: S.SessionType | None = S.dual(p.annotation)
+            else:
+                s_plain = _synthesize(env, gamma, delta, eps[0], p.body)
+                s_dual = _synthesize(env, gamma, delta, eps[1], p.body)
+                if s_plain is None and s_dual is None:
+                    raise SessionTypeError(
+                        "annotation",
+                        f"cannot synthesize a session type for restricted channel {p.name}; annotate it",
+                    )
+                if s_plain is None:
+                    s_plain = S.dual(s_dual)
+                elif s_dual is None:
+                    s_dual = S.dual(s_plain)
+                elif not S.dual_compatible(s_plain, s_dual):
+                    raise SessionTypeError(
+                        "duality",
+                        f"restricted channel {p.name} has incompatible endpoint types "
+                        f"{S.format_session_type(s_plain)} and {S.format_session_type(s_dual)}",
+                    )
+            delta[eps[0]], delta[eps[1]] = s_plain, s_dual
+            width = width | {p.name}
+            p = p.body
+
+        elif isinstance(p, (P.Accept, P.Request)):
+            if p.shared not in env.shared:
+                raise SessionTypeError("unbound", f"unknown shared channel {p.shared!r}")
+            side = env.shared[p.shared]
+            eps = _bind(delta, scopes, p.binder, f"the scope of {p.binder}")
+            delta[eps[0]] = side if isinstance(p, P.Accept) else S.dual(side)
+            width = width | {p.binder}
+            p = p.cont
+
+        elif isinstance(p, P.Def):
+            sig = _signature(p)
+            if sig is None:
+                raise SessionTypeError(
+                    "annotation", f"definition {p.name} needs parameter type annotations to be checked"
+                )
+            env = replace(env, defs={**env.defs, p.name: sig})
+            body_delta = {P.Endpoint(name): t for name, t in p.chan_params}
+            body = _check(env, {**gamma, **dict(p.val_params)}, body_delta, p.body, width)
+            _close(body, list(body), f"the body of {p.name}")
+            p = p.scope
+
+        elif isinstance(p, P.Par):
+            try:
+                delta = _check(env, gamma, _check(env, gamma, delta, p.left, width), p.right, width)
+            except SessionTypeError:
+                shared = P.free_endpoints(p.left) & P.free_endpoints(p.right)
+                if not shared:
+                    raise
+                name = sorted(str(e) for e in shared)[0]
+                raise SessionTypeError(
+                    "linearity", f"endpoint {name} is used by both sides of a parallel composition"
+                ) from None
+            break
+
+        elif isinstance(p, P.Branch):
+            s = _take(delta, p, S.Branch, "offers branches")
+            offered = tuple(sorted(label for label, _ in p.branches))
+            if offered != s.labels():
+                raise SessionTypeError(
+                    "label",
+                    f"{p.chan} offers {{{', '.join(offered)}}} but its type offers {{{', '.join(s.labels())}}}",
+                )
+            arms = []
+            for label, cont in p.branches:
+                arm = _check(env, gamma, {**delta, p.chan: s.get(label)}, cont, width)
+                _close(arm, (p.chan,), "its prefix")
+                arms.append(arm)
+            # what one arm uses, every arm must use up
+            delta = {e: t for e, t in delta.items() if all(e in arm for arm in arms)}
+            for arm in arms:
+                _close(arm, [e for e in arm if e not in delta], f"a branch on {p.chan}")
+            break
+
+        elif isinstance(p, P.Call):
+            if p.name not in env.defs:
+                raise SessionTypeError("unbound", f"call to unknown definition {p.name!r}")
+            val_sig, chan_sig = env.defs[p.name]
+            if len(val_sig) != len(p.val_args) or len(chan_sig) != len(p.chan_args):
+                raise SessionTypeError("arity", f"call to {p.name} has the wrong number of arguments")
+            for v, expected in zip(p.val_args, val_sig):
+                actual = value_type(gamma, v)
+                if actual is not expected:
+                    raise SessionTypeError(
+                        "payload", f"call to {p.name}: argument {P.format_value(v)} is {actual}, expected {expected}"
+                    )
+            for ep, expected in zip(p.chan_args, chan_sig):
+                actual_type = delta.pop(ep, None)
+                if actual_type is None:
+                    raise SessionTypeError("unbound", f"call to {p.name}: endpoint {ep} is not available here")
+                if not S.type_equal(actual_type, expected):
+                    raise SessionTypeError(
+                        "payload",
+                        f"call to {p.name}: endpoint {ep} has type {S.format_session_type(actual_type)}, "
+                        f"expected {S.format_session_type(expected)}",
+                    )
+            break
+
+        elif isinstance(p, P.Nil):
+            break
+
         else:
-            s_plain = _synthesize(env, gamma, delta, plain, body)
-            s_dual = _synthesize(env, gamma, delta, dual_ep, body)
-            if s_plain is None and s_dual is None:
-                raise SessionTypeError(
-                    "annotation",
-                    f"cannot synthesize a session type for restricted channel {name}; annotate it",
-                )
-            if s_plain is None:
-                s_plain = S.dual(s_dual)
-            elif s_dual is None:
-                s_dual = S.dual(s_plain)
-            elif not S.dual_compatible(s_plain, s_dual):
-                raise SessionTypeError(
-                    "duality",
-                    f"restricted channel {name} has incompatible endpoint types "
-                    f"{S.format_session_type(s_plain)} and {S.format_session_type(s_dual)}",
-                )
-        delta2 = dict(delta)
-        delta2[plain] = s_plain
-        delta2[dual_ep] = s_dual
-        _check(env, gamma, delta2, body, width | {name})
-        return
+            raise TypeError(f"not a process: {p!r}")
 
-    if isinstance(p, (P.Accept, P.Request)):
-        if p.shared not in env.shared:
-            raise SessionTypeError("unbound", f"unknown shared channel {p.shared!r}")
-        side = env.shared[p.shared]
-        session = side if isinstance(p, P.Accept) else S.dual(side)
-        binder, cont = p.binder, p.cont
-        if any(e.name == binder for e in delta):
-            fresh = P.fresh_name(binder, P.free_names(cont).terms.keys() | {e.name for e in delta})
-            cont = P.subst_endpoint(cont, binder, P.Endpoint(fresh))
-            binder = fresh
-        delta2 = dict(delta)
-        delta2[P.Endpoint(binder, False)] = session
-        _check(env, gamma, delta2, cont, width | {binder})
-        return
-
-    raise TypeError(f"not a process: {p!r}")
+    for eps, saved, where in reversed(scopes):
+        _close(delta, eps, where)
+        delta.update(saved)
+    return delta
 
 
 # ------------------------------------------------------------- synthesis
+
+_UNUSED = object()
+
 
 def _synthesize(env: ProcEnv, gamma: dict, delta: SessionEnv, e: P.Endpoint, p: P.Process):
     """Best-effort session type of one endpoint from its usage; None when
@@ -310,67 +315,63 @@ def _synthesize(env: ProcEnv, gamma: dict, delta: SessionEnv, e: P.Endpoint, p: 
 
     defs = dict(env.defs)
 
-    def go(q: P.Process, g: dict) -> S.SessionType | None:
+    def tail(q: P.Process, g: dict) -> S.SessionType | None:
+        rest = go(q, g)
+        return S.END if rest is _UNUSED else rest
+
+    def go(q: P.Process, g: dict):
+        """The type of ``e`` in ``q``, None if unknown, or _UNUSED if ``q``
+        does not use ``e``."""
         if isinstance(q, P.Nil):
-            return S.END
+            return _UNUSED
         if isinstance(q, P.Par):
-            in_left = e in P.free_endpoints(q.left)
-            in_right = e in P.free_endpoints(q.right)
-            if in_left and in_right:
-                return None
-            if in_left:
-                return go(q.left, g)
-            if in_right:
-                return go(q.right, g)
-            return S.END
+            left, right = go(q.left, g), go(q.right, g)
+            if left is _UNUSED:
+                return right
+            return left if right is _UNUSED else None
         if isinstance(q, (P.RecvVal, P.RecvChan)):
             if q.chan == e:
                 return None  # payload type comes from the sender
-            g2 = dict(g)
-            g2[q.binder] = None
             if q.binder == e.name:
-                return S.END
-            return go(q.cont, g2)
+                return _UNUSED
+            return go(q.cont, {**g, q.binder: None})
         if isinstance(q, P.SendVal):
             if q.chan == e:
-                payload = _try_value_type(g, q.value)
-                if payload is None:
-                    return None
-                rest = go(q.cont, g)
+                try:
+                    payload = value_type(g, q.value)  # None when the value was received
+                except SessionTypeError:
+                    payload = None
+                rest = None if payload is None else tail(q.cont, g)
                 return None if rest is None else S.Send(payload, rest)
             return go(q.cont, g)
         if isinstance(q, P.SendChan):
             if q.chan == e:
                 payload = delta.get(q.sent)
-                if payload is None:
-                    return None
-                rest = go(q.cont, g)
+                rest = None if payload is None else tail(q.cont, g)
                 return None if rest is None else S.Send(payload, rest)
-            return go(q.cont, g)
+            # a delegated endpoint counts as used
+            return tail(q.cont, g) if q.sent == e else go(q.cont, g)
         if isinstance(q, P.Select):
             if q.chan == e:
-                rest = go(q.cont, g)
+                rest = tail(q.cont, g)
                 return None if rest is None else S.Select(((q.label, rest),))
             return go(q.cont, g)
         if isinstance(q, P.Branch):
             if q.chan == e:
-                conts = [(label, go(cont, g)) for label, cont in q.branches]
+                conts = [(label, tail(cont, g)) for label, cont in q.branches]
                 if any(c is None for _, c in conts):
                     return None
                 return S.Branch(tuple(conts))
             results = [go(cont, g) for _, cont in q.branches]
-            if any(r is None for r in results):
-                return None
-            first = results[0]
-            if all(S.type_equal(r, first) for r in results[1:]):
-                return first
-            return None
+            if all(r is _UNUSED for r in results):
+                return _UNUSED
+            first, *rest = [S.END if r is _UNUSED else r for r in results]
+            agree = first is not None and all(r is not None and S.type_equal(r, first) for r in rest)
+            return first if agree else None
         if isinstance(q, P.Def):
-            if all(t is not None for _, t in q.val_params) and all(t is not None for _, t in q.chan_params):
-                defs[q.name] = (
-                    tuple(t for _, t in q.val_params),
-                    tuple(t for _, t in q.chan_params),
-                )
+            sig = _signature(q)
+            if sig is not None:
+                defs[q.name] = sig
             return go(q.scope, g)
         if isinstance(q, P.Call):
             sig = defs.get(q.name)
@@ -379,16 +380,11 @@ def _synthesize(env: ProcEnv, gamma: dict, delta: SessionEnv, e: P.Endpoint, p: 
                     if sig is None or len(sig[1]) != len(q.chan_args):
                         return None
                     return sig[1][i]
-            return S.END
+            return _UNUSED
         if isinstance(q, P.New):
-            if q.name == e.name:
-                return S.END
-            return go(q.body, g)
+            return _UNUSED if q.name == e.name else go(q.body, g)
         if isinstance(q, (P.Accept, P.Request)):
-            if q.binder == e.name:
-                return S.END
-            return go(q.cont, g)
+            return _UNUSED if q.binder == e.name else go(q.cont, g)
         raise TypeError(f"not a process: {q!r}")
 
-    gamma0: dict = {k: v for k, v in gamma.items()}
-    return go(p, gamma0)
+    return tail(p, gamma)

@@ -108,7 +108,7 @@ def test_idempotence_on_random_processes():
 
 
 def test_alpha_invariance_on_random_renamings():
-    from effsess.process import Branch, Def, RecvChan, Select, SendChan, subst_endpoint
+    from effsess.process import Branch, Def, RecvChan, Select, SendChan, substitute
 
     def rename_restrictions(q, counter):
         # a fresh spelling for every New binder, applied bottom-up
@@ -116,7 +116,7 @@ def test_alpha_invariance_on_random_renamings():
             body = rename_restrictions(q.body, counter)
             fresh = f"w{counter[0]}"
             counter[0] += 1
-            return New(fresh, q.annotation, subst_endpoint(body, q.name, Endpoint(fresh)))
+            return New(fresh, q.annotation, substitute(body, {q.name: Endpoint(fresh)}))
         if isinstance(q, Par):
             return Par(rename_restrictions(q.left, counter), rename_restrictions(q.right, counter))
         if isinstance(q, (RecvVal, RecvChan)):

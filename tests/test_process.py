@@ -24,8 +24,7 @@ from effsess.process import (
     free_endpoints,
     parse_process,
     resolve_kinds,
-    subst_endpoint,
-    subst_value_name,
+    substitute,
 )
 from effsess.terms import ParseError
 
@@ -106,7 +105,7 @@ def test_free_endpoints_polarity():
 
 def test_subst_endpoint_polarity_flip():
     p = parse_process("(c!<zero> | ~c?(y))")
-    out = subst_endpoint(p, "c", Endpoint("d", True))
+    out = substitute(p, {"c": Endpoint("d", True)})
     assert free_endpoints(out) == {Endpoint("d"), Endpoint("d", True)}
     assert isinstance(out, Par)
     assert out.left.chan == Endpoint("d", True)
@@ -116,13 +115,13 @@ def test_subst_endpoint_polarity_flip():
 def test_subst_endpoint_respects_binders():
     p = parse_process("c?(d). d!<zero>. 0")
     p = resolve_kinds(p)
-    out = subst_endpoint(p, "d", Endpoint("e"))
+    out = substitute(p, {"d": Endpoint("e")})
     assert out == p  # binder shadows
 
 
 def test_subst_value():
     p = parse_process("r!<suc x>. 0")
-    out = subst_value_name(p, "x", NatLit(1))
+    out = substitute(p, {"x": NatLit(1)})
     assert out == SendVal(Endpoint("r"), SucOf(NatLit(1)), NIL)
 
 

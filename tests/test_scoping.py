@@ -20,8 +20,6 @@ from effsess.process import (
     format_process,
     par,
     serialize_process,
-    subst_endpoint,
-    subst_value_name,
     substitute,
 )
 from effsess.semantics import run
@@ -32,14 +30,14 @@ NAT = ValueType.NAT
 
 def test_value_substitution_renames_a_capturing_restriction():
     p = New("y", None, SendVal(Endpoint("a"), VarRef("x"), NIL))
-    out = subst_value_name(p, "x", VarRef("y"))
+    out = substitute(p, {"x": VarRef("y")})
     assert isinstance(out, New) and out.name != "y"
     assert out.body == SendVal(Endpoint("a"), VarRef("y"), NIL)
 
 
 def test_value_substitution_renames_a_capturing_session_binder():
     p = Accept("k", "y", SendVal(Endpoint("y"), VarRef("x"), NIL))
-    out = subst_value_name(p, "x", VarRef("y"))
+    out = substitute(p, {"x": VarRef("y")})
     assert isinstance(out, Accept) and out.binder != "y"
     assert out.cont == SendVal(Endpoint(out.binder), VarRef("y"), NIL)
 
@@ -47,7 +45,7 @@ def test_value_substitution_renames_a_capturing_session_binder():
 def test_value_substitution_renames_a_capturing_parameter():
     body = SendVal(Endpoint("a"), VarRef("x"), Call("D", (VarRef("y"), VarRef("y1")), ()))
     p = Def("D", (("y", None), ("y1", None)), (), body, Call("D", (VarRef("x"), NatLit(0)), ()))
-    out = subst_value_name(p, "x", VarRef("y"))
+    out = substitute(p, {"x": VarRef("y")})
     param = out.val_params[0][0]
     assert param not in ("y", "y1") and out.val_params[1][0] == "y1"
     assert out.body == SendVal(Endpoint("a"), VarRef("y"), Call("D", (VarRef(param), VarRef("y1")), ()))
@@ -59,7 +57,7 @@ def test_renamed_binder_is_not_captured_by_a_nested_binder():
     # occurrences to a nested binder spelled like the new name
     inner = New("y1", None, SendVal(Endpoint("y"), UNIT_VALUE, NIL))
     p = New("y", None, Par(SendVal(Endpoint("a"), VarRef("x"), NIL), inner))
-    out = subst_endpoint(p, "x", Endpoint("y"))
+    out = substitute(p, {"x": Endpoint("y")})
     renamed_inner = New("w", None, SendVal(Endpoint("z"), UNIT_VALUE, NIL))
     expected = New("z", None, Par(SendVal(Endpoint("a"), VarRef("y"), NIL), renamed_inner))
     assert serialize_process(out) == serialize_process(expected)

@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 
 from effsess import embedding
@@ -5,8 +8,12 @@ from effsess.process import (
     Endpoint,
     NatLit,
     NIL,
+    New,
     Par,
+    RecvChan,
     RecvVal,
+    Select as PSelect,
+    SendChan,
     SendVal,
     parse_process,
 )
@@ -22,7 +29,7 @@ from effsess.sessions import (
     parse_session_type,
 )
 from effsess.session_check import ProcEnv, SessionTypeError, session_check
-from effsess.terms import ValueType
+from effsess.terms import ValueType, parse_program
 
 NAT = ValueType.NAT
 EFF = Endpoint("eff")
@@ -183,3 +190,83 @@ def test_recursive_def_checks_via_mu_unfolding():
         )
     )
     session_check(ProcEnv(), {EFF: unfolded}, agent)
+
+
+# ------------------------------------------------------------- shadowing
+
+C, B = Endpoint("c"), Endpoint("b")
+
+
+def _kind(env, delta, p):
+    try:
+        session_check(env, delta, p)
+    except SessionTypeError as exc:
+        return exc.kind
+    return None
+
+
+def test_channel_receive_binder_does_not_drop_an_outer_obligation():
+    # the binder b shadows the outer b, which never sends its nat
+    p = RecvChan(C, "b", NIL)
+    delta = {C: Recv(END, END), B: Send(NAT, END)}
+    assert _kind(ProcEnv(), delta, p) == "leftover"
+    assert _kind(ProcEnv(), {C: Recv(END, END), B: END}, p) is None
+
+
+def test_received_channel_gets_no_select_width_from_an_outer_restriction():
+    # the received endpoint must select from its multi-label type exactly,
+    # whatever its binder is called
+    wide = Select((("a", END), ("b", END)))
+    for binder in ("z", "c"):
+        got = Endpoint(binder)
+        p = New("c", Recv(wide, END), Par(RecvChan(C, binder, PSelect(got, "a", NIL)), SendChan(C.flip(), B, NIL)))
+        assert _kind(ProcEnv(), {B: wide}, p) == "label"
+
+
+def test_new_shadows_an_outer_endpoint():
+    inner = New("c", None, Par(SendVal(C, NatLit(1), NIL), RecvVal(C.flip(), "x", NIL)))
+    delta = {C: Send(NAT, END)}
+    assert _kind(ProcEnv(), delta, Par(inner, SendVal(C, NatLit(0), NIL))) is None
+    assert _kind(ProcEnv(), delta, SendVal(C, NatLit(0), inner)) is None
+    assert _kind(ProcEnv(), delta, inner) == "leftover"
+    reused = New("c", Send(NAT, END), Par(SendVal(C, NatLit(1), NIL), RecvVal(C.flip(), "x", SendVal(C, NatLit(0), NIL))))
+    assert _kind(ProcEnv(), delta, reused) == "linearity"
+
+
+def test_accept_shadows_an_outer_endpoint():
+    env = ProcEnv(shared={"k": embedding.shared_store_type(NAT)})
+    agent = embedding.shared_store_agent(NatLit(0), "k", NAT)
+    delta = {C: Send(NAT, END)}
+    assert _kind(env, delta, Par(agent, SendVal(C, NatLit(0), NIL))) is None
+    assert _kind(env, delta, SendVal(C, NatLit(0), agent)) is None
+    assert _kind(env, delta, agent) == "leftover"
+
+
+# ------------------------------------------------------------ get/put chains
+
+def _chain(n: int):
+    lets = " ".join(f"let x{i} = get in let u{i} = put (suc x{i}) in" for i in range(n))
+    return embedding.embed_top(parse_program(f"store nat init 0\n{lets} get"))
+
+
+def test_well_typed_chain_computes_no_free_names(monkeypatch):
+    from effsess import process
+
+    result = _chain(40)
+    calls = []
+    real = process.free_names
+    monkeypatch.setattr(process, "free_names", lambda p: calls.append(p) or real(p))
+    session_check(ProcEnv(), result.delta, result.process)
+    assert len(calls) == 0
+
+
+def test_chain_checks_at_default_recursion_limit():
+    # the default limit of 1,000 frames, counted from this test's frame
+    result = _chain(120)
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 1000)
+    try:
+        session_check(ProcEnv(), result.delta, result.process)
+    finally:
+        sys.setrecursionlimit(limit)
