@@ -23,7 +23,7 @@ class PartialLTS(Exception):
 class LTS:
     initial: int
     edges: list[dict[M.TransitionLabel, frozenset[int]]]
-    keys: list[str]
+    keys: list[tuple[int, ...]]
     observables: frozenset[str]
     partial: bool
 
@@ -44,7 +44,7 @@ def build_lts(
     bounds the state count (exceeding it raises)."""
     observables = frozenset(observables)
     initial = M.make_configuration(p, observables=observables)
-    index: dict[str, int] = {initial.key: 0}
+    index: dict[tuple[int, ...], int] = {initial.key: 0}
     configs = [initial]
     edges: list[dict[M.TransitionLabel, frozenset[int]]] = []
     frontier = [0]

@@ -1,224 +1,424 @@
-"""Structural-congruence normal forms for processes.
+"""Structural-congruence normal forms, built from interned components.
 
-The canonical form flattens parallel composition, removes nil units and
-garbage restrictions, hoists restrictions to the top of their parallel
-context, sorts components by a structural key, and renames restricted and
-bound names to a canonical scheme (`#k` for hoisted restrictions, `%k` for
-binders).  Alpha-equivalent inputs produce identical outputs; the function
-is idempotent.
+A normal form flattens parallel composition, drops nil and unused
+restrictions, hoists restrictions to the top of their parallel context,
+sorts the components and drops type annotations.  Congruent inputs, alpha
+variants included, have one normal form.
 
-Type annotations are runtime-irrelevant and are stripped: the normal form
-is the execution-facing shape of a process.
+An `InternTable` holds each distinct node once, as a `Shape`: its
+constructor and fields with no name spelled.  A free name is a hole,
+numbered by first occurrence; a bound name is spelled by its binder's
+position, locally nameless style; a subterm is a child shape wired to holes
+and binders of the parent.  A `Term` fills a shape's holes: a hole is one
+name at one polarity, ``(name, kind)``, kind 0 for a value or shared
+occurrence, 1 for an endpoint, 2 for a dual endpoint.
 
-Components whose name-erased skeletons tie are canonicalized by taking the
-lexicographically least renaming over the tied permutations; the group
-sizes this tool encounters are tiny, and pathological tie groups fall back
-to a deterministic (input-order) arrangement.
+Invariant: a shape is a function of its children's shapes and wirings
+alone, never of where the node sits.  So each distinct node is
+canonicalized once, bottom-up, one pass is a fixpoint, a subterm's normal
+form reappears unchanged in any process that contains it, and renaming free
+names (nearly every execution step) rewrites a term's arguments only,
+unless it merges two names.
+
+Components sort by serialization (`process.serial_pieces`): binders as
+levels, the normal form's restrictions as `<nu>`, other free names alike
+whatever their polarity.
+Components that tie sort again with free names spelled, and any that still
+tie are arranged every way (up to 720 arrangements) for the least result.
+A shape whose order names decided is marked ``symmetric``: renaming a free
+name of a symmetric term rebuilds it, a binder above it hides its names
+(spelled by position at the binder, sorting before every visible name),
+and a normal form whose restrictions such a component uses tries every
+order of them (`InternTable.normal`).  So no spelling of a bound name
+decides an order, except that a normal form formed again after a
+substitution keeps the order its restrictions were given.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+import re
+from functools import cmp_to_key
+from itertools import count, permutations, product
+from math import factorial, prod
+from typing import NamedTuple
 
 from . import process as P
 
 _MAX_TIE_ARRANGEMENTS = 720
+# A shape keeps the first characters of its serialization, its holes
+# marked, so that most comparisons read no further.
+_PREFIX = 256
+_HOLE = re.compile("\x01([0-9]+)\x02")
+# Names that stand in for bound names start with this character, which no
+# parsed or generated name contains: "\0<j>:<k>" for the binder in position
+# j of its node, "\0:<k>" for a restriction; k is a serial number of the
+# table, so no two stand-ins are spelled alike.
+_HIDDEN = "\x00"
+_SPINE = (P.Par, P.New, P.Nil)
 
 
-class ComponentSteps:
-    """The per-component steps of a normalization pass.  Each is a pure
-    function of a component's structure; this class computes them afresh on
-    every call, and `semantics.ComponentTable` memoizes them for one
-    exploration."""
+class Shape:
+    """An interned node.  ``key`` is its constructor and encoded fields,
+    ``arity`` its number of holes and ``id`` its order of creation in the
+    table.  ``base`` is the largest ``height`` of its subterms, and
+    ``height`` adds the names the node binds.  ``symmetric`` marks a normal
+    form, or a node above one, whose component order names decided;
+    ``prefix`` caches the start of its serialization."""
 
-    def leaf(self, p: P.Process) -> tuple[P.Process, dict[str, None]]:
-        """A component with its subterms normalized, and its free names."""
-        kids = []
-        for sub in P.subterms(p):
-            restricted, comps = canonical_parts(*_decompose(sub, self), self)
-            kids.append(P.new(restricted, P.par(*comps)))
-        comp = P.with_subterms(p, kids)
-        return comp, P.free_names(comp).terms
-
-    def binders(self, c: P.Process, names: dict[str, None]) -> P.Process:
-        """`canonical_binders` of a component whose free names are ``names``."""
-        return P.canonical_binders(c, names)
-
-    def skeleton(self, c: P.Process, erase: frozenset[str]) -> str:
-        """The sort key of a component; ``erase`` holds only free names of it."""
-        return P.serialize_process(c, erase)
-
-    def renamed(self, c: P.Process, renames: tuple[tuple[str, str], ...]) -> P.Process:
-        """``c`` with free names renamed to `#k` targets.  ``c`` has canonical
-        binders, which are spelled `%k`, so no binder can capture a target."""
-        return P.substitute(c, {old: P.Endpoint(new) for old, new in renames})
-
-    def key(self, c: P.Process) -> str:
-        """The serialization of a canonical component."""
-        return P.serialize_process(c)
+    __slots__ = ("key", "arity", "id", "base", "height", "symmetric", "prefix")
 
 
-_STEPS = ComponentSteps()
+class Term(NamedTuple):
+    shape: Shape
+    args: tuple[tuple[str, int], ...]
 
 
-def _decompose(
-    p: P.Process, steps: ComponentSteps = _STEPS
-) -> tuple[list[str], list[P.Process], list[dict[str, None]]]:
-    """Flatten to (hoisted restricted names, parallel components, free
-    names of each component).  The subterms of each component are
-    normalized once, by recursion into this function alone, so a level of
-    process nesting costs one Python frame."""
-    cls = type(p)
-    if cls is P.Nil:
-        return [], [], []
-    if cls is P.Par:
-        r1, c1, f1 = _decompose(p.left, steps)
-        r2, c2, f2 = _decompose(p.right, steps)
-        if not r1 and not r2:  # no restriction to keep apart
-            return [], c1 + c2, f1 + f2
-        taken = set(r1).union(*f1)
-        renames: dict[str, str] = {}
-        for name in r2:
-            if name in taken:
-                fresh = P.fresh_name(name, taken | set(r2) | set(renames.values()))
-                renames[name] = fresh
-                taken.add(fresh)
-            else:
-                taken.add(name)
-        if renames:
-            c2, f2 = _renamed(c2, renames)
-            r2 = [renames.get(name, name) for name in r2]
-        other_free = set().union(*f2)
-        clash = [name for name in r1 if name in other_free]
-        if clash:
-            renames1 = {}
-            avoid = taken | other_free
-            for name in clash:
-                fresh = P.fresh_name(name, avoid)
-                renames1[name] = fresh
-                avoid.add(fresh)
-            c1, f1 = _renamed(c1, renames1)
-            r1 = [renames1.get(name, name) for name in r1]
-        return r1 + r2, c1 + c2, f1 + f2
-    if cls is P.New:
-        names = []
-        while type(p) is P.New:
-            names.append(p.name)
-            p = p.body
-        r, c, f = _decompose(p, steps)
-        # drop a restriction an inner one shadows entirely, or one unused
-        used = set().union(*f)
-        bound = set(r)
-        kept = []
-        for name in reversed(names):
-            if name not in bound and name in used:
-                kept.append(name)
-                bound.add(name)
-        return kept[::-1] + r, c, f
-    comp, names = steps.leaf(p)
-    return [], [comp], [names]
+def _vars(v: P.Value, f) -> P.Value:
+    """``v`` with each variable ``x`` replaced by ``VarRef(f(x))``."""
+    if isinstance(v, P.VarRef):
+        return P.VarRef(f(v.name))
+    if isinstance(v, P.SucOf):
+        return P.SucOf(_vars(v.arg, f))
+    if isinstance(v, P.Pair):
+        return P.Pair(_vars(v.fst, f), _vars(v.snd, f))
+    return v
 
 
-def _renamed(comps: list[P.Process], renames: dict[str, str]):
-    mapping = {old: P.Endpoint(new) for old, new in renames.items()}
-    comps = [P.substitute(comp, mapping) for comp in comps]
-    return comps, [P.free_names(comp).terms for comp in comps]
+def _spelled(name: str, mark: str) -> str:
+    """A free name for a tie-break; a stand-in shows only its position, and
+    sorts before every name."""
+    return mark + ("!" + name[1:name.index(":")] if name.startswith(_HIDDEN) else name)
 
 
-def canonical_parts(
-    restricted: list[str],
-    comps: list[P.Process],
-    frees: list[dict[str, None]],
-    steps: ComponentSteps = _STEPS,
-) -> tuple[list[str], list[P.Process]]:
-    """Sort components and rename restricted names canonically.  ``frees``
-    holds the free names of each component, as `_decompose` returns them.
+class InternTable:
+    """The shapes of one exploration, or of one `normalize` call.  ``hits``
+    and ``misses`` count the lookups of a node that found its shape and
+    that had to create it."""
 
-    Sorting uses de-Bruijn skeletons, so it is independent of both bound
-    names and the restricted names being (re)assigned; binder names are
-    normalized only once positions are fixed, which makes the whole pass
-    idempotent.
-    """
-    # Renaming binders changes neither the free names nor where they first
-    # occur, so one walk per component serves the whole pass.
-    occurring = set().union(*frees)
-    live = [n for n in restricted if n in occurring]
-    erase = frozenset(live)
-    # Binder names move into the %k namespace first: afterwards no binder
-    # can collide with (or capture) a #k restriction target.
-    parts = [(steps.binders(c, names), names) for c, names in zip(comps, frees)]
-    keyed = sorted(
-        ((steps.skeleton(c, erase.intersection(names)), (c, names)) for c, names in parts), key=lambda kv: kv[0]
-    )
+    def __init__(self):
+        self._shapes: dict[tuple, Shape] = {}
+        self._names: dict[str, int] = {}
+        self._serial = count()
+        self.hits = self.misses = 0
 
-    groups: list[list[tuple[P.Process, dict[str, None]]]] = []
-    group_keys: list[str] = []
-    for key, part in keyed:
-        if group_keys and group_keys[-1] == key:
-            groups[-1].append(part)
+    def name_id(self, name: str) -> int:
+        """A number for ``name``, the same for the life of the table."""
+        return self._names.setdefault(name, len(self._names))
+
+    # ------------------------------------------------------------ nodes
+
+    def node(self, q) -> Term:
+        """The term of ``q``: a process node whose subterms are terms (each
+        a normal form) and whose other fields are spelled with names."""
+        holes: dict[tuple[str, int], int] = {}
+
+        def hole(atom: tuple[str, int]) -> int:
+            return holes.setdefault(atom, len(holes))
+
+        def wire(t: Term, scope: dict[str, int]) -> tuple[Shape, tuple[int, ...]]:
+            kids.append(t.shape)
+            return t.shape, tuple(-1 - 3 * scope[n] - k if n in scope else hole((n, k)) for n, k in t.args)
+
+        key: list = [type(q)]
+        kids: list[Shape] = []
+        bound: dict[str, int] = {}
+        binders = 0
+        for field, role in P.FORMS[type(q)].fields:
+            x = getattr(q, field)
+            if role is P.ENDPOINT or role is P.ENDPOINTS:
+                x = tuple(hole((e.name, 2 if e.dual else 1)) for e in ((x,) if role is P.ENDPOINT else x))
+            elif role is P.VALUE:
+                x = _vars(x, lambda n: hole((n, 0)))
+            elif role is P.VALUES:
+                x = tuple(_vars(v, lambda n: hole((n, 0))) for v in x)
+            elif role is P.SHARED:
+                x = hole((x, 0))
+            elif role in P._BINDERS:
+                for name in P._binders(role, x):
+                    bound[name] = binders
+                    binders += 1
+                x = len(x) if role in P._PARAMS else None
+            elif role is P.SCOPED:
+                if x.shape.symmetric and not all(n.startswith(_HIDDEN) for n in bound):
+                    # names ordered components under here: hide the bound
+                    # ones, which every spelling of them orders alike
+                    hidden = {n: f"{_HIDDEN}{j}:{next(self._serial)}" for n, j in bound.items()}
+                    x = self.subst(x, {n: P.Endpoint(h) for n, h in hidden.items()})
+                    bound = {hidden[n]: j for n, j in bound.items()}
+                x = wire(x, bound)
+            elif role is P.OPEN:
+                x = wire(x, {})
+            elif role is P.ARMS:
+                x = tuple(sorted(((label, wire(t, {})) for label, t in x), key=lambda arm: arm[0]))
+            elif role is P.ANNOTATION:
+                x = None
+            key.append(x)
+        key = tuple(key)
+        shape = self._shapes.get(key)
+        if shape is None:
+            self.misses += 1
+            shape = self._shapes[key] = Shape()
+            shape.key, shape.arity, shape.id = key, len(holes), len(self._shapes) - 1
+            shape.base = max((k.height for k in kids), default=0)
+            shape.height = shape.base + binders
+            shape.symmetric = any(k.symmetric for k in kids)
+            shape.prefix = None
         else:
-            group_keys.append(key)
-            groups.append([part])
+            self.hits += 1
+        return Term(shape, tuple(holes))
 
-    total = 1
-    for g in groups:
-        for i in range(2, len(g) + 1):
-            total *= i
-    if total > _MAX_TIE_ARRANGEMENTS:
-        arrangements = [[part for g in groups for part in g]]
-    else:
-        arrangements = [
-            [part for perm in combo for part in perm]
-            for combo in product(*(list(permutations(g)) for g in groups))
-        ]
+    def view(self, t: Term, names=None):
+        """The root node of ``t``, spelled: its subterms are terms, and its
+        bound names come from the iterator ``names``, or are stand-ins."""
+        shape, args = t
+        if names is None:
+            names = (f"{_HIDDEN}{j}:{next(self._serial)}" for j in count())
+        bound: list[str] = []
 
-    # Canonical `#k` targets must avoid names occurring free in the
-    # components (an enclosing normalization's restrictions look free from
-    # here and must not be captured).
-    free_names = occurring - erase
-    targets: list[str] = []
-    k = 0
-    while len(targets) < len(live):
-        name = f"#{k}"
-        if name not in free_names:
-            targets.append(name)
-        k += 1
+        def child(c: tuple[Shape, tuple[int, ...]]) -> Term:
+            return Term(c[0], tuple([args[w] if w >= 0 else (bound[(-1 - w) // 3], (-1 - w) % 3) for w in c[1]]))
 
-    best: tuple[str, list[str], list[P.Process]] | None = None
-    for arranged in arrangements:
-        order: dict[str, None] = {}
-        for _, names in arranged:
-            for n in names:
-                if n in erase:
-                    order[n] = None
-        mapping = dict(zip(order, targets))
-        renamed = []
-        for c, names in arranged:
-            renames = tuple((n, mapping[n]) for n in names if n in mapping and mapping[n] != n)
-            renamed.append(steps.renamed(c, renames) if renames else c)
-        if len(arrangements) == 1:
-            return targets[: len(order)], renamed
-        key = "\n".join(steps.key(c) for c in renamed)
-        if best is None or key < best[0]:
-            best = (key, targets[: len(order)], renamed)
-    return best[1], best[2]
+        form, *fields = shape.key
+        out = []
+        for (_, role), x in zip(P.FORMS[form].fields, fields):
+            if role is P.ENDPOINT or role is P.ENDPOINTS:
+                x = tuple([P.Endpoint(args[i][0], args[i][1] == 2) for i in x])
+                x = x[0] if role is P.ENDPOINT else x
+            elif role is P.VALUE:
+                x = _vars(x, lambda i: args[i][0])
+            elif role is P.VALUES:
+                x = tuple(_vars(v, lambda i: args[i][0]) for v in x)
+            elif role is P.SHARED:
+                x = args[x][0]
+            elif role is P.CHANNEL_BINDER or role is P.VALUE_BINDER:
+                x = next(names)
+                bound.append(x)
+            elif role in P._PARAMS:
+                x = tuple((next(names), None) for _ in range(x))
+                bound.extend(name for name, _ in x)
+            elif role is P.SCOPED or role is P.OPEN:
+                x = child(x)
+            elif role is P.ARMS:
+                x = tuple((label, child(c)) for label, c in x)
+            out.append(x)
+        return form(*out)
 
+    def subst(self, t: Term, mapping: dict[str, P.Replacement]) -> Term:
+        """``t`` with free names replaced as `process.substitute` replaces
+        them.  Renaming to names ``t`` does not use rewrites its arguments
+        alone; merging names, or putting a value in, rebuilds the nodes on
+        the way to the occurrences."""
+        args = []
+        for name, kind in t.args:
+            r = mapping.get(name)
+            if isinstance(r, P.Endpoint):
+                args.append((r.name, 3 - kind if kind and r.dual else kind))
+            elif isinstance(r, P.VarRef):
+                args.append((r.name, kind))
+            elif r is None or kind:  # other values leave endpoint occurrences alone
+                args.append((name, kind))
+            else:
+                return self.term(t, mapping)
+        if t.shape.symmetric or len(set(args)) < len(args):
+            return self.term(t, mapping)
+        return Term(t.shape, tuple(args))
 
-def _normalize_once(p: P.Process) -> P.Process:
-    restricted, comps = canonical_parts(*_decompose(p))
-    return P.new(restricted, P.par(*comps))
+    def term(self, root, mapping: dict[str, P.Replacement] | None = None) -> Term:
+        """The normal form of ``root``, a process or a term, with free names
+        replaced through ``mapping``; bottom-up, with an explicit stack.  A
+        term the mapping leaves alone is kept whole; every other node is
+        formed and interned once, and so is every normal form on the way."""
+        results: list[Term] = []
+        stack: list = [(root, mapping or {})]
+        while stack:
+            u, m = stack.pop()
+            if type(u) is list or type(u) is set:  # a normal form whose components are done
+                kids = results[len(results) - len(m):]
+                del results[len(results) - len(m):]
+                comps = [self.subst(c, env) if env else c for c, env in zip(kids, m)]
+                # formed anew after a substitution, a term's normal form keeps
+                # the order its restrictions were given (see `normal`)
+                results.append(self.normal(u, comps) if type(u) is list else self._nest(u, comps))
+                continue
+            if isinstance(u, Term):
+                names = {n for n, _ in u.args}
+                m = {n: r for n, r in m.items() if n in names}
+                if not m:
+                    results.append(u)
+                    continue
+                if u.shape.key[0] in _SPINE:
+                    restricted, comps = self.open(u)
+                    stack.append((set(restricted), [{}] * len(comps)))
+                    stack.extend((c, m) for c in reversed(comps))
+                    continue
+                u = self.view(u)
+            elif type(u) in _SPINE:  # hide the restrictions once the components are done
+                restricted, leaves = self._spine(u)
+                stack.append((restricted, [env for _, env in leaves]))
+                stack.extend((q, m) for q, _ in reversed(leaves))
+                continue
+            if type(m) is int:  # a node whose subterms are done
+                kids = results[len(results) - m:]
+                del results[len(results) - m:]
+                node = P.with_subterms(u[0], kids)
+                results.append(self.node(P.substitute(node, u[1]) if u[1] else node))
+                continue
+            # a node: its subterms come first (a view binds only names the
+            # mapping does not hold)
+            kids = P.subterms(u)
+            stack.append(((u, m), len(kids)))
+            stack.extend((k, m) for k in reversed(kids))
+        return results[0]
+
+    # ----------------------------------------------------- normal forms
+
+    def _spine(self, p: P.Process) -> tuple[list[str], list[tuple[P.Process, dict]]]:
+        """The restrictions of the `Par`/`New` spine of ``p``, hidden, and its
+        other nodes, each with the renaming of the restrictions over it."""
+        restricted, leaves, stack = [], [], [(p, {})]
+        while stack:
+            q, env = stack.pop()
+            if type(q) is P.Par:
+                stack += [(q.right, env), (q.left, env)]
+            elif type(q) is P.New:
+                restricted.append(f"{_HIDDEN}:{next(self._serial)}")
+                stack.append((q.body, {**env, q.name: P.Endpoint(restricted[-1])}))
+            elif type(q) is not P.Nil:
+                leaves.append((q, env))
+        return restricted, leaves
+
+    def open(self, t: Term, names=None) -> tuple[list[str], list[Term]]:
+        """The restricted names and the components of the normal form
+        ``t``; the restrictions are spelled as `view` spells binders."""
+        restricted, comps, stack = [], [], [t]
+        while stack:
+            u = stack.pop()
+            v = self.view(u, names) if u.shape.key[0] in _SPINE else None
+            if type(v) is P.Par:
+                stack += [v.right, v.left]
+            elif type(v) is P.New:
+                restricted.append(v.name)
+                stack.append(v.body)
+            elif v is None:
+                comps.append(u)
+        return restricted, comps
+
+    def normal(self, restricted, comps: list[Term]) -> Term:
+        """The normal form of ``new restricted. (comps)``, where no
+        component has `Par`, `New` or `Nil` at its root.  Where names
+        ordered components inside some of ``comps``, the restrictions among
+        those names are spelled by position in every order, and the least
+        result is kept, so that no spelling of theirs decides."""
+        if not comps:
+            return self.node(P.NIL)
+        restricted = set(restricted)
+        tied = [n for n in dict.fromkeys(n for c in comps if c.shape.symmetric for n, _ in c.args) if n in restricted]
+        if not tied or factorial(len(tied)) > _MAX_TIE_ARRANGEMENTS:
+            return self._nest(restricted, comps)
+        forms = []
+        for order in permutations(range(len(tied))):
+            spelled = {n: P.Endpoint(f"{_HIDDEN}{j}:{next(self._serial)}") for n, j in zip(tied, order)}
+            inner = (restricted - set(tied)) | {e.name for e in spelled.values()}
+            forms.append(self._nest(inner, [self.subst(c, spelled) for c in comps]))
+        return min(forms, key=cmp_to_key(lambda a, b: self.compare(a, b, _spelled)))
+
+    def _nest(self, restricted: set[str], comps: list[Term]) -> Term:
+        """`normal` once the order of the restrictions cannot matter."""
+        orders, named = self.arrangements(comps, lambda n, mark: f"<nu{mark}>" if n in restricted else "#", _spelled)
+        forms = []
+        for arranged in orders:
+            body = arranged[-1]
+            for c in reversed(arranged[:-1]):
+                body = self.node(P.Par(c, body))
+            for name in reversed(list(dict.fromkeys(n for n, _ in body.args if n in restricted))):
+                body = self.node(P.New(name, None, body))
+            forms.append(body)
+        best = forms[0] if len(set(forms)) == 1 else min(forms, key=cmp_to_key(lambda a, b: self.compare(a, b, _spelled)))
+        if named or len(set(forms)) > 1:
+            best.shape.symmetric = True
+        return best
+
+    def arrangements(self, comps: list[Term], free, names=None) -> tuple[list[list[Term]], bool]:
+        """``comps`` sorted by `compare` under ``free``, and groups that tie
+        sorted again under ``names``, if given; then every arrangement of
+        the groups that still tie, or the sorted order alone past the
+        bound.  Also whether ``names`` ordered any components."""
+        groups = self._tied(comps, free)
+        named = names is not None and any(len(set(g)) > 1 for g in groups)
+        if named:
+            groups = [sub for g in groups for sub in (self._tied(g, names) if len(set(g)) > 1 else [g])]
+        tied = [g for g in groups if len(set(g)) > 1]
+        if not tied or prod(factorial(len(g)) for g in tied) > _MAX_TIE_ARRANGEMENTS:
+            return [[c for g in groups for c in g]], named
+        orders = (permutations(g) if len(set(g)) > 1 else (g,) for g in groups)
+        return [[c for g in combo for c in g] for combo in product(*orders)], named
+
+    def _tied(self, comps: list[Term], free) -> list[list[Term]]:
+        """``comps`` sorted by `compare` under ``free``, in runs that tie."""
+        starts = {id(c): self._start(c, free) for c in comps}
+
+        def compare(a: Term, b: Term) -> int:
+            return self.compare(a, b, free, (starts[id(a)], starts[id(b)]))
+
+        groups: list[list[Term]] = []
+        for c in sorted(comps, key=cmp_to_key(compare)):
+            if groups and compare(groups[-1][0], c) == 0:
+                groups[-1].append(c)
+            else:
+                groups.append([c])
+        return groups
+
+    def compare(self, a: Term, b: Term, free, starts=None) -> int:
+        """Order two terms by their serializations, ``free(name, mark)``
+        spelling their free names; ``starts`` holds their `_start`s."""
+        (names_a, x, x_whole), (names_b, y, y_whole) = starts or (self._start(a, free), self._start(b, free))
+        if a.shape is b.shape and names_a == names_b:
+            return 0
+        n = min(len(x), len(y))
+        known = x[:n] != y[:n] or (x_whole and (y_whole or len(x) < len(y))) or (y_whole and len(y) < len(x))
+        if not known:
+            x, y = ("".join(P.serial_pieces(t, free, self.view)) for t in (a, b))
+        return (x > y) - (x < y)
+
+    def _start(self, t: Term, free) -> tuple[list[str], str, bool]:
+        """The spelled free names of ``t``, its serialization as far as its
+        shape keeps it, and whether that is all of it."""
+        shape = t.shape
+        if shape.prefix is None:
+            marked = Term(shape, tuple((f"\x01{i}\x02", 0) for i in range(shape.arity)))
+            pieces, size, whole = [], 0, True
+            for piece in P.serial_pieces(marked, lambda name, mark: name, self.view):
+                pieces.append(piece)
+                size += len(piece)
+                if size >= _PREFIX:
+                    whole = False
+                    break
+            shape.prefix = ("".join(pieces), whole)
+        text, whole = shape.prefix
+        names = [free(n, "~" if k == 2 else "") for n, k in t.args]
+        return names, (_HOLE.sub(lambda m: names[int(m[1])], text) if names else text), whole
+
+    # ------------------------------------------------------- processes
+
+    def process(self, t: Term, names=None) -> P.Process:
+        """``t`` as a process.  Binders take their names from ``names``, an
+        iterator consumed in pre-order, or else `%h` after their height, so
+        that a subterm is spelled alike wherever it sits; free names that
+        look like `%h` are not avoided."""
+        views, stack = [], [t]
+        while stack:
+            u = stack.pop()
+            views.append(self.view(u, names if names is not None else (f"%{k}" for k in count(u.shape.base))))
+            stack.extend(reversed(P.subterms(views[-1])))
+        built: list[P.Process] = []
+        for v in reversed(views):
+            kids = [built.pop() for _ in P.subterms(v)]
+            built.append(P.with_subterms(v, kids))
+        return built[0]
 
 
 def normalize(p: P.Process) -> P.Process:
-    """Canonical structural-congruence normal form (idempotent).
-
-    A single pass renames as it sorts, and the new spellings can reorder
-    parallel components nested under prefixes on the next pass, so iterate
-    to the (small, in practice <= 3 rounds) fixpoint.
-    """
-    for _ in range(8):
-        q = _normalize_once(p)
-        if P.process_equal(q, p):
-            return p
-        p = q
-    return p
+    """The canonical structural-congruence normal form of ``p``; it is
+    idempotent, and alpha-equivalent or congruent inputs give one output."""
+    table = InternTable()
+    return table.process(table.term(p))

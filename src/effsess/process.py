@@ -23,8 +23,9 @@ each constructor binds:
 - sends, select, branch, calls, parallel composition and `0` bind nothing.
 
 Every name-aware operation walks this table: free names, simultaneous
-capture-avoiding substitution, canonical binder renaming, the
-alpha-invariant serialization, structural equality and kind resolution.
+capture-avoiding substitution, the alpha-invariant serialization,
+structural equality, kind resolution, and the interned shapes of
+`normalize`.
 
 The surface syntax cannot distinguish a received value from a received
 channel (`c?(x).P` covers both), so the parser resolves binder and payload
@@ -36,7 +37,6 @@ names can be forced to channel kind via `known_channels`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from typing import Iterator, NamedTuple
 
 from .sessions import SessionType, _TypeParser, format_session_type
@@ -129,10 +129,8 @@ def format_value(v: Value) -> str:
 
 class _Node:
     """Base of the process constructors.  Equality is structural, through
-    `process_equal`; the hash is structural too, cached on each node the
-    first time it is asked for, so that a table keyed by whole components
-    hashes each node once.  Neither recurses, so deep processes can key a
-    dict."""
+    `process_equal`, and the hash is that of the serialization; neither
+    recurses, so deep processes can key a dict."""
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -140,10 +138,7 @@ class _Node:
         return process_equal(self, other)
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            return _structural_hash(self)
+        return hash(serialize_process(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,21 +394,13 @@ def substitute(
     name becomes a call of the partial call's name, its arguments first.
     A binder that would capture a name the substitution brings in is renamed.
     """
-    return _rewrite(p, mapping or {}, definitions or {}, None)
+    return _rewrite(p, mapping or {}, definitions or {})
 
 
-def canonical_binders(p: Process, avoid) -> Process:
-    """Rename every term binder to `%k`, numbered in pre-order and skipping
-    the names in ``avoid``, and drop type annotations.  Pass the free names
-    of ``p`` as ``avoid`` so that no new binder can capture one."""
-    return _rewrite(p, {}, {}, (f"%{k}" for k in count() if f"%{k}" not in avoid))
-
-
-def _rewrite(p: Process, mapping: dict, definitions: dict, canonical: Iterator[str] | None) -> Process:
-    """Rebuild ``p`` with free names replaced through the mappings.  A
-    ``canonical`` rewrite takes every term binder's new name from the
-    iterator and drops annotations; otherwise binders keep their names
-    unless they would capture."""
+def _rewrite(p: Process, mapping: dict, definitions: dict) -> Process:
+    """Rebuild ``p`` with free names replaced through the mappings; binders
+    keep their names unless they would capture.  A subterm that is not a
+    process node is kept as it is."""
     introduced = set().union(
         *((r.name,) if isinstance(r, Endpoint) else value_var_names(r) for r in mapping.values()),
         *(free_names(call).terms for call in definitions.values()),
@@ -424,9 +411,6 @@ def _rewrite(p: Process, mapping: dict, definitions: dict, canonical: Iterator[s
     # mapping's own, plus the fresh names of binders renamed further out,
     # which a nested binder of that spelling would otherwise capture.
     def bind(name: str, m: dict, intro: set, q: Process) -> tuple[str, dict, set]:
-        if canonical is not None:
-            fresh = next(canonical)
-            return fresh, {**m, name: Endpoint(fresh)}, intro
         if name in m:
             m = {k: r for k, r in m.items() if k != name}
         if not m or name not in intro:
@@ -462,14 +446,13 @@ def _rewrite(p: Process, mapping: dict, definitions: dict, canonical: Iterator[s
         return v
 
     def go(q: Process, m: dict, dm: dict, intro: set, dintro: set) -> Process:
-        fields = FORMS[type(q)].fields
-        if not fields or (canonical is None and not m and not dm):
+        fields = FORMS[type(q)].fields if isinstance(q, _Node) else ()
+        if not fields or (not m and not dm):
             return q
         out = []
-        same = True
         inner, inner_intro, partial = m, intro, None
         for field, role in fields:
-            old = x = getattr(q, field)
+            x = getattr(q, field)
             if role is ENDPOINT:
                 x = endpoint(x, m)
             elif role is SCOPED:
@@ -496,19 +479,15 @@ def _rewrite(p: Process, mapping: dict, definitions: dict, canonical: Iterator[s
                 params = []
                 for name, annotation in x:
                     name, inner, inner_intro = bind(name, inner, inner_intro, q)
-                    params.append((name, None if canonical else annotation))
+                    params.append((name, annotation))
                 x = tuple(params)
             elif role is DEFINES:
                 x, dm, dintro = bind_definition(x, dm, dintro, q)
             elif role is DEFINITION:
                 partial = dm.get(x)
                 x = x if partial is None else partial.name
-            elif role is ANNOTATION and canonical:
-                x = None
             out.append(x)
-            if same and x is not old:
-                same = _same_field(role, x, old)
-        return q if same else type(q)(*out)
+        return type(q)(*out)
 
     return go(p, mapping, definitions, introduced, introduced_defs)
 
@@ -532,68 +511,62 @@ def with_subterms(p: Process, kids: list[Process]) -> Process:
     order carries no meaning, and a canonical form needs one order."""
     kids_left = iter(kids)
     out = []
-    same = True
     for field, role in FORMS[type(p)].fields:
-        old = x = getattr(p, field)
+        x = getattr(p, field)
         if role is SCOPED or role is OPEN:
             x = next(kids_left)
         elif role is ARMS:
             x = tuple(sorted(((label, next(kids_left)) for label, _ in x), key=lambda arm: arm[0]))
         out.append(x)
-        if same and x is not old:
-            same = _same_field(role, x, old)
-    return p if same else type(p)(*out)
+    return type(p)(*out) if kids else p
 
 
-def _same_field(role: str, new, old) -> bool:
-    """Whether a rebuilt field holds what it held.  A node whose fields all
-    do is kept rather than copied, so unchanged subterms stay shared.
-    Subterms and endpoints count as the same only when they are the same
-    object: a rewrite hands back an untouched one as it was."""
-    if role is ENDPOINT or role is SCOPED or role is OPEN:
-        return False
-    if role is ARMS:
-        return all(a[0] == b[0] and a[1] is b[1] for a, b in zip(new, old))
-    return new == old
+def serial_pieces(p, free, expand=None) -> Iterator[str]:
+    """The alpha-invariant serialization of ``p``, piece by piece, walked
+    with an explicit stack.  Binders are de-Bruijn levels, so it never
+    depends on bound-name spelling; ``free(name, mark)`` spells a free name
+    (``mark`` is "~" on a dual endpoint).  ``expand`` turns a subterm into a
+    node first: a caller whose subterms are not `Process` nodes walks them
+    lazily, and a comparison of two serializations stops at the first
+    piece that differs."""
+    stack: list = [(p, {}, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            yield item
+            continue
+        q, env, depth = item
+        if expand is not None:
+            q = expand(q)
 
+        def name(n: str, mark: str = "") -> str:
+            return f" <{env[n]}{mark}>" if n in env else " " + free(n, mark)
 
-def serialize_process(p: Process, erase: frozenset[str] = frozenset()) -> str:
-    """A total, alpha-invariant textual key: binders are de-Bruijn levels,
-    so the key never depends on bound-name spelling.  Free names in
-    ``erase`` are hidden (polarity kept) and the key describes the
-    wiring-free skeleton; other free names print concretely."""
+        def value(v: Value) -> str:
+            if isinstance(v, VarRef):
+                return name(v.name)[1:]
+            if isinstance(v, SucOf):
+                return f"suc {value(v.arg)}"
+            if isinstance(v, Pair):
+                return f"({value(v.fst)},{value(v.snd)})"
+            return format_value(v)
 
-    def name(n: str, env: dict[str, int], mark: str = "") -> str:
-        if n in env:
-            return f"<{env[n]}{mark}>"
-        return f"<nu{mark}>" if n in erase else mark + n
-
-    def value(v: Value, env: dict[str, int]) -> str:
-        if isinstance(v, VarRef):
-            return name(v.name, env)
-        if isinstance(v, SucOf):
-            return f"suc {value(v.arg, env)}"
-        if isinstance(v, Pair):
-            return f"({value(v.fst, env)},{value(v.snd, env)})"
-        return format_value(v)
-
-    def go(q: Process, env: dict[str, int], depth: int) -> str:
         form = FORMS[type(q)]
         parts, group = ["(" + form.tag], []
         inner, inner_depth = env, depth
         for field, role in form.fields:
             x = getattr(q, field)
             if group and role not in _SEQUENCES:
-                parts.append(f"({';'.join(group)})")
+                parts.append(f" ({';'.join(group)})")
                 group = []
             if role is ENDPOINT:
-                parts.append(name(x.name, env, "~" if x.dual else ""))
+                parts.append(name(x.name, "~" if x.dual else ""))
             elif role is SCOPED or role is OPEN:
-                parts.append(go(x, inner, inner_depth) if role is SCOPED else go(x, env, depth))
+                parts += [" ", (x, inner, inner_depth) if role is SCOPED else (x, env, depth)]
             elif role is VALUE:
-                parts.append(value(x, env))
+                parts.append(" " + value(x))
             elif role is SHARED:
-                parts.append(name(x, env))
+                parts.append(name(x))
             elif role in _BINDERS:
                 inner = dict(inner)
                 for bound in _binders(role, x):
@@ -603,43 +576,24 @@ def serialize_process(p: Process, erase: frozenset[str] = frozenset()) -> str:
                     group.append(str(len(x)))
             elif role is ARMS:
                 for label, cont in x:
-                    parts.append(label)
-                    parts.append(go(cont, env, depth))
+                    parts += [" " + label, " ", (cont, env, depth)]
             elif role is ENDPOINTS:
-                group.append(" ".join([name(e.name, env, "~" if e.dual else "") for e in x]))
+                group.append(" ".join([name(e.name, "~" if e.dual else "")[1:] for e in x]))
             elif role is VALUES:
-                group.append(" ".join([value(v, env) for v in x]))
+                group.append(" ".join([value(v) for v in x]))
             elif role is not ANNOTATION:
-                parts.append(x)
+                parts.append(" " + x)
         if group:
-            parts.append(f"({';'.join(group)})")
-        return " ".join(parts) + ")"
+            parts.append(f" ({';'.join(group)})")
+        parts.append(")")
+        stack.extend(reversed(parts))
 
-    return go(p, {}, 0)
 
-
-def _structural_hash(p: Process) -> int:
-    """Hash ``p`` bottom-up with an explicit stack, caching each node's hash
-    on the node (frozen dataclasses take it through ``object.__setattr__``;
-    it is not a field, so it is invisible to equality and printing)."""
-    stack = [p]
-    while stack:
-        q = stack[-1]
-        kids = [k for k in subterms(q) if not hasattr(k, "_hash")]
-        if kids:
-            stack.extend(kids)
-            continue
-        stack.pop()
-        parts: list = [type(q)]
-        for field, role in FORMS[type(q)].fields:
-            x = getattr(q, field)
-            if role is SCOPED or role is OPEN:
-                x = x._hash
-            elif role is ARMS:
-                x = tuple([(label, cont._hash) for label, cont in x])
-            parts.append(x)
-        object.__setattr__(q, "_hash", hash(tuple(parts)))
-    return p._hash
+def serialize_process(p: Process, erase: frozenset[str] = frozenset()) -> str:
+    """A total, alpha-invariant textual key.  Free names in ``erase`` are
+    hidden (polarity kept) and the key describes the wiring-free skeleton;
+    other free names print concretely."""
+    return "".join(serial_pieces(p, lambda n, mark: f"<nu{mark}>" if n in erase else mark + n))
 
 
 def process_equal(p: Process, q: Process) -> bool:
@@ -668,54 +622,58 @@ def process_equal(p: Process, q: Process) -> bool:
 # ---------------------------------------------------------------- printer
 
 def format_process(p: Process) -> str:
-    def cont_str(cont: Process) -> str:
-        if isinstance(cont, Nil):
-            return ""
-        return ". " + fmt(cont)
+    """The concrete syntax of ``p``, walked with an explicit stack, so that
+    deep processes print at any recursion limit."""
+    out: list[str] = []
+    stack: list = [p]
+    while stack:
+        q = stack.pop()
+        if type(q) is str:
+            out.append(q)
+            continue
+        stack.extend(reversed(_syntax(q)))
+    return "".join(out)
 
-    def fmt(q: Process) -> str:
-        if isinstance(q, Nil):
-            return "0"
-        if isinstance(q, (RecvVal, RecvChan)):
-            return f"{q.chan}?({q.binder}){cont_str(q.cont)}"
-        if isinstance(q, SendVal):
-            return f"{q.chan}!<{format_value(q.value)}>{cont_str(q.cont)}"
-        if isinstance(q, SendChan):
-            return f"{q.chan}!<{q.sent}>{cont_str(q.cont)}"
-        if isinstance(q, Branch):
-            inner = ", ".join(f"{label}: {fmt(cont)}" for label, cont in q.branches)
-            return f"{q.chan} >> {{{inner}}}"
-        if isinstance(q, Select):
-            return f"{q.chan} <+ {q.label}{cont_str(q.cont)}"
-        if isinstance(q, Def):
-            vals = ", ".join(n if t is None else f"{n}: {t}" for n, t in q.val_params)
-            chans = ", ".join(n if t is None else f"{n}: {format_session_type(t)}" for n, t in q.chan_params)
-            return f"def {q.name}({vals}; {chans}) = {fmt(q.body)} in {fmt(q.scope)}"
-        if isinstance(q, Call):
-            vals = ", ".join(format_value(v) for v in q.val_args)
-            chans = ", ".join(str(ep) for ep in q.chan_args)
-            return f"{q.name}<{vals}; {chans}>"
-        if isinstance(q, New):
-            annot = f": {format_session_type(q.annotation)}" if q.annotation is not None else ""
-            return f"new {q.name}{annot}. {fmt(q.body)}"
-        if isinstance(q, Par):
-            parts: list[str] = []
-            stack = [q]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, Par):
-                    stack.append(node.right)
-                    stack.append(node.left)
-                else:
-                    parts.append(fmt(node))
-            return "(" + " | ".join(parts) + ")"
-        if isinstance(q, Accept):
-            return f"accept {q.shared}({q.binder}){cont_str(q.cont)}"
-        if isinstance(q, Request):
-            return f"request {q.shared}({q.binder}){cont_str(q.cont)}"
-        raise TypeError(f"not a process: {q!r}")
 
-    return fmt(p)
+def _syntax(q: Process) -> list:
+    """The concrete syntax of ``q`` as strings and subprocesses, in order."""
+    cont = [] if isinstance(getattr(q, "cont", NIL), Nil) else [". ", q.cont]
+    if isinstance(q, Nil):
+        return ["0"]
+    if isinstance(q, (RecvVal, RecvChan)):
+        return [f"{q.chan}?({q.binder})", *cont]
+    if isinstance(q, SendVal):
+        return [f"{q.chan}!<{format_value(q.value)}>", *cont]
+    if isinstance(q, SendChan):
+        return [f"{q.chan}!<{q.sent}>", *cont]
+    if isinstance(q, Branch):
+        arms = [x for label, arm in q.branches for x in (", ", f"{label}: ", arm)]
+        return [f"{q.chan} >> {{", *arms[1:], "}"]
+    if isinstance(q, Select):
+        return [f"{q.chan} <+ {q.label}", *cont]
+    if isinstance(q, Def):
+        vals = ", ".join(n if t is None else f"{n}: {t}" for n, t in q.val_params)
+        chans = ", ".join(n if t is None else f"{n}: {format_session_type(t)}" for n, t in q.chan_params)
+        return [f"def {q.name}({vals}; {chans}) = ", q.body, " in ", q.scope]
+    if isinstance(q, Call):
+        vals = ", ".join(format_value(v) for v in q.val_args)
+        chans = ", ".join(str(ep) for ep in q.chan_args)
+        return [f"{q.name}<{vals}; {chans}>"]
+    if isinstance(q, New):
+        annot = f": {format_session_type(q.annotation)}" if q.annotation is not None else ""
+        return [f"new {q.name}{annot}. ", q.body]
+    if isinstance(q, Par):
+        parts, todo = [], [q]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, Par):
+                todo += [node.right, node.left]
+            else:
+                parts += [" | ", node]
+        return ["(", *parts[1:], ")"]
+    if isinstance(q, (Accept, Request)):
+        return [f"{'accept' if isinstance(q, Accept) else 'request'} {q.shared}({q.binder})", *cont]
+    raise TypeError(f"not a process: {q!r}")
 
 
 # ----------------------------------------------------------------- parser

@@ -1,22 +1,26 @@
 """Early labelled semantics over canonical configurations.
 
 A configuration is a flattened parallel composition together with its
-hoisted restricted names, a definition environment, and the set of
-observable free channels.  All internal synchronization (value and channel
-exchange, select/branch, accept/request pairing, call unfolding) is tau;
-actions on free observables appear as visible labels, with inputs
-enumerated over a finite value domain and channel inputs drawn from a
-canonical fresh-name supply.
+restricted names, a definition environment, and the set of observable free
+channels.  All internal synchronization (value and channel exchange,
+select/branch, accept/request pairing, call unfolding) is tau; actions on
+free observables appear as visible labels, with inputs enumerated over a
+finite value domain and channel inputs drawn from a canonical fresh-name
+supply.
 
-States are interned by the structural-congruence normal form, so
-exploration is finite whenever the process is.  Each exploration has one
-component table (`ComponentTable`): `make_configuration` creates it, every
-configuration derived from that one carries it, and it memoizes the steps
-of building a normal form that are pure functions of one component (its
-subterms' normal forms and free names, canonical binders, sort key,
-renaming and serialization).  A transition therefore normalizes only the
-continuations it creates and looks up every component it leaves alone,
-and keys and successors are those an uncached normalization gives.
+Components are terms of one `normalize.InternTable` per exploration, which
+`make_configuration` creates and every derived configuration carries.  A
+step views the heads it consumes one node deep; their continuations are
+terms already, so filling a binder with a name rewrites a term's arguments,
+and only a value or a merge of two names rebuilds the nodes on the way to
+their occurrences.  A surfacing restriction gets a fresh name, and
+restricted names are never renamed.  Only the state key abstracts them: it
+sorts the components as `normalize` does (unrestricted names spelled),
+numbers the restrictions by first occurrence, and lists ints: each
+component's shape id and wiring.  So exploration is finite whenever the
+process is.  The table's ``hits`` and ``misses`` count the nodes steps
+looked up and the ones they interned; an untouched component costs
+neither.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from itertools import count
 
 from . import process as P
-from .normalize import ComponentSteps, canonical_parts, _decompose, _renamed
+from .normalize import InternTable, Term
 
 
 class RuntimeSafetyViolation(Exception):
@@ -117,77 +122,17 @@ def format_label(label: TransitionLabel) -> str:
 
 # ------------------------------------------------------------ configuration
 
-DefClosure = tuple[tuple[str, ...], tuple[str, ...], P.Process]
-
-
-class ComponentTable(ComponentSteps):
-    """The per-component steps of a normalization pass, memoized for one
-    exploration, and each component's free names.  Components key the
-    memos by structure (a step's other arguments follow from the component,
-    except the erased names and the renaming, which join the key);
-    `process._Node` caches each node's hash, so an untouched component
-    costs one lookup.  The memos die with the configurations that carry
-    the table."""
-
-    def __init__(self):
-        self._leaves: dict[P.Process, tuple[P.Process, dict[str, None]]] = {}
-        self._binders: dict[P.Process, P.Process] = {}
-        self._skeletons: dict[tuple[P.Process, frozenset[str]], str] = {}
-        self._renamed: dict[tuple[P.Process, tuple[tuple[str, str], ...]], P.Process] = {}
-        self._keys: dict[P.Process, str] = {}
-        self._free: dict[P.Process, dict[str, None]] = {}
-
-    @property
-    def normalized(self) -> int:
-        """How many components had their subterms normalized: the leaf
-        step's misses, at every level of nesting."""
-        return len(self._leaves)
-
-    def leaf(self, p):
-        found = self._leaves.get(p)
-        if found is None:
-            found = self._leaves[p] = super().leaf(p)
-        return found
-
-    def binders(self, c, names):
-        found = self._binders.get(c)
-        if found is None:
-            found = self._binders[c] = super().binders(c, names)
-        return found
-
-    def skeleton(self, c, erase):
-        found = self._skeletons.get((c, erase))
-        if found is None:
-            found = self._skeletons[c, erase] = super().skeleton(c, erase)
-        return found
-
-    def renamed(self, c, renames):
-        found = self._renamed.get((c, renames))
-        if found is None:
-            found = self._renamed[c, renames] = super().renamed(c, renames)
-        return found
-
-    def key(self, c):
-        found = self._keys.get(c)
-        if found is None:
-            found = self._keys[c] = super().key(c)
-        return found
-
-    def free_names(self, c: P.Process) -> dict[str, None]:
-        found = self._free.get(c)
-        if found is None:
-            found = self._free[c] = P.free_names(c).terms
-        return found
+DefClosure = tuple[tuple[str, ...], tuple[str, ...], Term]
 
 
 @dataclass(frozen=True)
 class Configuration:
     restricted: tuple[str, ...]
-    components: tuple[P.Process, ...]
+    components: tuple[Term, ...]
     defs: tuple[tuple[str, DefClosure], ...]
     observables: frozenset[str]
-    key: str
-    table: ComponentTable = field(compare=False, repr=False)
+    key: tuple[int, ...]
+    table: InternTable = field(compare=False, repr=False)
 
     def all_names(self) -> set[str]:
         """Names a fresh name must avoid: the restricted and observable
@@ -195,74 +140,95 @@ class Configuration:
         the definition bodies."""
         names = set(self.restricted) | self.observables
         for comp in self.components:
-            names.update(self.table.free_names(comp))
+            names.update(name for name, _ in comp.args)
         for name, (_, _, body) in self.defs:
             names.add(name)
-            names.update(self.table.free_names(body))
+            names.update(n for n, _ in body.args)
         return names
 
     def residual_process(self) -> P.Process:
-        return P.new(self.restricted, P.par(*self.components))
+        """The configuration as a process, in key order: restrictions are
+        spelled `#k` by first occurrence, and binders `%k` in pre-order
+        within each component."""
+        free = {name for comp in self.components for name, _ in comp.args} - set(self.restricted)
+        targets = (name for name in (f"#{k}" for k in count()) if name not in free)
+        mapping = {name: P.Endpoint(next(targets)) for name in self.restricted}
+        comps = []
+        for comp in self.components:
+            comp = self.table.subst(comp, mapping)
+            avoid = {name for name, _ in comp.args}
+            comps.append(self.table.process(comp, (n for n in (f"%{k}" for k in count()) if n not in avoid)))
+        return P.new([e.name for e in mapping.values()], P.par(*comps))
 
 
 def make_configuration(p: P.Process, observables: frozenset[str] = frozenset()) -> Configuration:
-    return _assemble([], [p], {}, observables, ComponentTable())
+    table = InternTable()
+    return _assemble([], [table.term(p)], {}, observables, table)
 
 
 def _assemble(
     restricted: list[str],
-    comps: list[P.Process],
+    comps: list[Term],
     defs: dict[str, DefClosure],
     observables: frozenset[str],
-    table: ComponentTable,
+    table: InternTable,
 ) -> Configuration:
-    # Reduction exposes fresh structure (restrictions, parallels,
-    # definitions) at component roots, so rebuild and re-flatten the whole
-    # soup, pulling definitions into the environment as they surface.
-    restricted, pending, pending_frees = _decompose(P.new(restricted, P.par(*comps)), table)
-    comps, frees = [], []
+    """Flatten the components, which may be whole normal forms, giving
+    their restrictions fresh names and pulling definitions into the
+    environment as they surface; then key the configuration."""
+    taken = set(restricted) | observables | set(defs)
+    for term in [*comps, *(body for _, _, body in defs.values())]:
+        taken.update(name for name, _ in term.args)
+    fresh = (name for name in (f"#{k}" for k in count()) if name not in taken)
+    pending, flat = list(comps), []
     while pending:
-        comp, names = pending.pop(0), pending_frees.pop(0)
-        if isinstance(comp, P.Def):
-            comp = _close_over_restricted(comp, restricted)
-            name = comp.name
-            scope = comp.scope
-            def_body = comp.body
-            if name in defs and defs[name][2] != _close_def(comp)[2]:
-                fresh = P.fresh_name(name, set(defs) | P.free_names(comp).definitions)
-                renamed = {name: P.Call(fresh, (), ())}
-                def_body = P.substitute(def_body, definitions=renamed)
-                scope = P.substitute(scope, definitions=renamed)
-                name = fresh
-            defs[name] = _close_def(P.Def(name, comp.val_params, comp.chan_params, def_body, P.NIL))
-            sub_restricted, sub_comps, sub_frees = _decompose(scope, table)
-            taken = set(restricted).union(*frees, *pending_frees)
-            renames = {}
-            for sub in sub_restricted:
-                if sub in taken:
-                    fresh = P.fresh_name(sub, taken | set(sub_restricted))
-                    renames[sub] = fresh
-                    sub = fresh
-                restricted.append(sub)
-                taken.add(sub)
-            if renames:
-                sub_comps, sub_frees = _renamed(sub_comps, renames)
-            pending, pending_frees = sub_comps + pending, sub_frees + pending_frees
-        else:
-            comps.append(comp)
-            frees.append(names)
-    restricted, comps = canonical_parts(restricted, comps, frees, table)
-    key_parts = [",".join(restricted)]
-    key_parts.extend(table.key(c) for c in comps)
-    key_parts.append("|defs:" + ",".join(sorted(name for name, _ in sorted(defs.items()))))
-    return Configuration(
-        restricted=tuple(restricted),
-        components=tuple(comps),
-        defs=tuple(sorted(defs.items())),
-        observables=observables,
-        key="\n".join(key_parts),
-        table=table,
-    )
+        more, parts = table.open(pending.pop(0), fresh)
+        restricted += more
+        for part in parts:
+            if part.shape.key[0] is P.Def:
+                pending.append(_define(table.process(part), restricted, defs, table))
+            else:
+                flat.append(part)
+    key, comps, live = _key(table, set(restricted), flat, defs)
+    return Configuration(tuple(live), tuple(comps), tuple(sorted(defs.items())), observables, key, table)
+
+
+def _key(table: InternTable, restricted: set[str], comps: list[Term], defs) -> tuple:
+    """The state key, and the components and live restrictions in its order.
+    Of the arrangements of components that tie, the least key wins."""
+
+    def free(name: str, mark: str) -> str:
+        return f"<nu{mark}>" if name in restricted else mark + name
+
+    best = None
+    for arranged in table.arrangements(comps, free)[0] if comps else [[]]:
+        numbers: dict[str, int] = {}
+        key = [len(arranged)]
+        for comp in arranged:
+            key.append(comp.shape.id)
+            for name, kind in comp.args:
+                if name in restricted:
+                    key.append(-1 - 3 * numbers.setdefault(name, len(numbers)) - kind)
+                else:
+                    key.append(3 * table.name_id(name) + kind)
+        key += [table.name_id(name) for name in sorted(defs)]
+        if best is None or key < best[0]:
+            best = (key, arranged, list(numbers))
+    return tuple(best[0]), best[1], best[2]
+
+
+def _define(d: P.Def, restricted: list[str], defs: dict[str, DefClosure], table: InternTable) -> Term:
+    """Move a surfaced definition into the environment, renaming it if a
+    different definition holds its name; the term of its scope."""
+    d = _close_over_restricted(d, restricted)
+    closure = _close_def(d, table)
+    if d.name in defs and defs[d.name][2] != closure[2]:
+        fresh = P.fresh_name(d.name, set(defs) | P.free_names(d).definitions)
+        renamed = {d.name: P.Call(fresh, (), ())}
+        d = P.Def(fresh, d.val_params, d.chan_params, *(P.substitute(q, definitions=renamed) for q in (d.body, d.scope)))
+        closure = _close_def(d, table)
+    defs[d.name] = closure
+    return table.term(d.scope)
 
 
 def _close_over_restricted(d: P.Def, restricted: list[str]) -> P.Def:
@@ -284,13 +250,13 @@ def _close_over_restricted(d: P.Def, restricted: list[str]) -> P.Def:
     )
 
 
-def _close_def(d: P.Def) -> DefClosure:
-    """Canonicalize a definition body with positional parameter names."""
+def _close_def(d: P.Def, table: InternTable) -> DefClosure:
+    """A definition body with positional parameter names, as a term."""
     val_names = tuple(f"%v{i}" for i in range(len(d.val_params)))
     chan_names = tuple(f"%c{i}" for i in range(len(d.chan_params)))
     mapping: dict[str, P.Replacement] = {old: P.VarRef(new) for (old, _), new in zip(d.val_params, val_names)}
     mapping.update({old: P.Endpoint(new) for (old, _), new in zip(d.chan_params, chan_names)})
-    return (val_names, chan_names, P.substitute(d.body, mapping))
+    return (val_names, chan_names, table.term(P.substitute(d.body, mapping)))
 
 
 # ------------------------------------------------------------- transitions
@@ -299,9 +265,6 @@ _SEND_HEADS = (P.SendVal, P.SendChan)
 _RECV_HEADS = (P.RecvVal, P.RecvChan)
 
 
-def _receive(cont_holder: P.Process, payload) -> P.Process:
-    """Substitute an incoming item (value or endpoint) for the binder."""
-    return P.substitute(cont_holder.cont, {cont_holder.binder: payload})
 
 
 def _sync_mismatch(a: P.Process, b: P.Process) -> str | None:
@@ -331,18 +294,25 @@ def transitions(
     cfg: Configuration, value_domain: tuple[P.Value, ...] = (P.NatLit(0), P.NatLit(1))
 ) -> list[tuple[TransitionLabel, Configuration]]:
     out: list[tuple[TransitionLabel, Configuration]] = []
+    table = cfg.table
     comps = cfg.components
+    # the heads, one node deep: their subterms are terms
+    heads = [table.view(c) for c in comps]
     restricted = set(cfg.restricted)
     defs = dict(cfg.defs)
 
-    def rebuild(new_comps: list[P.Process], new_restricted=None) -> Configuration:
+    def rebuild(new_comps: list[Term], new_restricted=None) -> Configuration:
         return _assemble(
             list(new_restricted if new_restricted is not None else cfg.restricted),
-            [c for c in new_comps if not isinstance(c, P.Nil)],
+            new_comps,
             dict(defs),
             cfg.observables,
-            cfg.table,
+            table,
         )
+
+    def receive(head: P.Process, payload) -> Term:
+        """The continuation of a receiving head, the payload in its binder."""
+        return table.subst(head.cont, {head.binder: payload})
 
     taken: set[str] = set()
 
@@ -356,24 +326,24 @@ def transitions(
             k += 1
         return template.format(k)
 
-    def replaced(i: int, *new: P.Process) -> list[P.Process]:
+    def replaced(i: int, *new: Term) -> list[Term]:
         return [c for k, c in enumerate(comps) if k != i] + list(new)
 
-    def replaced2(i: int, j: int, *new: P.Process) -> list[P.Process]:
+    def replaced2(i: int, j: int, *new: Term) -> list[Term]:
         return [c for k, c in enumerate(comps) if k not in (i, j)] + list(new)
 
     # internal synchronization on dual endpoints, each pair counted once,
     # from the active side; partners are found by subject, in order
     by_subject: dict[P.Endpoint, list[int]] = {}
-    for j, b in enumerate(comps):
+    for j, b in enumerate(heads):
         subj_b = getattr(b, "chan", None)
         if subj_b is not None:
             by_subject.setdefault(subj_b, []).append(j)
-    for i, a in enumerate(comps):
+    for i, a in enumerate(heads):
         if not isinstance(a, _SEND_HEADS) and not isinstance(a, P.Select):
             continue
         for j in by_subject.get(a.chan.flip(), ()):
-            b = comps[j]
+            b = heads[j]
             reason = _sync_mismatch(a, b)
             if reason is not None:
                 if a.chan.name in restricted:
@@ -381,21 +351,21 @@ def transitions(
                 continue
             if isinstance(a, _SEND_HEADS):
                 payload = P.eval_value(a.value) if isinstance(a, P.SendVal) else a.sent
-                target = rebuild(replaced2(i, j, a.cont, _receive(b, payload)))
+                target = rebuild(replaced2(i, j, a.cont, receive(b, payload)))
             else:
                 target = rebuild(replaced2(i, j, a.cont, b.get(a.label)))
             out.append((TAU, target))
 
     # accept/request pairing on shared names
-    for i, a in enumerate(comps):
+    for i, a in enumerate(heads):
         if not isinstance(a, P.Accept):
             continue
-        for j, b in enumerate(comps):
+        for j, b in enumerate(heads):
             if not isinstance(b, P.Request) or b.shared != a.shared:
                 continue
             session = fresh("s{}'")
-            acc = _receive(a, P.Endpoint(session, False))
-            req = _receive(b, P.Endpoint(session, True))
+            acc = receive(a, P.Endpoint(session, False))
+            req = receive(b, P.Endpoint(session, True))
             target = rebuild(replaced2(i, j, acc, req), list(cfg.restricted) + [session])
             label: TransitionLabel = (
                 SharedInit(a.shared) if a.shared in cfg.observables else TAU
@@ -403,7 +373,7 @@ def transitions(
             out.append((label, target))
 
     # call unfolding
-    for i, a in enumerate(comps):
+    for i, a in enumerate(heads):
         if not isinstance(a, P.Call):
             continue
         closure = defs.get(a.name)
@@ -416,11 +386,11 @@ def transitions(
             name: P.eval_value(value) for name, value in zip(val_names, a.val_args)
         }
         mapping.update(zip(chan_names, a.chan_args))
-        out.append((TAU, rebuild(replaced(i, P.substitute(body, mapping)))))
+        out.append((TAU, rebuild(replaced(i, table.subst(body, mapping)))))
 
     # visible actions on observable free endpoints; names drawn from the
     # canonical fresh supply (@k) are observable by construction
-    for i, a in enumerate(comps):
+    for i, a in enumerate(heads):
         subj = getattr(a, "chan", None)
         if subj is None or subj.name in restricted:
             continue
@@ -432,7 +402,7 @@ def transitions(
             sent = a.sent
             if sent.name in restricted:
                 supply = fresh("@{}")
-                renamed = [P.substitute(c, {sent.name: P.Endpoint(supply)}) for c in replaced(i, a.cont)]
+                renamed = [table.subst(c, {sent.name: P.Endpoint(supply)}) for c in replaced(i, a.cont)]
                 rest = [n for n in cfg.restricted if n != sent.name]
                 out.append(
                     (OutChan(subj, str(P.Endpoint(supply, sent.dual))), rebuild(renamed, rest))
@@ -441,10 +411,10 @@ def transitions(
                 out.append((OutChan(subj, str(sent)), rebuild(replaced(i, a.cont))))
         elif isinstance(a, P.RecvVal):
             for v in value_domain:
-                out.append((InVal(subj, v), rebuild(replaced(i, _receive(a, v)))))
+                out.append((InVal(subj, v), rebuild(replaced(i, receive(a, v)))))
         elif isinstance(a, P.RecvChan):
             supply = fresh("@{}")
-            out.append((InChan(subj, supply), rebuild(replaced(i, _receive(a, P.Endpoint(supply, False))))))
+            out.append((InChan(subj, supply), rebuild(replaced(i, receive(a, P.Endpoint(supply, False))))))
         elif isinstance(a, P.Select):
             out.append((SelectL(subj, a.label), rebuild(replaced(i, a.cont))))
         elif isinstance(a, P.Branch):
@@ -471,17 +441,20 @@ def find_store_value(cfg: Configuration) -> P.Value | None:
     payload of the get branch of a {get, put, stop} offer (possibly behind
     an accept)."""
 
-    def from_branch(b: P.Process) -> P.Value | None:
+    view = cfg.table.view
+
+    def from_branch(t: Term) -> P.Value | None:
+        b = view(t)
         if isinstance(b, P.Branch) and set(dict(b.branches)) == {"get", "put", "stop"}:
-            get_cont = b.get("get")
+            get_cont = view(b.get("get"))
             if isinstance(get_cont, P.SendVal):
                 return P.eval_value(get_cont.value)
         return None
 
     for comp in cfg.components:
         found = from_branch(comp)
-        if found is None and isinstance(comp, P.Accept):
-            found = from_branch(comp.cont)
+        if found is None and comp.shape.key[0] is P.Accept:
+            found = from_branch(view(comp).cont)
         if found is not None:
             return found
     return None
@@ -548,7 +521,7 @@ def run(
         raise ValueError(f"unknown mode {mode!r}")
 
     outcomes: set[Outcome] = set()
-    seen: set[tuple[str, tuple[P.Value, ...]]] = set()
+    seen: set[tuple[tuple[int, ...], tuple[P.Value, ...]]] = set()
     stack: list[tuple[Configuration, tuple[P.Value, ...], int]] = [(initial, (), 0)]
     seen.add((initial.key, ()))
     while stack:

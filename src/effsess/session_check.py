@@ -194,8 +194,7 @@ def _check(env: ProcEnv, gamma: dict, delta: SessionEnv, p: P.Process, width: fr
                 s_plain: S.SessionType | None = p.annotation
                 s_dual: S.SessionType | None = S.dual(p.annotation)
             else:
-                s_plain = _synthesize(env, gamma, delta, eps[0], p.body)
-                s_dual = _synthesize(env, gamma, delta, eps[1], p.body)
+                s_plain, s_dual = _synthesize(env, gamma, delta, eps, p.body)
                 if s_plain is None and s_dual is None:
                     raise SessionTypeError(
                         "annotation",
@@ -309,65 +308,65 @@ def _check(env: ProcEnv, gamma: dict, delta: SessionEnv, p: P.Process, width: fr
 _UNUSED = object()
 
 
-def _synthesize(env: ProcEnv, gamma: dict, delta: SessionEnv, e: P.Endpoint, p: P.Process):
-    """Best-effort session type of one endpoint from its usage; None when
-    the usage involves information only the other side can provide."""
+def _synthesize(env: ProcEnv, gamma: dict, delta: SessionEnv, eps: tuple[P.Endpoint, ...], p: P.Process) -> list:
+    """Best-effort session types of the endpoints ``eps`` (the two ends of
+    one channel) from their usage, in one walk; None for an endpoint whose
+    usage involves information only the other side can provide."""
 
     defs = dict(env.defs)
+    unused = [_UNUSED] * len(eps)
 
-    def tail(q: P.Process, g: dict) -> S.SessionType | None:
-        rest = go(q, g)
-        return S.END if rest is _UNUSED else rest
+    def end(r):
+        return S.END if r is _UNUSED else r
 
-    def go(q: P.Process, g: dict):
-        """The type of ``e`` in ``q``, None if unknown, or _UNUSED if ``q``
-        does not use ``e``."""
+    def go(q: P.Process, g: dict) -> list:
+        """Per endpoint: its type in ``q``, None if unknown, or _UNUSED if
+        ``q`` does not use it."""
         if isinstance(q, P.Nil):
-            return _UNUSED
+            return unused
         if isinstance(q, P.Par):
-            left, right = go(q.left, g), go(q.right, g)
-            if left is _UNUSED:
-                return right
-            return left if right is _UNUSED else None
+            return [r if l is _UNUSED else l if r is _UNUSED else None for l, r in zip(go(q.left, g), go(q.right, g))]
         if isinstance(q, (P.RecvVal, P.RecvChan)):
-            if q.chan == e:
-                return None  # payload type comes from the sender
-            if q.binder == e.name:
-                return _UNUSED
-            return go(q.cont, {**g, q.binder: None})
-        if isinstance(q, P.SendVal):
-            if q.chan == e:
+            if q.binder == eps[0].name:
+                return [None if q.chan == e else _UNUSED for e in eps]
+            # a payload type comes from the sender
+            return [None if q.chan == e else r for e, r in zip(eps, go(q.cont, {**g, q.binder: None}))]
+        if isinstance(q, (P.SendVal, P.SendChan)):
+            payload = None
+            if q.chan in eps and isinstance(q, P.SendVal):
                 try:
                     payload = value_type(g, q.value)  # None when the value was received
                 except SessionTypeError:
-                    payload = None
-                rest = None if payload is None else tail(q.cont, g)
-                return None if rest is None else S.Send(payload, rest)
-            return go(q.cont, g)
-        if isinstance(q, P.SendChan):
-            if q.chan == e:
+                    pass
+            elif q.chan in eps:
                 payload = delta.get(q.sent)
-                rest = None if payload is None else tail(q.cont, g)
-                return None if rest is None else S.Send(payload, rest)
-            # a delegated endpoint counts as used
-            return tail(q.cont, g) if q.sent == e else go(q.cont, g)
+            out = []
+            for e, r in zip(eps, go(q.cont, g)):
+                if q.chan == e:
+                    r = None if payload is None or r is None else S.Send(payload, end(r))
+                elif isinstance(q, P.SendChan) and q.sent == e:
+                    r = end(r)  # a delegated endpoint counts as used
+                out.append(r)
+            return out
         if isinstance(q, P.Select):
-            if q.chan == e:
-                rest = tail(q.cont, g)
-                return None if rest is None else S.Select(((q.label, rest),))
-            return go(q.cont, g)
+            return [
+                (None if r is None else S.Select(((q.label, end(r)),))) if q.chan == e else r
+                for e, r in zip(eps, go(q.cont, g))
+            ]
         if isinstance(q, P.Branch):
-            if q.chan == e:
-                conts = [(label, tail(cont, g)) for label, cont in q.branches]
-                if any(c is None for _, c in conts):
-                    return None
-                return S.Branch(tuple(conts))
-            results = [go(cont, g) for _, cont in q.branches]
-            if all(r is _UNUSED for r in results):
-                return _UNUSED
-            first, *rest = [S.END if r is _UNUSED else r for r in results]
-            agree = first is not None and all(r is not None and S.type_equal(r, first) for r in rest)
-            return first if agree else None
+            arms = [go(cont, g) for _, cont in q.branches]
+            out = []
+            for e, results in zip(eps, zip(*arms)):
+                if q.chan == e:
+                    conts = tuple((label, end(r)) for (label, _), r in zip(q.branches, results))
+                    out.append(None if any(c is None for _, c in conts) else S.Branch(conts))
+                elif all(r is _UNUSED for r in results):
+                    out.append(_UNUSED)
+                else:
+                    first, *rest = map(end, results)
+                    agree = first is not None and all(r is not None and S.type_equal(r, first) for r in rest)
+                    out.append(first if agree else None)
+            return out
         if isinstance(q, P.Def):
             sig = _signature(q)
             if sig is not None:
@@ -375,16 +374,15 @@ def _synthesize(env: ProcEnv, gamma: dict, delta: SessionEnv, e: P.Endpoint, p: 
             return go(q.scope, g)
         if isinstance(q, P.Call):
             sig = defs.get(q.name)
-            for i, ep in enumerate(q.chan_args):
-                if ep == e:
-                    if sig is None or len(sig[1]) != len(q.chan_args):
-                        return None
-                    return sig[1][i]
-            return _UNUSED
+            known = sig is not None and len(sig[1]) == len(q.chan_args)
+            return [
+                next(((sig[1][i] if known else None) for i, ep in enumerate(q.chan_args) if ep == e), _UNUSED)
+                for e in eps
+            ]
         if isinstance(q, P.New):
-            return _UNUSED if q.name == e.name else go(q.body, g)
+            return unused if q.name == eps[0].name else go(q.body, g)
         if isinstance(q, (P.Accept, P.Request)):
-            return _UNUSED if q.binder == e.name else go(q.cont, g)
+            return unused if q.binder == eps[0].name else go(q.cont, g)
         raise TypeError(f"not a process: {q!r}")
 
-    return tail(p, gamma)
+    return [end(r) for r in go(p, gamma)]

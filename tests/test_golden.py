@@ -42,7 +42,7 @@ def _observe(system, run_obs, lts_obs):
             )
             for o in outcomes
         ),
-        (lts.n_states, transitions, hashlib.sha256("\n\n".join(lts.keys).encode()).hexdigest()[:12]),
+        (lts.n_states, transitions, hashlib.sha256(repr(lts.keys).encode()).hexdigest()[:12]),
     )
 
 
@@ -85,20 +85,20 @@ CASES = {
 }
 
 GOLDEN = {
-    "comm-lhs": ([((), None, "ce5144517a0a", 3)], (14, 14, "cb199f081a96")),
-    "comm-rhs": ([((), None, "74424759d883", 1)], (14, 14, "b409bb3c3dd7")),
-    "corpus-0": ([(("1",), "0", "94bc2154a61e", 11)], (19, 25, "d1c8422f5662")),
-    "corpus-1": ([(("unit",), "0", "94bc2154a61e", 9)], (17, 24, "6d5296765362")),
-    "corpus-10": ([(("unit",), "3", "7787c9317b21", 13)], (33, 56, "26c8c4fd7575")),
-    "corpus-4": ([(("unit",), "1", "3425f5ea34ec", 42)], (70, 98, "a85b58ea5ed0")),
-    "corpus-7": ([(("unit",), "1", "3425f5ea34ec", 14)], (37, 64, "3772392361c8")),
-    "corpus-9": ([(("1",), "3", "7787c9317b21", 31)], (56, 82, "53d3c4780999")),
+    "comm-lhs": ([((), None, "ce5144517a0a", 3)], (14, 14, "ffcd91440653")),
+    "comm-rhs": ([((), None, "74424759d883", 1)], (14, 14, "a21f662ce0df")),
+    "corpus-0": ([(("1",), "0", "94bc2154a61e", 11)], (19, 25, "50751a20185a")),
+    "corpus-1": ([(("unit",), "0", "94bc2154a61e", 9)], (17, 24, "2b65af1e9708")),
+    "corpus-10": ([(("unit",), "3", "7787c9317b21", 13)], (33, 56, "04c20f6fdda4")),
+    "corpus-4": ([(("unit",), "1", "3425f5ea34ec", 42)], (70, 98, "ac73cec9317c")),
+    "corpus-7": ([(("unit",), "1", "3425f5ea34ec", 14)], (37, 64, "c6f19328ec87")),
+    "corpus-9": ([(("1",), "3", "7787c9317b21", 31)], (56, 82, "95667fc5122d")),
     "intro-race": ([((), "1", "79cf8a29f91f", 17), ((), "2", "93fa725feee4", 17), ((), "3", "566f232be8c2", 17)],
-                   (54, 55, "d2ee6032d133")),
+                   (54, 55, "59e08aee47ac")),
     "private-worlds": ([(("0", "5"), "0", "2f6529ae4af6", 12), (("5", "0"), "0", "2f6529ae4af6", 12)],
-                       (64, 128, "452ea142c63b")),
-    "unitR-lhs": ([((), None, "bc793545a39c", 1)], (11, 11, "7a12b5158cb7")),
-    "unitR-rhs": ([((), None, "fb3597f2911a", 1)], (7, 7, "d0984e5d10e6")),
+                       (64, 128, "88406946c45f")),
+    "unitR-lhs": ([((), None, "bc793545a39c", 1)], (11, 11, "98e1dcee25d1")),
+    "unitR-rhs": ([((), None, "fb3597f2911a", 1)], (7, 7, "523cdf90a98e")),
 }
 
 

@@ -134,3 +134,32 @@ def test_normalize_preserves_weak_bisimilarity(shape):
         # a private channel) or too large to explore: no law to check
         assume(False)
     assert weak_bisimilar(*ltss).equivalent
+
+
+def _components(p: P.Process) -> list[P.Process]:
+    """The parallel components of a normal form, under its restrictions."""
+    while isinstance(p, P.New):
+        p = p.body
+    out, todo = [], [p]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, P.Par):
+            todo += [q.right, q.left]
+        elif not isinstance(q, P.Nil):
+            out.append(q)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes, shapes)
+def test_normal_forms_are_context_independent(shape, other):
+    p = build(shape, plain)
+    normal = normalize(p)
+    # under a prefix, the normal form of p reappears as it is
+    assert normalize(P.SendVal(P.Endpoint("a"), P.NatLit(0), p)).cont == normal
+    # beside a process that shares no free name with p, so do its
+    # components, when no restriction of p's normal form binds them
+    q = P.substitute(build(other, plain), {"a": P.Endpoint("c"), "b": P.Endpoint("d")})
+    if not isinstance(normal, P.New):
+        combined = _components(normalize(P.Par(p, q)))
+        assert all(any(c == d for d in combined) for c in _components(normal))

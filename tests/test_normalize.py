@@ -9,7 +9,9 @@ from effsess.process import (
     Par,
     RecvVal,
     SendVal,
+    format_process,
     parse_process,
+    substitute,
 )
 
 
@@ -130,3 +132,83 @@ def test_alpha_invariance_on_random_renamings():
         p = _random_proc(rng, 4, ["a", "b"])
         variant = rename_restrictions(p, [0])
         assert normalize(variant) == normalize(p)
+
+
+def _respelled(p, serial):
+    """``p`` with every binder spelled afresh (`w0`, `w1`, ...)."""
+    if isinstance(p, (New, RecvVal)):
+        fresh = f"w{next(serial)}"
+        old = p.name if isinstance(p, New) else p.binder
+        inner = substitute(p.body if isinstance(p, New) else p.cont, {old: Endpoint(fresh)})
+        inner = _respelled(inner, serial)
+        return New(fresh, None, inner) if isinstance(p, New) else RecvVal(p.chan, fresh, inner)
+    if isinstance(p, SendVal):
+        return SendVal(p.chan, p.value, _respelled(p.cont, serial))
+    if isinstance(p, Par):
+        return Par(_respelled(p.left, serial), _respelled(p.right, serial))
+    return p
+
+
+def _permuted(p, rng):
+    """``p`` with the two sides of some parallel compositions swapped."""
+    if isinstance(p, New):
+        return New(p.name, None, _permuted(p.body, rng))
+    if isinstance(p, RecvVal):
+        return RecvVal(p.chan, p.binder, _permuted(p.cont, rng))
+    if isinstance(p, SendVal):
+        return SendVal(p.chan, p.value, _permuted(p.cont, rng))
+    if isinstance(p, Par):
+        left, right = _permuted(p.left, rng), _permuted(p.right, rng)
+        return Par(right, left) if rng.random() < 0.5 else Par(left, right)
+    return p
+
+
+# Normal-form classes of 60 seeded random processes, each followed by a
+# respelled and a permuted copy; classes are numbered in order of first
+# appearance.  Frozen from the normalizer that renamed binders from the root
+# and iterated to a fixpoint; a normalizer that decides the same congruence
+# draws the same partition.
+FROZEN_PARTITION = [
+    0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 2, 2, 2, 5, 5, 5, 6, 6, 6, 2, 2, 2, 7, 7, 7, 8, 8, 8, 9, 9, 9,
+    10, 10, 10, 11, 11, 11, 12, 12, 12, 2, 2, 2, 13, 13, 13, 14, 14, 14, 1, 1, 1, 2, 2, 2, 2, 2, 2, 15, 15, 15,
+    16, 16, 16, 17, 17, 17, 2, 2, 2, 18, 18, 18, 19, 19, 19, 20, 20, 20, 21, 21, 21, 22, 22, 22, 23, 23, 23,
+    2, 2, 2, 24, 24, 24, 25, 25, 25, 26, 26, 26, 1, 1, 1, 27, 27, 27, 28, 28, 28, 29, 29, 29, 30, 30, 30,
+    2, 2, 2, 31, 31, 31, 2, 2, 2, 32, 32, 32, 33, 33, 33, 34, 34, 34, 1, 1, 1, 1, 1, 1, 35, 35, 35, 34, 34, 34,
+    28, 28, 28, 2, 2, 2, 2, 2, 2, 36, 36, 36, 37, 37, 37, 38, 38, 38, 39, 39, 39, 2, 2, 2, 2, 2, 2, 40, 40, 40,
+]
+
+
+def test_partition_by_normal_form_is_frozen():
+    from itertools import count
+
+    rng = random.Random(41)
+    procs = []
+    for _ in range(60):
+        p = _random_proc(rng, 5, ["a", "b"])
+        procs += [p, _respelled(p, count()), _permuted(p, rng)]
+    classes: dict = {}
+    labels = [classes.setdefault(normalize(p), len(classes)) for p in procs]
+    assert labels == FROZEN_PARTITION
+
+
+def test_tied_components_told_apart_only_by_bound_names():
+    # under a prefix, two components differ only in names bound further
+    # out: restrictions, or parameters of one definition
+    variants = [
+        ("new r1. new r2. (r1!<0> | a!<0>. (r1!<1> | r2!<1>))", "new r2. new r1. (r2!<0> | a!<0>. (r2!<1> | r1!<1>))"),
+        ("new r1. new r2. (r1!<0> | a!<0>. (r1!<1> | r2!<1>))", "new r1. new r2. (r1!<0> | a!<0>. (r2!<1> | r1!<1>))"),
+        ("def X(a, b; ) = c?(q). (a!<0> | b!<0>) in X<1, 2; >", "def X(b, a; ) = c?(q). (a!<0> | b!<0>) in X<1, 2; >"),
+        ("c?(x). c?(y). (x!<0> | y!<0>)", "c?(y). c?(x). (x!<0> | y!<0>)"),
+    ]
+    for left, right in variants:
+        assert normalize(parse_process(left)) == normalize(parse_process(right))
+
+
+def test_many_components_differing_only_in_free_names():
+    # more arrangements than the tie bound: free names order them
+    sends = [f"{name}!<0>" for name in "abcdefgh"] + ["~a!<0>", "~b!<0>"]
+    outputs = set()
+    for seed in range(4):
+        random.Random(seed).shuffle(sends)
+        outputs.add(format_process(normalize(parse_process("(" + " | ".join(sends) + ")"))))
+    assert len(outputs) == 1

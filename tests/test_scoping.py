@@ -84,12 +84,15 @@ def test_private_shared_stores_do_not_merge():
     assert {o.emitted for o in outcomes} == {(NatLit(0), NatLit(5)), (NatLit(5), NatLit(0))}
 
 
-def test_normalize_deep_chain_at_default_recursion_limit():
-    n = 30
+def _chain_system(n: int):
     lets = " ".join(f"let x{i} = get in let u{i} = put (suc x{i}) in" for i in range(n))
     prog = parse_program(f"store nat init 0\n{lets} get")
     result = embedding.embed_top(prog)
-    system = embedding.compose_with_store(result, embedding.initial_store_value(prog), prog.store_type)
+    return embedding.compose_with_store(result, embedding.initial_store_value(prog), prog.store_type)
+
+
+def test_normalize_deep_chain_at_default_recursion_limit():
+    system = _chain_system(30)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -98,3 +101,15 @@ def test_normalize_deep_chain_at_default_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert format_process(again) == format_process(normal)
+
+
+def test_normal_form_of_a_long_chain_prints_at_default_recursion_limit():
+    system = _chain_system(200)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        printed = format_process(normalize(system))
+    finally:
+        sys.setrecursionlimit(limit)
+    # every get and put of the chain is still there, in one printed form
+    assert (printed.count("<+ get"), printed.count("<+ put")) == (201, 200)

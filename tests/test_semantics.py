@@ -1,7 +1,19 @@
 import pytest
 
 from effsess import embedding
-from effsess.process import Endpoint, NatLit, New, NIL, RecvVal, SendVal, SucOf, VarRef, par, parse_process
+from effsess.process import (
+    Endpoint,
+    NatLit,
+    New,
+    NIL,
+    RecvVal,
+    SendVal,
+    SucOf,
+    VarRef,
+    format_process,
+    par,
+    parse_process,
+)
 from effsess.semantics import (
     FuelExhausted,
     InVal,
@@ -147,10 +159,14 @@ def test_transitions_commute_with_normalization():
     q = parse_process("new d. (~d?(z) | d!<zero>.r!<unit>)")
     ca = make_configuration(p, observables=frozenset({"r"}))
     cb = make_configuration(q, observables=frozenset({"r"}))
-    assert ca.key == cb.key
+    # keys number shapes within one exploration; across two, compare the
+    # canonical renderings
+    assert format_process(ca.residual_process()) == format_process(cb.residual_process())
     ta = transitions(ca)
     tb = transitions(cb)
-    assert [(format_label(l), t.key) for l, t in ta] == [(format_label(l), t.key) for l, t in tb]
+    assert [(format_label(l), format_process(t.residual_process())) for l, t in ta] == [
+        (format_label(l), format_process(t.residual_process())) for l, t in tb
+    ]
 
 
 def _idle_and_pair(k: int, messages: int = 4):
@@ -169,21 +185,42 @@ def _idle_and_pair(k: int, messages: int = 4):
     return par(*idle, New("c", None, par(sender, receiver)))
 
 
-def _normalizations_per_step(k: int) -> list[int]:
-    cfg = make_configuration(_idle_and_pair(k))
+def _relay(messages: int):
+    """A pair that exchanges ``messages`` values; the receiver hands each
+    one on through a private channel before it takes the next."""
+    sender, receiver = NIL, NIL
+    for j in reversed(range(messages)):
+        sender = SendVal(Endpoint("c"), NatLit(j), sender)
+        hand_on = par(SendVal(Endpoint("d"), VarRef("y"), NIL), RecvVal(Endpoint("d", True), "z", receiver))
+        receiver = RecvVal(Endpoint("c", True), "y", New("d", None, hand_on))
+    return New("c", None, par(sender, receiver))
+
+
+def _misses_per_step(p) -> list[int]:
+    """The shapes each step of the one schedule of ``p`` interns."""
+    cfg = make_configuration(p)
     counts = []
     while True:
-        before = cfg.table.normalized
+        before = cfg.table.misses
         successors = transitions(cfg)
         if not successors:
             return counts
-        counts.append(cfg.table.normalized - before)
+        counts.append(cfg.table.misses - before)
         ((_, cfg),) = successors
 
 
 def test_step_cost_does_not_grow_with_untouched_components():
-    # The first step also normalizes each idle component once in its
-    # canonical form; from then on the table looks the idle ones up.
-    few, many = _normalizations_per_step(2), _normalizations_per_step(8)
+    few, many = _misses_per_step(_idle_and_pair(2)), _misses_per_step(_idle_and_pair(8))
     assert len(few) == len(many) == 4
-    assert few[1:] == many[1:]
+    assert few == many
+
+
+def test_step_cost_does_not_grow_with_the_continuation_it_creates():
+    # each value received goes into a nested normal form: a few new shapes
+    # per step, however long the rest of the exchange is
+    short, long = _misses_per_step(_relay(4)), _misses_per_step(_relay(16))
+    assert len(short) == 8 and len(long) == 32
+    # a receive and a hand-on per message; the last message ends both alike
+    assert short[-2:] == long[-2:]
+    assert all(steps[i:i + 2] == short[:2] for steps in (short, long) for i in range(0, len(steps) - 2, 2))
+    assert 0 < max(short) <= 3
