@@ -5,6 +5,12 @@ Weak bisimilarity is decided by tau-saturating the transition relation
 running naive partition refinement over the disjoint union of the two
 systems.  When the initial states land in different blocks, the refinement
 history yields a minimal-depth distinguishing observation sequence.
+
+`build_lts` folds eligible chains (see `semantics`): its states are chain
+ends, an edge ``s --l--> t`` points to the end of ``t``'s chain, and
+``LTS.folded`` counts the tau steps folded into chain ends.  The result is
+branching, hence weakly, bisimilar to the full closure of
+`semantics.transitions`, with at most its states.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ class LTS:
     keys: list[tuple[int, ...]]
     observables: frozenset[str]
     partial: bool
+    folded: int = 0
 
     @property
     def n_states(self) -> int:
@@ -39,28 +46,32 @@ def build_lts(
     fuel: int = 10_000,
     cap: int = 100_000,
 ) -> LTS:
-    """Breadth-first closure of the transition relation; ``fuel`` bounds the
-    exploration depth (exceeding it marks the LTS partial) and ``cap``
+    """Breadth-first closure of the transition relation, each target
+    followed to the end of its eligible chain (`semantics.fold_chain`);
+    ``fuel`` bounds the steps to a state, folded ones included (a state at
+    the bound is not expanded, and the LTS is marked partial), and ``cap``
     bounds the state count (exceeding it raises)."""
     observables = frozenset(observables)
-    initial = M.make_configuration(p, observables=observables)
+    initial, steps = M.fold_chain(M.make_configuration(p, observables=observables), 0, fuel)
     index: dict[tuple[int, ...], int] = {initial.key: 0}
-    configs = [initial]
+    configs, depths = [initial], [steps]
     edges: list[dict[M.TransitionLabel, frozenset[int]]] = []
     frontier = [0]
     partial = False
-    depth = 0
+    folded = steps
     while frontier:
-        if depth >= fuel:
-            partial = True
-            break
         next_frontier: list[int] = []
         for state in frontier:
-            cfg = configs[state]
             while len(edges) <= state:
                 edges.append({})
+            depth = depths[state]
+            if depth >= fuel:
+                partial = True
+                continue
             out: dict[M.TransitionLabel, set[int]] = {}
-            for label, target in M.transitions(cfg, value_domain):
+            for label, target in M.transitions(configs[state], value_domain):
+                target, steps = M.fold_chain(target, depth + 1, fuel)
+                folded += steps - depth - 1
                 tid = index.get(target.key)
                 if tid is None:
                     if len(configs) >= cap:
@@ -68,14 +79,14 @@ def build_lts(
                     tid = len(configs)
                     index[target.key] = tid
                     configs.append(target)
+                    depths.append(steps)
                     next_frontier.append(tid)
                 out.setdefault(label, set()).add(tid)
             edges[state] = {label: frozenset(ts) for label, ts in out.items()}
         frontier = next_frontier
-        depth += 1
     while len(edges) < len(configs):
         edges.append({})
-    return LTS(0, edges, [c.key for c in configs], observables, partial)
+    return LTS(0, edges, [c.key for c in configs], observables, partial, folded)
 
 
 @dataclass

@@ -21,6 +21,25 @@ component's shape id and wiring.  So exploration is finite whenever the
 process is.  The table's ``hits`` and ``misses`` count the nodes steps
 looked up and the ones they interned; an untouched component costs
 neither.
+
+Exploration folds eligible chains.  A tau step is *eligible* when it
+synchronizes a send or select with its matching receive or branch on a
+restricted name that occurs free in those two components and in no other,
+`_sync_mismatch` finds nothing, and the two continuations keep every name
+of the fresh supply (``@k``) that the two components use; call unfolding
+and accept/request pairing never are.  (A channel input draws the first
+unused ``@k``, so a step that drops the last occurrence of one would
+change the label of every later input.)  Each of the two heads can take
+only that step, so an eligible step commutes with every other step, which
+keeps its label, and stays enabled after them; it consumes two prefixes,
+so chains of them are finite, and every maximal chain from a
+configuration ends at one state key after one number of steps (Newman's
+lemma).  Folding such steps keeps branching, hence weak,
+bisimilarity (Groote & Sellink, *Confluence for process verification*,
+1996).  `run` and `equivalence.build_lts` follow eligible steps from every
+configuration they reach to the end of its chain (`fold_chain`), counting
+each against fuel; the links between are never keyed, and only chain ends
+are deduplicated.  `transitions` stays the full one-step relation.
 """
 
 from __future__ import annotations
@@ -131,7 +150,7 @@ class Configuration:
     components: tuple[Term, ...]
     defs: tuple[tuple[str, DefClosure], ...]
     observables: frozenset[str]
-    key: tuple[int, ...]
+    key: tuple[int, ...] | None
     table: InternTable = field(compare=False, repr=False)
 
     def all_names(self) -> set[str]:
@@ -172,10 +191,13 @@ def _assemble(
     defs: dict[str, DefClosure],
     observables: frozenset[str],
     table: InternTable,
+    keyed: bool = True,
 ) -> Configuration:
     """Flatten the components, which may be whole normal forms, giving
     their restrictions fresh names and pulling definitions into the
-    environment as they surface; then key the configuration."""
+    environment as they surface; then key the configuration, unless it is
+    a link of an eligible chain (``keyed`` false: its key is None, and its
+    restrictions may include names no component uses)."""
     taken = set(restricted) | observables | set(defs)
     for term in [*comps, *(body for _, _, body in defs.values())]:
         taken.update(name for name, _ in term.args)
@@ -189,11 +211,18 @@ def _assemble(
                 pending.append(_define(table.process(part), restricted, defs, table))
             else:
                 flat.append(part)
-    key, comps, live = _key(table, set(restricted), flat, defs)
-    return Configuration(tuple(live), tuple(comps), tuple(sorted(defs.items())), observables, key, table)
+    cfg = Configuration(tuple(restricted), tuple(flat), tuple(sorted(defs.items())), observables, None, table)
+    return _keyed(cfg) if keyed else cfg
 
 
-def _key(table: InternTable, restricted: set[str], comps: list[Term], defs) -> tuple:
+def _keyed(cfg: Configuration) -> Configuration:
+    """``cfg`` with its state key, and its components and live
+    restrictions in key order."""
+    key, comps, live = _key(cfg.table, set(cfg.restricted), cfg.components, cfg.defs)
+    return Configuration(tuple(live), tuple(comps), cfg.defs, cfg.observables, key, cfg.table)
+
+
+def _key(table: InternTable, restricted: set[str], comps: tuple[Term, ...], defs) -> tuple:
     """The state key, and the components and live restrictions in its order.
     Of the arrangements of components that tie, the least key wins."""
 
@@ -211,7 +240,7 @@ def _key(table: InternTable, restricted: set[str], comps: list[Term], defs) -> t
                     key.append(-1 - 3 * numbers.setdefault(name, len(numbers)) - kind)
                 else:
                     key.append(3 * table.name_id(name) + kind)
-        key += [table.name_id(name) for name in sorted(defs)]
+        key += [table.name_id(name) for name, _ in defs]
         if best is None or key < best[0]:
             best = (key, arranged, list(numbers))
     return tuple(best[0]), best[1], best[2]
@@ -265,8 +294,6 @@ _SEND_HEADS = (P.SendVal, P.SendChan)
 _RECV_HEADS = (P.RecvVal, P.RecvChan)
 
 
-
-
 def _sync_mismatch(a: P.Process, b: P.Process) -> str | None:
     """A reason string when two dual heads cannot synchronize safely."""
     if isinstance(a, _SEND_HEADS):
@@ -288,6 +315,15 @@ def _sync_mismatch(a: P.Process, b: P.Process) -> str | None:
             return _sync_mismatch(b, a)
         return f"branch on {a.chan} meets {type(b).__name__}"
     return f"{type(a).__name__} meets {type(b).__name__}"
+
+
+def _exchange(table: InternTable, a: P.Process, b: P.Process) -> tuple[Term, Term]:
+    """The continuations of a send or select ``a`` and its matching
+    receive or branch ``b`` once they synchronize."""
+    if isinstance(a, P.Select):
+        return a.cont, b.get(a.label)
+    payload = P.eval_value(a.value) if isinstance(a, P.SendVal) else a.sent
+    return a.cont, table.subst(b.cont, {b.binder: payload})
 
 
 def transitions(
@@ -349,12 +385,7 @@ def transitions(
                 if a.chan.name in restricted:
                     raise RuntimeSafetyViolation(reason)
                 continue
-            if isinstance(a, _SEND_HEADS):
-                payload = P.eval_value(a.value) if isinstance(a, P.SendVal) else a.sent
-                target = rebuild(replaced2(i, j, a.cont, receive(b, payload)))
-            else:
-                target = rebuild(replaced2(i, j, a.cont, b.get(a.label)))
-            out.append((TAU, target))
+            out.append((TAU, rebuild(replaced2(i, j, *_exchange(table, a, b)))))
 
     # accept/request pairing on shared names
     for i, a in enumerate(heads):
@@ -423,6 +454,53 @@ def transitions(
     return out
 
 
+# ------------------------------------------------------ eligible chains
+
+_SYNC_HEADS = frozenset({*_SEND_HEADS, *_RECV_HEADS, P.Select, P.Branch})
+
+
+def _eligible_step(cfg: Configuration) -> Configuration | None:
+    """The target, not keyed, of the first eligible step of ``cfg`` (see
+    the module docstring), or None if it has none."""
+    comps, table = cfg.components, cfg.table
+    restricted = set(cfg.restricted)
+    waiting: dict[tuple[str, int], int] = {}
+    for j, comp in enumerate(comps):
+        if comp.shape.key[0] not in _SYNC_HEADS:
+            continue
+        name, kind = comp.args[0]  # a head's subject is its first hole
+        i = waiting.get((name, 3 - kind))
+        waiting.setdefault((name, kind), j)
+        if i is None or name not in restricted:
+            continue
+        if any(n == name for k, c in enumerate(comps) if k != i and k != j for n, _ in c.args):
+            continue
+        a, b = table.view(comps[i]), table.view(comps[j])
+        if isinstance(b, (*_SEND_HEADS, P.Select)):
+            a, b = b, a
+        if _sync_mismatch(a, b) is not None:
+            continue
+        conts = _exchange(table, a, b)
+        kept = {n for t in conts for n, _ in t.args}
+        if any(n[0] == "@" and n not in kept for c in (comps[i], comps[j]) for n, _ in c.args):
+            continue
+        rest = [c for k, c in enumerate(comps) if k != i and k != j]
+        return _assemble(list(cfg.restricted), rest + list(conts), dict(cfg.defs), cfg.observables, table, keyed=False)
+    return None
+
+
+def fold_chain(cfg: Configuration, steps: int, fuel: int) -> tuple[Configuration, int]:
+    """Fire eligible steps from ``cfg``, reached after ``steps`` steps, to
+    the end of their chain, or until ``steps`` reaches ``fuel``; the end,
+    keyed, and its step count.  The links between are never keyed."""
+    while steps < fuel:
+        link = _eligible_step(cfg)
+        if link is None:
+            break
+        cfg, steps = link, steps + 1
+    return (cfg if cfg.key is not None else _keyed(cfg)), steps
+
+
 # -------------------------------------------------------------- execution
 
 @dataclass(frozen=True)
@@ -484,11 +562,12 @@ def run(
 
     ``mode`` is "one" (a seeded deterministic schedule) or "all"
     (exhaustive over internal nondeterminism, deduplicated by canonical
-    configuration).
+    configuration).  Both fold eligible chains (see the module docstring),
+    and ``steps`` and ``fuel`` count the folded steps.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    initial = make_configuration(p, observables=observables)
+    initial, start = fold_chain(make_configuration(p, observables=observables), 0, fuel)
 
     def outcome(cfg: Configuration, emitted: tuple[P.Value, ...], steps: int) -> Outcome:
         store = store_reader(cfg) if store_reader is not None else None
@@ -503,7 +582,7 @@ def run(
 
     if mode == "one":
         rng = random.Random(seed)
-        cfg, emitted, steps = initial, (), 0
+        cfg, emitted, steps = initial, (), start
         while True:
             enabled = steps_of(cfg)
             if not enabled:
@@ -515,14 +594,14 @@ def run(
             label, cfg = rng.choice(enabled)
             if isinstance(label, OutVal):
                 emitted = emitted + (label.value,)
-            steps += 1
+            cfg, steps = fold_chain(cfg, steps + 1, fuel)
 
     if mode != "all":
         raise ValueError(f"unknown mode {mode!r}")
 
     outcomes: set[Outcome] = set()
     seen: set[tuple[tuple[int, ...], tuple[P.Value, ...]]] = set()
-    stack: list[tuple[Configuration, tuple[P.Value, ...], int]] = [(initial, (), 0)]
+    stack: list[tuple[Configuration, tuple[P.Value, ...], int]] = [(initial, (), start)]
     seen.add((initial.key, ()))
     while stack:
         cfg, emitted, steps = stack.pop()
@@ -536,13 +615,14 @@ def run(
             )
         for label, target in enabled:
             emitted2 = emitted + (label.value,) if isinstance(label, OutVal) else emitted
+            target, steps2 = fold_chain(target, steps + 1, fuel)
             state = (target.key, emitted2)
             if state in seen:
                 continue
             if len(seen) >= cap:
                 raise StateCapExceeded(f"more than {cap} configurations explored")
             seen.add(state)
-            stack.append((target, emitted2, steps + 1))
+            stack.append((target, emitted2, steps2))
     if not outcomes:
         raise FuelExhausted("execution diverges: every schedule cycles without quiescing")
     return tuple(sorted(outcomes, key=lambda o: (o.residual, str(o.emitted), str(o.store))))

@@ -1,15 +1,22 @@
 """Independent test oracles: a direct big-step evaluator for the effect
-calculus and a deterministic generator of well-typed terms.
+calculus, a deterministic generator of well-typed terms, and full
+exploration of the one-step relation.
 
 The evaluator never touches the process machinery, so it can arbitrate the
 translation's execution behavior.  Values are plain ints for nat and the
-string "unit" for unit.
+string "unit" for unit.  `full_run` and `full_lts` explore every
+interleaving of `semantics.transitions`, folding no eligible chain, so they
+are the reference that `semantics.run` and `equivalence.build_lts` reduce.
 """
 
 from __future__ import annotations
 
 import random
 
+from effsess import embedding
+from effsess import process as P
+from effsess import semantics as M
+from effsess.equivalence import LTS
 from effsess.terms import Const, Let, OpApp, Program, Term, ValueType, Var
 
 
@@ -111,3 +118,53 @@ def gen_program(rng: random.Random, depth: int = 5) -> Program:
 def corpus(seed: int, count: int, depth: int = 5) -> list[Program]:
     rng = random.Random(seed)
     return [gen_program(rng, depth) for _ in range(count)]
+
+
+def embedded_corpus(seeds=range(20, 34), count: int = 12, depth: int = 6) -> list[tuple[P.Process, P.Process]]:
+    """Each `corpus` program embedded, alone and composed with its store."""
+    out = []
+    for seed in seeds:
+        for prog in corpus(seed, count, depth):
+            result = embedding.embed_top(prog)
+            store = embedding.initial_store_value(prog)
+            out.append((result.process, embedding.compose_with_store(result, store, prog.store_type)))
+    return out
+
+
+# ------------------------------------------------------- full exploration
+
+DOMAIN = (P.NatLit(0), P.NatLit(1))
+
+
+def full_run(p: P.Process, observables=frozenset({"r"}), store_reader=None) -> tuple[M.Outcome, ...]:
+    """``run(p, "all")`` by depth-first search over every executable step,
+    deduplicated by state key and emitted values."""
+    initial = M.make_configuration(p, observables=observables)
+    outcomes, seen, stack = set(), {(initial.key, ())}, [(initial, (), 0)]
+    while stack:
+        cfg, emitted, steps = stack.pop()
+        enabled = [(l, t) for l, t in M.transitions(cfg, DOMAIN) if M._executable(l, observables)]
+        if not enabled:
+            store = store_reader(cfg) if store_reader is not None else None
+            outcomes.add(M.Outcome(emitted, store, P.format_process(cfg.residual_process()), steps))
+        for label, target in enabled:
+            emitted2 = emitted + (label.value,) if isinstance(label, M.OutVal) else emitted
+            if (target.key, emitted2) not in seen:
+                seen.add((target.key, emitted2))
+                stack.append((target, emitted2, steps + 1))
+    return tuple(sorted(outcomes, key=lambda o: (o.residual, str(o.emitted), str(o.store))))
+
+
+def full_lts(p: P.Process, observables, value_domain=DOMAIN) -> LTS:
+    """Breadth-first closure of ``transitions`` with every state keyed."""
+    initial = M.make_configuration(p, observables=frozenset(observables))
+    index, configs, edges = {initial.key: 0}, [initial], []
+    while len(edges) < len(configs):
+        out: dict = {}
+        for label, target in M.transitions(configs[len(edges)], value_domain):
+            if target.key not in index:
+                index[target.key] = len(configs)
+                configs.append(target)
+            out.setdefault(label, set()).add(index[target.key])
+        edges.append({label: frozenset(ts) for label, ts in out.items()})
+    return LTS(0, edges, [c.key for c in configs], frozenset(observables), False)

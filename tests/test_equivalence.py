@@ -9,6 +9,8 @@ from effsess.process import Endpoint, NatLit, parse_process
 from effsess.semantics import InChan, OutVal, StateCapExceeded, format_label
 from effsess.terms import ValueType, parse_term
 
+from oracle import embedded_corpus, full_lts
+
 OBS = frozenset({"r", "eff"})
 
 
@@ -140,3 +142,27 @@ def test_transitivity_spot_check():
     bc = weak_bisimilar(b, c).equivalent
     ac = weak_bisimilar(a, c).equivalent
     assert ab and bc and ac
+
+
+def test_reduced_lts_is_weakly_bisimilar_to_full():
+    # each corpus program alone (eff visible) and composed with its store
+    for pair in embedded_corpus():
+        for p in pair:
+            full, reduced = full_lts(p, OBS), build_lts(p, OBS)
+            assert reduced.n_states <= full.n_states
+            assert weak_bisimilar(full, reduced).equivalent
+
+
+def test_step_that_drops_a_received_name_is_not_folded():
+    # the private exchange discards @0, the name received first; folding it
+    # would let the second input draw @0 again instead of @1
+    from effsess.process import NIL, New, RecvChan, SendChan, par
+
+    ei, c = Endpoint("ei"), Endpoint("c")
+    p = RecvChan(ei, "x", New("c", None, par(
+        SendChan(c, Endpoint("x"), NIL),
+        RecvChan(c.flip(), "y", NIL),
+        RecvChan(ei, "z", SendChan(Endpoint("eo"), Endpoint("z"), NIL)),
+    )))
+    full, reduced = full_lts(p, {"ei", "eo"}), build_lts(p, {"ei", "eo"})
+    assert weak_bisimilar(full, reduced).equivalent

@@ -3,8 +3,10 @@ the uncached exploration, before the component table existed, so that a
 faster exploration cannot change what it explores.
 
 Each case pins every ``run("all")`` outcome (emitted values, store,
-residual hash, steps), the ``build_lts`` state and transition counts, and a
-digest of the LTS state keys in discovery order.
+residual hash, steps), and the state and transition counts of the full LTS
+(`oracle.full_lts`, which folds no eligible chain) with a digest of its
+state keys in discovery order.  `GOLDEN_REDUCED` pins the same three for
+``build_lts``, which folds eligible chains into their ends.
 The cases: corpus programs up to depth 6, the introduction's shared-store
 race, two private shared-store worlds side by side, and two criterion-3
 equation pairs.
@@ -21,17 +23,20 @@ from effsess.equivalence import build_lts, weak_bisimilar
 from effsess.semantics import find_store_value, run
 from effsess.terms import ValueType, parse_term
 
-from oracle import corpus
+from oracle import corpus, full_lts
 
 NAT = ValueType.NAT
 TOP_OBS = frozenset({"r", "eff"})
 DOMAIN = (P.NatLit(0), P.NatLit(1))
 
 
+def _sizes(lts):
+    transitions = sum(len(targets) for table in lts.edges for targets in table.values())
+    return (lts.n_states, transitions, hashlib.sha256(repr(lts.keys).encode()).hexdigest()[:12])
+
+
 def _observe(system, run_obs, lts_obs):
     outcomes = run(system, "all", observables=run_obs, store_reader=find_store_value)
-    lts = build_lts(system, lts_obs, DOMAIN)
-    transitions = sum(len(targets) for table in lts.edges for targets in table.values())
     return (
         sorted(
             (
@@ -42,7 +47,7 @@ def _observe(system, run_obs, lts_obs):
             )
             for o in outcomes
         ),
-        (lts.n_states, transitions, hashlib.sha256(repr(lts.keys).encode()).hexdigest()[:12]),
+        _sizes(full_lts(system, lts_obs, DOMAIN)),
     )
 
 
@@ -101,11 +106,33 @@ GOLDEN = {
     "unitR-rhs": ([((), None, "fb3597f2911a", 1)], (7, 7, "523cdf90a98e")),
 }
 
+# build_lts folds eligible chains; frozen when the folding was introduced
+GOLDEN_REDUCED = {
+    "comm-lhs": (6, 6, "0b2e33a28936"),
+    "comm-rhs": (6, 6, "7d433c33690e"),
+    "corpus-0": (5, 5, "5045de0d8f52"),
+    "corpus-1": (5, 5, "1f7239596209"),
+    "corpus-10": (5, 5, "d79ccb435239"),
+    "corpus-4": (10, 10, "59748bd92d8a"),
+    "corpus-7": (5, 5, "44ed2ce7aa81"),
+    "corpus-9": (8, 8, "712f1145e30b"),
+    "intro-race": (26, 27, "9febee94de54"),
+    "private-worlds": (36, 72, "338ca85e9ca9"),
+    "unitR-lhs": (5, 5, "dd1b90355044"),
+    "unitR-rhs": (5, 5, "62477f8ab4c8"),
+}
+
 
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_golden_outcomes_and_lts_sizes(label):
     build, run_obs, lts_obs = CASES[label]
     assert _observe(build(), run_obs, lts_obs) == GOLDEN[label]
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_golden_reduced_lts_sizes(label):
+    build, _, lts_obs = CASES[label]
+    assert _sizes(build_lts(build(), lts_obs, DOMAIN)) == GOLDEN_REDUCED[label]
 
 
 def test_golden_equation_pairs_stay_bisimilar():

@@ -1,6 +1,7 @@
 import pytest
 
 from effsess import embedding
+from effsess.equivalence import build_lts
 from effsess.process import (
     Endpoint,
     NatLit,
@@ -28,6 +29,8 @@ from effsess.semantics import (
     transitions,
 )
 from effsess.terms import ValueType, parse_program
+
+from oracle import embedded_corpus, full_run
 
 NAT = ValueType.NAT
 
@@ -124,8 +127,10 @@ def test_intro_race_outcomes():
     store = embedding.shared_store_agent(NatLit(0), "k", NAT)
     plus2 = embedding.shared_get("k", "x", embedding.shared_put("k", SucOf(SucOf(VarRef("x"))), NIL))
     plus1 = embedding.shared_get("k", "x", embedding.shared_put("k", SucOf(VarRef("x")), NIL))
-    outcomes = run(par(store, plus2, plus1), "all", observables=frozenset(), store_reader=find_store_value)
+    race = par(store, plus2, plus1)
+    outcomes = run(race, "all", observables=frozenset(), store_reader=find_store_value)
     assert sorted(o.store.n for o in outcomes) == [1, 2, 3]
+    assert outcomes == full_run(race, observables=frozenset(), store_reader=find_store_value)
 
 
 def test_infinite_call_loop_exhausts_fuel():
@@ -224,3 +229,46 @@ def test_step_cost_does_not_grow_with_the_continuation_it_creates():
     assert short[-2:] == long[-2:]
     assert all(steps[i:i + 2] == short[:2] for steps in (short, long) for i in range(0, len(steps) - 2, 2))
     assert 0 < max(short) <= 3
+
+
+# ------------------------------------------------------ eligible chains
+
+def test_run_matches_full_exploration():
+    for _, system in embedded_corpus():
+        every = run(system, "all", store_reader=find_store_value)
+        assert every == full_run(system, store_reader=find_store_value)
+        for seed in range(5):
+            assert set(run(system, "one", seed=seed, store_reader=find_store_value)) <= set(every)
+
+
+def test_endpoint_in_a_third_component_is_not_folded():
+    # two receivers race for the one send on c: no step on c is eligible
+    p = parse_process("new c. (c!<zero> | ~c?(y). r!<y> | ~c?(z). r!<suc z>)")
+    assert {o.emitted for o in run(p, "all")} == {(NatLit(0),), (NatLit(1),)}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "new c. new d. (c!<zero> | ~c >> {get: 0} | d!<zero> | ~d?(y))",  # beside an eligible pair
+        "new c. new d. (d!<zero>. c!<zero> | ~d?(y). ~c >> {get: 0})",  # behind one
+    ],
+)
+def test_mismatch_survives_folding(text):
+    p = parse_process(text)
+    for mode in ("one", "all"):
+        with pytest.raises(RuntimeSafetyViolation):
+            run(p, mode, observables=frozenset())
+    with pytest.raises(RuntimeSafetyViolation):
+        build_lts(p, frozenset())
+
+
+def test_fuel_counts_folded_steps():
+    chain = _idle_and_pair(0, messages=6)  # one eligible chain of six steps
+    for mode in ("one", "all"):
+        with pytest.raises(FuelExhausted):
+            run(chain, mode, fuel=5, observables=frozenset())
+        assert [o.steps for o in run(chain, mode, fuel=6, observables=frozenset())] == [6]
+    assert build_lts(chain, frozenset(), fuel=6).partial
+    lts = build_lts(chain, frozenset(), fuel=7)
+    assert not lts.partial and lts.n_states == 1 and lts.folded == 6
