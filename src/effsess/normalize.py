@@ -32,6 +32,22 @@ and a normal form whose restrictions such a component uses tries every
 order of them (`InternTable.normal`).  So no spelling of a bound name
 decides an order, except that a normal form formed again after a
 substitution keeps the order its restrictions were given.
+
+Putting a value in, or merging two names, changes a term's shape, and
+`InternTable.subst` forms each such result once per table.  Its memo maps
+a shape and a *pattern* to the result's shape and *wiring*.  The pattern
+gives each hole the index of the name its occurrence becomes, among the
+distinct names in first-occurrence order, and its kind; or the value it
+receives, and the index of its own name, which a shared occurrence keeps.
+The wiring spells each argument of the result as such an index and a kind,
+and a hit fills it with the real names and looks up no node.  Invariant:
+the result depends on the pattern alone.  Outside symmetric shapes the
+rebuild is name-blind: `_nest` spells free names ``#``, and marks every
+tie that names decide.  So the memo declines where names may decide: a
+symmetric term, and a result that is symmetric or has been marked so
+since, are rebuilt as if there were no memo.  A miss forms the result with
+`InternTable.term` on the real names, so the table gains the shapes, in the
+order, that the rebuild gives.
 """
 
 from __future__ import annotations
@@ -93,17 +109,23 @@ def _spelled(name: str, mark: str) -> str:
 class InternTable:
     """The shapes of one exploration, or of one `normalize` call.  ``hits``
     and ``misses`` count the lookups of a node that found its shape and
-    that had to create it."""
+    that had to create it; ``memo_hits`` and ``memo_misses`` the
+    substitutions that found their result in the memo and that formed it.
+    ``names`` numbers the names that `name_id` was asked for."""
 
     def __init__(self):
         self._shapes: dict[tuple, Shape] = {}
-        self._names: dict[str, int] = {}
+        self.names: dict[str, int] = {}
         self._serial = count()
+        # (shape, pattern) -> (result shape, wiring), or None where the
+        # result is symmetric; see the module docstring
+        self._memo: dict[tuple, tuple[Shape, tuple[tuple[int, int], ...]] | None] = {}
         self.hits = self.misses = 0
+        self.memo_hits = self.memo_misses = 0
 
     def name_id(self, name: str) -> int:
         """A number for ``name``, the same for the life of the table."""
-        return self._names.setdefault(name, len(self._names))
+        return self.names.setdefault(name, len(self.names))
 
     # ------------------------------------------------------------ nodes
 
@@ -206,9 +228,9 @@ class InternTable:
     def subst(self, t: Term, mapping: dict[str, P.Replacement]) -> Term:
         """``t`` with free names replaced as `process.substitute` replaces
         them.  Renaming to names ``t`` does not use rewrites its arguments
-        alone; merging names, or putting a value in, rebuilds the nodes on
-        the way to the occurrences."""
-        args = []
+        alone; merging names, or putting a value in, forms the result once
+        per shape and pattern (see the module docstring)."""
+        args, filled = [], False
         for name, kind in t.args:
             r = mapping.get(name)
             if isinstance(r, P.Endpoint):
@@ -217,11 +239,29 @@ class InternTable:
                 args.append((r.name, kind))
             elif r is None or kind:  # other values leave endpoint occurrences alone
                 args.append((name, kind))
-            else:
+            elif P.value_var_names(r):
                 return self.term(t, mapping)
-        if t.shape.symmetric or len(set(args)) < len(args):
+            else:  # a value; its hole's name stays in shared occurrences
+                args.append((name, r))
+                filled = True
+        if t.shape.symmetric:
             return self.term(t, mapping)
-        return Term(t.shape, tuple(args))
+        if not filled and len(set(args)) == len(args):
+            return Term(t.shape, tuple(args))
+        index: dict[str, int] = {}
+        pattern = tuple((index.setdefault(name, len(index)), x) for name, x in args)
+        key = (t.shape, pattern)
+        if key not in self._memo:
+            self.memo_misses += 1
+            out = self.term(t, mapping)
+            self._memo[key] = None if out.shape.symmetric else (out.shape, tuple((index[n], k) for n, k in out.args))
+            return out
+        memo = self._memo[key]
+        if memo is None or memo[0].symmetric:  # names may order the result
+            return self.term(t, mapping)
+        self.memo_hits += 1
+        names = list(index)
+        return Term(memo[0], tuple((names[i], k) for i, k in memo[1]))
 
     def term(self, root, mapping: dict[str, P.Replacement] | None = None) -> Term:
         """The normal form of ``root``, a process or a term, with free names

@@ -20,7 +20,20 @@ numbers the restrictions by first occurrence, and lists ints: each
 component's shape id and wiring.  So exploration is finite whenever the
 process is.  The table's ``hits`` and ``misses`` count the nodes steps
 looked up and the ones they interned; an untouched component costs
-neither.
+neither, and nor does a value put in where the same value went before:
+`InternTable.subst` finds the result in the table's memo (``memo_hits``,
+``memo_misses``).
+
+Keys are computed for kept states only.  A configuration computes its key
+on first read and keeps it (`Configuration.ordered`), and its
+``components`` keep the order they were assembled in, read or not; the
+links of a chain are never keyed, and a target of `transitions` only if
+it is read.  `transitions`, `Configuration.residual_process` and
+`find_store_value` take the components in key order.  A key numbers
+unrestricted names through the table, so each configuration that
+`make_configuration` or `transitions` returns numbers the names it brings
+in as its key would (`_numbered`), and no key's value depends on which
+keys were read.
 
 Exploration folds eligible chains.  A tau step is *eligible* when it
 synchronizes a send or select with its matching receive or branch on a
@@ -47,6 +60,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count
 
 from . import process as P
@@ -146,18 +160,31 @@ DefClosure = tuple[tuple[str, ...], tuple[str, ...], Term]
 
 @dataclass(frozen=True)
 class Configuration:
+    """``components`` keep the order they were assembled in, and
+    ``restricted`` may hold names no component uses."""
+
     restricted: tuple[str, ...]
     components: tuple[Term, ...]
     defs: tuple[tuple[str, DefClosure], ...]
     observables: frozenset[str]
-    key: tuple[int, ...] | None
     table: InternTable = field(compare=False, repr=False)
 
+    @cached_property
+    def ordered(self) -> tuple[tuple[int, ...], tuple[Term, ...], tuple[str, ...]]:
+        """The state key, and the components and live restrictions in its
+        order; computed on first read, and kept."""
+        key, comps, live = _key(self.table, set(self.restricted), self.components, self.defs)
+        return key, tuple(comps), tuple(live)
+
+    @property
+    def key(self) -> tuple[int, ...]:
+        return self.ordered[0]
+
     def all_names(self) -> set[str]:
-        """Names a fresh name must avoid: the restricted and observable
+        """Names a fresh name must avoid: the live restricted and observable
         names, the definitions, and the free names of the components and of
         the definition bodies."""
-        names = set(self.restricted) | self.observables
+        names = set(self.ordered[2]) | self.observables
         for comp in self.components:
             names.update(name for name, _ in comp.args)
         for name, (_, _, body) in self.defs:
@@ -169,11 +196,12 @@ class Configuration:
         """The configuration as a process, in key order: restrictions are
         spelled `#k` by first occurrence, and binders `%k` in pre-order
         within each component."""
-        free = {name for comp in self.components for name, _ in comp.args} - set(self.restricted)
+        _, ordered, restricted = self.ordered
+        free = {name for comp in ordered for name, _ in comp.args} - set(restricted)
         targets = (name for name in (f"#{k}" for k in count()) if name not in free)
-        mapping = {name: P.Endpoint(next(targets)) for name in self.restricted}
+        mapping = {name: P.Endpoint(next(targets)) for name in restricted}
         comps = []
-        for comp in self.components:
+        for comp in ordered:
             comp = self.table.subst(comp, mapping)
             avoid = {name for name, _ in comp.args}
             comps.append(self.table.process(comp, (n for n in (f"%{k}" for k in count()) if n not in avoid)))
@@ -182,7 +210,7 @@ class Configuration:
 
 def make_configuration(p: P.Process, observables: frozenset[str] = frozenset()) -> Configuration:
     table = InternTable()
-    return _assemble([], [table.term(p)], {}, observables, table)
+    return _numbered(_assemble([], [table.term(p)], {}, observables, table))
 
 
 def _assemble(
@@ -191,13 +219,10 @@ def _assemble(
     defs: dict[str, DefClosure],
     observables: frozenset[str],
     table: InternTable,
-    keyed: bool = True,
 ) -> Configuration:
     """Flatten the components, which may be whole normal forms, giving
     their restrictions fresh names and pulling definitions into the
-    environment as they surface; then key the configuration, unless it is
-    a link of an eligible chain (``keyed`` false: its key is None, and its
-    restrictions may include names no component uses)."""
+    environment as they surface."""
     taken = set(restricted) | observables | set(defs)
     for term in [*comps, *(body for _, _, body in defs.values())]:
         taken.update(name for name, _ in term.args)
@@ -211,15 +236,22 @@ def _assemble(
                 pending.append(_define(table.process(part), restricted, defs, table))
             else:
                 flat.append(part)
-    cfg = Configuration(tuple(restricted), tuple(flat), tuple(sorted(defs.items())), observables, None, table)
-    return _keyed(cfg) if keyed else cfg
+    return Configuration(tuple(restricted), tuple(flat), tuple(sorted(defs.items())), observables, table)
 
 
-def _keyed(cfg: Configuration) -> Configuration:
-    """``cfg`` with its state key, and its components and live
-    restrictions in key order."""
-    key, comps, live = _key(cfg.table, set(cfg.restricted), cfg.components, cfg.defs)
-    return Configuration(tuple(live), tuple(comps), cfg.defs, cfg.observables, key, cfg.table)
+def _numbered(cfg: Configuration) -> Configuration:
+    """``cfg``, with the unrestricted names it brings into the table
+    numbered as its key numbers them, so that no key's value depends on
+    which keys were read.  The key is computed only when the order matters:
+    when more than one name is new."""
+    table, restricted = cfg.table, set(cfg.restricted)
+    names = {n for c in cfg.components for n, _ in c.args if n not in restricted} | {n for n, _ in cfg.defs}
+    new = [n for n in names if n not in table.names]
+    if len(new) > 1:
+        cfg.ordered
+    elif new:
+        table.name_id(new[0])
+    return cfg
 
 
 def _key(table: InternTable, restricted: set[str], comps: tuple[Term, ...], defs) -> tuple:
@@ -331,20 +363,20 @@ def transitions(
 ) -> list[tuple[TransitionLabel, Configuration]]:
     out: list[tuple[TransitionLabel, Configuration]] = []
     table = cfg.table
-    comps = cfg.components
+    _, comps, live = cfg.ordered
     # the heads, one node deep: their subterms are terms
     heads = [table.view(c) for c in comps]
-    restricted = set(cfg.restricted)
+    restricted = set(live)
     defs = dict(cfg.defs)
 
     def rebuild(new_comps: list[Term], new_restricted=None) -> Configuration:
-        return _assemble(
-            list(new_restricted if new_restricted is not None else cfg.restricted),
+        return _numbered(_assemble(
+            list(new_restricted if new_restricted is not None else live),
             new_comps,
             dict(defs),
             cfg.observables,
             table,
-        )
+        ))
 
     def receive(head: P.Process, payload) -> Term:
         """The continuation of a receiving head, the payload in its binder."""
@@ -397,7 +429,7 @@ def transitions(
             session = fresh("s{}'")
             acc = receive(a, P.Endpoint(session, False))
             req = receive(b, P.Endpoint(session, True))
-            target = rebuild(replaced2(i, j, acc, req), list(cfg.restricted) + [session])
+            target = rebuild(replaced2(i, j, acc, req), list(live) + [session])
             label: TransitionLabel = (
                 SharedInit(a.shared) if a.shared in cfg.observables else TAU
             )
@@ -434,7 +466,7 @@ def transitions(
             if sent.name in restricted:
                 supply = fresh("@{}")
                 renamed = [table.subst(c, {sent.name: P.Endpoint(supply)}) for c in replaced(i, a.cont)]
-                rest = [n for n in cfg.restricted if n != sent.name]
+                rest = [n for n in live if n != sent.name]
                 out.append(
                     (OutChan(subj, str(P.Endpoint(supply, sent.dual))), rebuild(renamed, rest))
                 )
@@ -460,8 +492,8 @@ _SYNC_HEADS = frozenset({*_SEND_HEADS, *_RECV_HEADS, P.Select, P.Branch})
 
 
 def _eligible_step(cfg: Configuration) -> Configuration | None:
-    """The target, not keyed, of the first eligible step of ``cfg`` (see
-    the module docstring), or None if it has none."""
+    """The target of the first eligible step of ``cfg`` (see the module
+    docstring), or None if it has none."""
     comps, table = cfg.components, cfg.table
     restricted = set(cfg.restricted)
     waiting: dict[tuple[str, int], int] = {}
@@ -485,20 +517,20 @@ def _eligible_step(cfg: Configuration) -> Configuration | None:
         if any(n[0] == "@" and n not in kept for c in (comps[i], comps[j]) for n, _ in c.args):
             continue
         rest = [c for k, c in enumerate(comps) if k != i and k != j]
-        return _assemble(list(cfg.restricted), rest + list(conts), dict(cfg.defs), cfg.observables, table, keyed=False)
+        return _assemble(list(cfg.restricted), rest + list(conts), dict(cfg.defs), cfg.observables, table)
     return None
 
 
 def fold_chain(cfg: Configuration, steps: int, fuel: int) -> tuple[Configuration, int]:
     """Fire eligible steps from ``cfg``, reached after ``steps`` steps, to
     the end of their chain, or until ``steps`` reaches ``fuel``; the end,
-    keyed, and its step count.  The links between are never keyed."""
+    and its step count.  The links between are never keyed."""
     while steps < fuel:
         link = _eligible_step(cfg)
         if link is None:
             break
         cfg, steps = link, steps + 1
-    return (cfg if cfg.key is not None else _keyed(cfg)), steps
+    return cfg, steps
 
 
 # -------------------------------------------------------------- execution
@@ -529,7 +561,7 @@ def find_store_value(cfg: Configuration) -> P.Value | None:
                 return P.eval_value(get_cont.value)
         return None
 
-    for comp in cfg.components:
+    for comp in cfg.ordered[1]:
         found = from_branch(comp)
         if found is None and comp.shape.key[0] is P.Accept:
             found = from_branch(view(comp).cont)

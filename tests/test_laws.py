@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from effsess import process as P
 from effsess.equivalence import build_lts, weak_bisimilar
-from effsess.normalize import normalize
+from effsess.normalize import InternTable, normalize
 from effsess.semantics import RuntimeSafetyViolation, StateCapExceeded
 
 FREE = ("a", "b")
@@ -163,3 +163,35 @@ def test_normal_forms_are_context_independent(shape, other):
     if not isinstance(normal, P.New):
         combined = _components(normalize(P.Par(p, q)))
         assert all(any(c == d for d in combined) for c in _components(normal))
+
+
+names = st.builds(P.Endpoint, st.sampled_from(("a", "b", "c")), st.booleans())
+values = st.builds(P.NatLit, st.integers(0, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes, st.booleans(), st.data())
+def test_memoized_substitution_agrees_with_the_rebuild(shape, beside, data):
+    # beside a literal send, a value put in can make two components tie,
+    # so that names order them
+    table = InternTable()
+    p = build(shape, plain)
+    t = table.term(P.Par(P.SendVal(P.Endpoint("a"), P.NatLit(0), P.NIL), p) if beside else p)
+    # a value for a name with a value or shared occurrence, or else a name;
+    # two names may meet in one
+    mapping = {
+        n: data.draw(st.one_of(values, names) if any(k == 0 for m, k in t.args if m == n) else names)
+        for n in dict.fromkeys(n for n, _ in t.args)
+    }
+    # a respelled term with other targets, which order the other way, and
+    # the other values: the same shape and name pattern, other names or values
+    respell = {n: P.Endpoint(f"z{i}") for i, n in enumerate(mapping)}
+    reverse = {"a": "y2", "b": "y1", "c": "y0"}
+    other = {
+        respell[n].name: P.Endpoint(reverse[r.name], r.dual) if isinstance(r, P.Endpoint) else r
+        for n, r in mapping.items()
+    }
+    swapped = {n: P.NatLit(1 - r.n) if isinstance(r, P.NatLit) else r for n, r in mapping.items()}
+    # the first call forms the result, the repeated ones find it
+    for u, m in ((t, mapping), (t, mapping), (table.subst(t, respell), other), (t, swapped)):
+        assert table.subst(u, m) == table.term(u, m)

@@ -1,6 +1,6 @@
 import random
 
-from effsess.normalize import normalize
+from effsess.normalize import InternTable, normalize
 from effsess.process import (
     Endpoint,
     NatLit,
@@ -212,3 +212,17 @@ def test_many_components_differing_only_in_free_names():
         random.Random(seed).shuffle(sends)
         outputs.add(format_process(normalize(parse_process("(" + " | ".join(sends) + ")"))))
     assert len(outputs) == 1
+
+
+def test_substitution_memo_declines_where_names_order_components():
+    # a value that makes two components tie, and a term whose components
+    # tie already: names order the result, so one result cannot serve
+    # another spelling of the same pattern
+    table = InternTable()
+    made_symmetric = table.term(parse_process("(x!<v> | y!<zero>)"))
+    symmetric = table.term(parse_process("(x!<v> | y!<v>)"))
+    for t in (made_symmetric, symmetric):
+        for mapping in ({"v": NatLit(0)}, {"v": NatLit(0), "x": Endpoint("z")}):
+            assert table.subst(t, mapping) == table.term(t, mapping)
+    assert table.memo_hits == 0
+

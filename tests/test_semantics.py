@@ -3,6 +3,8 @@ import pytest
 from effsess import embedding
 from effsess.equivalence import build_lts
 from effsess.process import (
+    Call,
+    Def,
     Endpoint,
     NatLit,
     New,
@@ -229,6 +231,34 @@ def test_step_cost_does_not_grow_with_the_continuation_it_creates():
     assert short[-2:] == long[-2:]
     assert all(steps[i:i + 2] == short[:2] for steps in (short, long) for i in range(0, len(steps) - 2, 2))
     assert 0 < max(short) <= 3
+
+
+def _store_and_client():
+    """A store holding 1 and a client that gets its value and puts it
+    back, forever."""
+    d = Endpoint("d")
+    round_trip = embedding.get_op(d, "v", embedding.put_op(d, VarRef("v"), Call("Client", (), (d,))))
+    client = Def("Client", (), (("d", None),), round_trip, Call("Client", (), (Endpoint("c", True),)))
+    return New("c", None, par(embedding.store_agent(NatLit(1), Endpoint("c", True), NAT), client))
+
+
+def test_step_cost_does_not_repeat_for_a_repeated_value():
+    # a round unfolds both calls and puts the store's value into the store
+    # and into the client; after the first round each of those is a shape
+    # and pattern seen before, and a step looks up no node
+    cfg = make_configuration(_store_and_client())
+    table, seen, first_round = cfg.table, {cfg.key}, 0
+    while True:
+        cfg = transitions(cfg)[0][1]
+        first_round += 1
+        if cfg.key in seen:
+            break
+        seen.add(cfg.key)
+    lookups = table.hits + table.misses
+    for _ in range(5 * first_round):
+        cfg = transitions(cfg)[0][1]
+    assert table.hits + table.misses == lookups
+    assert table.memo_hits >= 5 * 3
 
 
 # ------------------------------------------------------ eligible chains
