@@ -63,15 +63,24 @@ def session_to_effect(s: S.SessionType) -> EffectAnnotation:
 
 # ----------------------------------------------------------- store agents
 
+def _served_type(store_type: ValueType, then: S.SessionType) -> S.SessionType:
+    """The type of `_serve`'s branch, continuing as ``then``."""
+    return S.Branch((("get", S.Send(store_type, then)), ("put", S.Recv(store_type, then)), ("stop", S.END)))
+
+
 def store_session_type(store_type: ValueType) -> S.SessionType:
-    return S.Mu(
-        "a",
-        S.Branch(
-            (
-                ("get", S.Send(store_type, S.TVar("a"))),
-                ("put", S.Recv(store_type, S.TVar("a"))),
-                ("stop", S.END),
-            )
+    return S.Mu("a", _served_type(store_type, S.TVar("a")))
+
+
+def _serve(c: P.Endpoint, chans: tuple[P.Endpoint, ...]) -> P.Process:
+    """One store request on ``c``: send the value ``x`` or receive a new
+    one ``y``, then call ``Store`` again with ``chans``; or stop."""
+    return P.Branch(
+        c,
+        (
+            ("get", P.SendVal(c, P.VarRef("x"), P.Call("Store", (P.VarRef("x"),), chans))),
+            ("put", P.RecvVal(c, "y", P.Call("Store", (P.VarRef("y"),), chans))),
+            ("stop", P.NIL),
         ),
     )
 
@@ -79,19 +88,11 @@ def store_session_type(store_type: ValueType) -> S.SessionType:
 def store_agent(init: P.Value, c: P.Endpoint, store_type: ValueType) -> P.Process:
     """The recursive variable agent, instantiated at (init, c)."""
     s = P.Endpoint("s")
-    body = P.Branch(
-        s,
-        (
-            ("get", P.SendVal(s, P.VarRef("x"), P.Call("Store", (P.VarRef("x"),), (s,)))),
-            ("put", P.RecvVal(s, "y", P.Call("Store", (P.VarRef("y"),), (s,)))),
-            ("stop", P.NIL),
-        ),
-    )
     return P.Def(
         "Store",
         (("x", store_type),),
         (("s", store_session_type(store_type)),),
-        body,
+        _serve(s, (s,)),
         P.Call("Store", (init,), (c,)),
     )
 
@@ -113,32 +114,14 @@ def put_op(c: P.Endpoint, value: P.Value, cont: P.Process) -> P.Process:
 def shared_store_type(store_type: ValueType) -> S.SessionType:
     """Accept-side type of one store session; every session serves one
     effect operation, so ordering information is gone."""
-    return S.Branch(
-        (
-            ("get", S.Send(store_type, S.END)),
-            ("put", S.Recv(store_type, S.END)),
-            ("stop", S.END),
-        )
-    )
+    return _served_type(store_type, S.END)
 
 
 def shared_store_agent(init: P.Value, k: str, store_type: ValueType) -> P.Process:
     """The store behind a shared channel: accept a session, serve one
     request atomically, recurse.  The shared name is ambient in the body
     since definition signatures carry only value and session types."""
-    c = P.Endpoint("c")
-    body = P.Accept(
-        k,
-        "c",
-        P.Branch(
-            c,
-            (
-                ("get", P.SendVal(c, P.VarRef("x"), P.Call("Store", (P.VarRef("x"),), ()))),
-                ("put", P.RecvVal(c, "y", P.Call("Store", (P.VarRef("y"),), ()))),
-                ("stop", P.NIL),
-            ),
-        ),
-    )
+    body = P.Accept(k, "c", _serve(P.Endpoint("c"), ()))
     return P.Def("Store", (("x", store_type),), (), body, P.Call("Store", (init,), ()))
 
 
@@ -266,16 +249,15 @@ def embed_intermediate(
 
     def go(term: Term, ei: P.Endpoint, eo: P.Endpoint, res: P.Endpoint, env: TypeEnv, tail: EffectAnnotation) -> P.Process:
         eo_bar = eo.flip()
-        if isinstance(term, Var):
+        if (
+            isinstance(term, Var)
+            or (isinstance(term, Const) and term.const in _PURE_CONST_VALUES)
+            or (isinstance(term, OpApp) and term.op in _PURE_OP_VALUES)
+        ):
             c = supply.fresh("c")
-            return P.RecvChan(
-                ei, c, P.SendVal(res, P.VarRef(term.name), P.SendChan(eo_bar, P.Endpoint(c), P.NIL))
-            )
+            forward = P.SendChan(eo_bar, P.Endpoint(c), P.NIL)
+            return P.RecvChan(ei, c, embed_pure(term, res, env, store_type, supply, forward))
         if isinstance(term, Const):
-            if term.const in _PURE_CONST_VALUES:
-                c = supply.fresh("c")
-                inner = P.SendVal(res, _PURE_CONST_VALUES[term.const], P.SendChan(eo_bar, P.Endpoint(c), P.NIL))
-                return P.RecvChan(ei, c, inner)
             if term.const == "get":
                 c = supply.fresh("c")
                 x = supply.fresh("x")
@@ -291,10 +273,6 @@ def embed_intermediate(
                 )
             raise EmbeddingError(f"effectful constant {term.const} has no embedding clause")
         if isinstance(term, OpApp):
-            if term.op in _PURE_OP_VALUES:
-                c = supply.fresh("c")
-                pure = embed_pure(term, res, env, store_type, supply, P.SendChan(eo_bar, P.Endpoint(c), P.NIL))
-                return P.RecvChan(ei, c, pure)
             if term.op == "put":
                 q = supply.fresh("q")
                 c = supply.fresh("c")

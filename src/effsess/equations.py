@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .effects import IDENTITY, format_effect
 from .infer import TypeEnv, infer
-from .terms import Let, OpApp, Term, ValueType, Var, all_names, free_vars, fresh_name, substitute
+from .terms import Let, Term, ValueType, Var, all_names, free_vars, fresh_name, subterms, substitute, with_subterms
 
 # Rule names: forward orientations of Fig.-style equations plus the
 # inverse orientations that have a canonical result.  The reverse of
@@ -24,81 +24,44 @@ class RewriteError(Exception):
         self.kind = kind
 
 
-def _children(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, Let):
-        return (t.bound, t.body)
-    if isinstance(t, OpApp):
-        return (t.arg,)
-    return ()
-
-
-def _rebuild(t: Term, children: tuple[Term, ...]) -> Term:
-    if isinstance(t, Let):
-        return Let(t.name, children[0], children[1])
-    if isinstance(t, OpApp):
-        return OpApp(t.op, children[0])
-    return t
-
-
-def preorder_size(t: Term) -> int:
-    return 1 + sum(preorder_size(c) for c in _children(t))
+def _trail(t: Term, path: int) -> list[tuple[int, Term]]:
+    """The nodes from ``t`` down to its ``path``-th node in preorder, each
+    with its index among its parent's subterms: one walk, in preorder."""
+    trail: list[tuple[int, Term]] = []
+    todo = [(0, 0, t)]
+    seen = 0
+    while todo:
+        depth, index, u = todo.pop()
+        del trail[depth:]
+        trail.append((index, u))
+        if seen == path:
+            return trail
+        seen += 1
+        todo.extend((depth + 1, i, kid) for i, kid in reversed(list(enumerate(subterms(u)))))
+    raise RewriteError("path", f"position {path} does not exist")
 
 
 def subterm_at(t: Term, path: int) -> Term:
-    if path == 0:
-        return t
-    offset = 1
-    for child in _children(t):
-        size = preorder_size(child)
-        if path < offset + size:
-            return subterm_at(child, path - offset)
-        offset += size
-    raise RewriteError("path", f"position {path} does not exist")
-
-
-def _replace_at(t: Term, path: int, new: Term) -> Term:
-    if path == 0:
-        return new
-    offset = 1
-    rebuilt = []
-    replaced = False
-    for child in _children(t):
-        size = preorder_size(child)
-        if not replaced and offset <= path < offset + size:
-            rebuilt.append(_replace_at(child, path - offset, new))
-            replaced = True
-        else:
-            rebuilt.append(child)
-        offset += size
-    if not replaced:
-        raise RewriteError("path", f"position {path} does not exist")
-    return _rebuild(t, tuple(rebuilt))
-
-
-def env_at(t: Term, path: int, env: TypeEnv, store_type: ValueType) -> TypeEnv:
-    """The typing environment in scope at a preorder position."""
-    if path == 0:
-        return env
-    if isinstance(t, Let):
-        bound_size = preorder_size(t.bound)
-        if path <= bound_size:
-            return env_at(t.bound, path - 1, env, store_type)
-        inner = dict(env)
-        inner[t.name] = infer(env, store_type, t.bound)[0]
-        return env_at(t.body, path - 1 - bound_size, inner, store_type)
-    if isinstance(t, OpApp):
-        return env_at(t.arg, path - 1, env, store_type)
-    raise RewriteError("path", f"position {path} does not exist")
+    return _trail(t, path)[-1][1]
 
 
 def apply_equation(t: Term, rule: str, path: int, env: TypeEnv, store_type: ValueType) -> Term:
-    """Rewrite the subterm at ``path`` with the named equation."""
+    """Rewrite the subterm at ``path`` with the named equation, in the
+    typing environment in scope there."""
     if rule not in RULES:
         raise RewriteError("rule", f"unknown rule {rule!r}")
-    sub = subterm_at(t, path)
-    local_env = env_at(t, path, env, store_type)
-    rewritten = _REWRITES[rule](sub, local_env, store_type)
-    return _replace_at(t, path, rewritten)
+    trail = _trail(t, path)
+    steps = list(zip(trail, trail[1:]))
+    local_env = dict(env)
+    for (_, parent), (index, _) in steps:
+        if isinstance(parent, Let) and index == 1:
+            local_env[parent.name] = infer(local_env, store_type, parent.bound)[0]
+    new = _REWRITES[rule](trail[-1][1], local_env, store_type)
+    for (_, parent), (index, _) in reversed(steps):
+        kids = list(subterms(parent))
+        kids[index] = new
+        new = with_subterms(parent, kids)
+    return new
 
 
 def _rw_assoc(sub: Term, env: TypeEnv, store_type: ValueType) -> Term:

@@ -29,7 +29,7 @@ class PartialLTS(Exception):
 class LTS:
     initial: int
     edges: list[dict[M.TransitionLabel, frozenset[int]]]
-    keys: list[tuple[int, ...]]
+    keys: list[tuple]
     observables: frozenset[str]
     partial: bool
     folded: int = 0
@@ -53,7 +53,7 @@ def build_lts(
     bounds the state count (exceeding it raises)."""
     observables = frozenset(observables)
     initial, steps = M.fold_chain(M.make_configuration(p, observables=observables), 0, fuel)
-    index: dict[tuple[int, ...], int] = {initial.key: 0}
+    index: dict[tuple, int] = {initial.key: 0}
     configs, depths = [initial], [steps]
     edges: list[dict[M.TransitionLabel, frozenset[int]]] = []
     frontier = [0]

@@ -43,18 +43,29 @@ CONSTANTS: dict[str, ConstSignature] = {
 
 
 def infer(env: TypeEnv, store_type: ValueType, t: Term) -> tuple[ValueType, EffectAnnotation]:
+    """The type and effect of ``t``.  A chain of ``let``s is followed in a
+    loop that extends one copy of ``env``, since each binder is in scope
+    for the rest of the chain; the effects compose left to right."""
+    effects = []
+    while isinstance(t, Let):
+        bound_type, f = infer(env, store_type, t.bound)
+        if not effects:
+            env = dict(env)
+        env[t.name] = bound_type
+        effects.append(f)
+        t = t.body
     if isinstance(t, Var):
         if t.name not in env:
             raise EffectTypeError("unbound", f"unbound variable {t.name!r}")
-        return env[t.name], IDENTITY
-    if isinstance(t, Const):
+        tau, g = env[t.name], IDENTITY
+    elif isinstance(t, Const):
         if t.const not in CONSTANTS:
             raise EffectTypeError("unknown", f"unknown constant {t.const!r}")
-        return CONSTANTS[t.const](store_type)
-    if isinstance(t, OpApp):
+        tau, g = CONSTANTS[t.const](store_type)
+    elif isinstance(t, OpApp):
         if t.op not in OPERATIONS:
             raise EffectTypeError("unknown", f"unknown operation {t.op!r}")
-        arg_type, result_type, effect = OPERATIONS[t.op](store_type)
+        arg_type, tau, g = OPERATIONS[t.op](store_type)
         actual, arg_effect = infer(env, store_type, t.arg)
         if arg_effect != IDENTITY:
             raise EffectTypeError(
@@ -67,11 +78,8 @@ def infer(env: TypeEnv, store_type: ValueType, t: Term) -> tuple[ValueType, Effe
                 "mismatch",
                 f"{t.op} expects a {arg_type} argument, got {actual}",
             )
-        return result_type, effect
-    if isinstance(t, Let):
-        bound_type, f = infer(env, store_type, t.bound)
-        g_env = dict(env)
-        g_env[t.name] = bound_type
-        body_type, g = infer(g_env, store_type, t.body)
-        return body_type, STATE_ALGEBRA.combine(f, g)
-    raise TypeError(f"not a term: {t!r}")
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    for f in reversed(effects):
+        g = STATE_ALGEBRA.combine(f, g)
+    return tau, g

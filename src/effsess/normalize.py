@@ -110,22 +110,16 @@ class InternTable:
     """The shapes of one exploration, or of one `normalize` call.  ``hits``
     and ``misses`` count the lookups of a node that found its shape and
     that had to create it; ``memo_hits`` and ``memo_misses`` the
-    substitutions that found their result in the memo and that formed it.
-    ``names`` numbers the names that `name_id` was asked for."""
+    substitutions that found their result in the memo and that formed it."""
 
     def __init__(self):
         self._shapes: dict[tuple, Shape] = {}
-        self.names: dict[str, int] = {}
         self._serial = count()
         # (shape, pattern) -> (result shape, wiring), or None where the
         # result is symmetric; see the module docstring
         self._memo: dict[tuple, tuple[Shape, tuple[tuple[int, int], ...]] | None] = {}
         self.hits = self.misses = 0
         self.memo_hits = self.memo_misses = 0
-
-    def name_id(self, name: str) -> int:
-        """A number for ``name``, the same for the life of the table."""
-        return self.names.setdefault(name, len(self.names))
 
     # ------------------------------------------------------------ nodes
 

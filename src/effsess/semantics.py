@@ -16,24 +16,21 @@ and only a value or a merge of two names rebuilds the nodes on the way to
 their occurrences.  A surfacing restriction gets a fresh name, and
 restricted names are never renamed.  Only the state key abstracts them: it
 sorts the components as `normalize` does (unrestricted names spelled),
-numbers the restrictions by first occurrence, and lists ints: each
-component's shape id and wiring.  So exploration is finite whenever the
-process is.  The table's ``hits`` and ``misses`` count the nodes steps
-looked up and the ones they interned; an untouched component costs
-neither, and nor does a value put in where the same value went before:
-`InternTable.subst` finds the result in the table's memo (``memo_hits``,
-``memo_misses``).
+numbers the restrictions by first occurrence, and lists each component's
+shape id and wiring (a restricted hole's number, an unrestricted hole's
+name and kind), then the definitions' names.  So exploration is finite
+whenever the process is.  The table's ``hits`` and ``misses`` count the
+nodes steps looked up and the ones they interned; an untouched component
+costs neither, and nor does a value put in where the same value went
+before: `InternTable.subst` finds the result in the table's memo
+(``memo_hits``, ``memo_misses``).
 
 Keys are computed for kept states only.  A configuration computes its key
 on first read and keeps it (`Configuration.ordered`), and its
 ``components`` keep the order they were assembled in, read or not; the
 links of a chain are never keyed, and a target of `transitions` only if
 it is read.  `transitions`, `Configuration.residual_process` and
-`find_store_value` take the components in key order.  A key numbers
-unrestricted names through the table, so each configuration that
-`make_configuration` or `transitions` returns numbers the names it brings
-in as its key would (`_numbered`), and no key's value depends on which
-keys were read.
+`find_store_value` take the components in key order.
 
 Exploration folds eligible chains.  A tau step is *eligible* when it
 synchronizes a send or select with its matching receive or branch on a
@@ -170,14 +167,14 @@ class Configuration:
     table: InternTable = field(compare=False, repr=False)
 
     @cached_property
-    def ordered(self) -> tuple[tuple[int, ...], tuple[Term, ...], tuple[str, ...]]:
+    def ordered(self) -> tuple[tuple, tuple[Term, ...], tuple[str, ...]]:
         """The state key, and the components and live restrictions in its
         order; computed on first read, and kept."""
         key, comps, live = _key(self.table, set(self.restricted), self.components, self.defs)
         return key, tuple(comps), tuple(live)
 
     @property
-    def key(self) -> tuple[int, ...]:
+    def key(self) -> tuple:
         return self.ordered[0]
 
     def all_names(self) -> set[str]:
@@ -210,7 +207,7 @@ class Configuration:
 
 def make_configuration(p: P.Process, observables: frozenset[str] = frozenset()) -> Configuration:
     table = InternTable()
-    return _numbered(_assemble([], [table.term(p)], {}, observables, table))
+    return _assemble([], [table.term(p)], {}, observables, table)
 
 
 def _assemble(
@@ -239,24 +236,11 @@ def _assemble(
     return Configuration(tuple(restricted), tuple(flat), tuple(sorted(defs.items())), observables, table)
 
 
-def _numbered(cfg: Configuration) -> Configuration:
-    """``cfg``, with the unrestricted names it brings into the table
-    numbered as its key numbers them, so that no key's value depends on
-    which keys were read.  The key is computed only when the order matters:
-    when more than one name is new."""
-    table, restricted = cfg.table, set(cfg.restricted)
-    names = {n for c in cfg.components for n, _ in c.args if n not in restricted} | {n for n, _ in cfg.defs}
-    new = [n for n in names if n not in table.names]
-    if len(new) > 1:
-        cfg.ordered
-    elif new:
-        table.name_id(new[0])
-    return cfg
-
-
 def _key(table: InternTable, restricted: set[str], comps: tuple[Term, ...], defs) -> tuple:
     """The state key, and the components and live restrictions in its order.
-    Of the arrangements of components that tie, the least key wins."""
+    Of the arrangements of components that tie, the least key wins.  Tied
+    components serialize alike with free names spelled, so arrangements
+    differ only where a restricted hole's number stands."""
 
     def free(name: str, mark: str) -> str:
         return f"<nu{mark}>" if name in restricted else mark + name
@@ -271,8 +255,8 @@ def _key(table: InternTable, restricted: set[str], comps: tuple[Term, ...], defs
                 if name in restricted:
                     key.append(-1 - 3 * numbers.setdefault(name, len(numbers)) - kind)
                 else:
-                    key.append(3 * table.name_id(name) + kind)
-        key += [table.name_id(name) for name, _ in defs]
+                    key.append((name, kind))
+        key += [name for name, _ in defs]
         if best is None or key < best[0]:
             best = (key, arranged, list(numbers))
     return tuple(best[0]), best[1], best[2]
@@ -370,13 +354,13 @@ def transitions(
     defs = dict(cfg.defs)
 
     def rebuild(new_comps: list[Term], new_restricted=None) -> Configuration:
-        return _numbered(_assemble(
+        return _assemble(
             list(new_restricted if new_restricted is not None else live),
             new_comps,
             dict(defs),
             cfg.observables,
             table,
-        ))
+        )
 
     def receive(head: P.Process, payload) -> Term:
         """The continuation of a receiving head, the payload in its binder."""
@@ -632,7 +616,7 @@ def run(
         raise ValueError(f"unknown mode {mode!r}")
 
     outcomes: set[Outcome] = set()
-    seen: set[tuple[tuple[int, ...], tuple[P.Value, ...]]] = set()
+    seen: set[tuple[tuple, tuple[P.Value, ...]]] = set()
     stack: list[tuple[Configuration, tuple[P.Value, ...], int]] = [(initial, (), start)]
     seen.add((initial.key, ()))
     while stack:

@@ -58,7 +58,9 @@ def _norm_choices(choices) -> tuple[tuple[str, "SessionType"], ...]:
 
 
 @dataclass(frozen=True)
-class Select:
+class _Choice:
+    """A select or a branch: its labelled continuations, sorted by label."""
+
     choices: tuple[tuple[str, "SessionType"], ...]
 
     def __post_init__(self):
@@ -71,18 +73,12 @@ class Select:
         return dict(self.choices).get(label)
 
 
-@dataclass(frozen=True)
-class Branch:
-    choices: tuple[tuple[str, "SessionType"], ...]
+class Select(_Choice):
+    """Internal choice: this side picks one of the labels."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "choices", _norm_choices(self.choices))
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.choices)
-
-    def get(self, label: str) -> "SessionType | None":
-        return dict(self.choices).get(label)
+class Branch(_Choice):
+    """External choice: this side offers every label."""
 
 
 @dataclass(frozen=True)
@@ -112,27 +108,21 @@ def is_value_payload(payload) -> bool:
 def assert_wellformed(s: SessionType, bound: frozenset[str] = frozenset()) -> None:
     """Closedness and contractivity: TVar under a binding Mu, Mu bodies
     not immediately a type variable."""
-    if isinstance(s, TVar):
-        if s.name not in bound:
-            raise ValueError(f"unbound session variable {s.name!r}")
-        return
-    if isinstance(s, Mu):
-        if isinstance(s.body, TVar):
-            raise ValueError(f"non-contractive mu {s.var!r}")
-        assert_wellformed(s.body, bound | {s.var})
-        return
-    if isinstance(s, (Send, Recv)):
-        if not is_value_payload(s.payload):
-            assert_wellformed(s.payload, bound)
-        assert_wellformed(s.cont, bound)
-        return
-    if isinstance(s, (Select, Branch)):
-        for _, cont in s.choices:
-            assert_wellformed(cont, bound)
-        return
-    if isinstance(s, End):
-        return
-    raise TypeError(f"not a session type: {s!r}")
+    todo = [(s, bound)]
+    while todo:
+        t, bound = todo.pop()
+        if isinstance(t, TVar):
+            if t.name not in bound:
+                raise ValueError(f"unbound session variable {t.name!r}")
+        elif isinstance(t, Mu):
+            if isinstance(t.body, TVar):
+                raise ValueError(f"non-contractive mu {t.var!r}")
+            bound = bound | {t.var}
+        elif not isinstance(t, (Send, Recv, Select, Branch, End)):
+            raise TypeError(f"not a session type: {t!r}")
+        todo.extend((cont, bound) for cont in reversed(_conts(t)))
+        if isinstance(t, (Send, Recv)) and not is_value_payload(t.payload):
+            todo.append((t.payload, bound))
 
 
 # Each constructor and the one its dual pairs with.
@@ -260,21 +250,29 @@ def dual_compatible(s: SessionType, t: SessionType) -> bool:
 
 
 def format_session_type(s: SessionType) -> str:
-    if isinstance(s, End):
-        return "end"
-    if isinstance(s, TVar):
-        return s.name
-    if isinstance(s, Mu):
-        return f"mu {s.var}. {format_session_type(s.body)}"
-    if isinstance(s, (Send, Recv)):
-        mark = "!" if isinstance(s, Send) else "?"
-        payload = str(s.payload) if is_value_payload(s.payload) else format_session_type(s.payload)
-        return f"{mark}[{payload}]. {format_session_type(s.cont)}"
-    if isinstance(s, (Select, Branch)):
-        mark = "+" if isinstance(s, Select) else "&"
-        inner = ", ".join(f"{label}: {format_session_type(cont)}" for label, cont in s.choices)
-        return f"{mark}{{{inner}}}"
-    raise TypeError(f"not a session type: {s!r}")
+    out: list[str] = []
+    todo: list = [s]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, End):
+            out.append("end")
+        elif isinstance(t, TVar):
+            out.append(t.name)
+        elif isinstance(t, Mu):
+            todo += [t.body, f"mu {t.var}. "]
+        elif isinstance(t, (Send, Recv)):
+            payload = str(t.payload) if is_value_payload(t.payload) else t.payload
+            todo += [t.cont, "]. ", payload, "![" if isinstance(t, Send) else "?["]
+        elif isinstance(t, (Select, Branch)):
+            todo.append("}")
+            for i, (label, cont) in reversed(list(enumerate(t.choices))):
+                todo += [cont, f"{', ' if i else ''}{label}: "]
+            todo.append("+{" if isinstance(t, Select) else "&{")
+        else:
+            raise TypeError(f"not a session type: {t!r}")
+    return "".join(out)
 
 
 _TYPE_PUNCT = ("![", "?[", "]", "+{", "&{", "}", ":", ",", ".", "(", ")")

@@ -8,7 +8,7 @@ enclosing program header.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 
@@ -70,25 +70,45 @@ class Program:
     root: Term
 
 
+# The fields of each constructor that hold subterms, in preorder.
+_SUBTERM_FIELDS = {Var: (), Const: (), Let: ("bound", "body"), OpApp: ("arg",)}
+
+
+def subterms(t: Term) -> tuple[Term, ...]:
+    """The immediate subterms of ``t``, in preorder."""
+    return tuple(getattr(t, name) for name in _SUBTERM_FIELDS[type(t)])
+
+
+def with_subterms(t: Term, kids) -> Term:
+    """``t`` with its immediate subterms replaced, listed as ``subterms``
+    lists them."""
+    return replace(t, **dict(zip(_SUBTERM_FIELDS[type(t)], kids)))
+
+
 def free_vars(t: Term) -> frozenset[str]:
+    free: set[str] = set()
+    bound: set[str] = set()
+    while isinstance(t, Let):
+        free |= free_vars(t.bound) - bound
+        bound.add(t.name)
+        t = t.body
     if isinstance(t, Var):
-        return frozenset({t.name})
-    if isinstance(t, Let):
-        return free_vars(t.bound) | (free_vars(t.body) - {t.name})
-    if isinstance(t, OpApp):
-        return free_vars(t.arg)
-    return frozenset()
+        free |= {t.name} - bound
+    elif isinstance(t, OpApp):
+        free |= free_vars(t.arg) - bound
+    return frozenset(free)
 
 
 def all_names(t: Term) -> frozenset[str]:
     """Every variable name occurring in ``t``, free or bound."""
-    if isinstance(t, Var):
-        return frozenset({t.name})
-    if isinstance(t, Let):
-        return frozenset({t.name}) | all_names(t.bound) | all_names(t.body)
-    if isinstance(t, OpApp):
-        return all_names(t.arg)
-    return frozenset()
+    names: set[str] = set()
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, (Var, Let)):
+            names.add(u.name)
+        todo.extend(subterms(u))
+    return frozenset(names)
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -122,18 +142,20 @@ def substitute(t: Term, name: str, replacement: Term) -> Term:
 
 
 def format_term(t: Term) -> str:
+    lets = []
+    while isinstance(t, Let):
+        lets.append(f"let {t.name} = {format_term(t.bound)} in ")
+        t = t.body
     if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return t.const
-    if isinstance(t, OpApp):
+        last = t.name
+    elif isinstance(t, Const):
+        last = t.const
+    elif isinstance(t, OpApp):
         arg = format_term(t.arg)
-        if isinstance(t.arg, Let):
-            arg = f"({arg})"
-        return f"{t.op} {arg}"
-    if isinstance(t, Let):
-        return f"let {t.name} = {format_term(t.bound)} in {format_term(t.body)}"
-    raise TypeError(f"not a term: {t!r}")
+        last = f"{t.op} ({arg})" if isinstance(t.arg, Let) else f"{t.op} {arg}"
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    return "".join(lets) + last
 
 
 class ParseError(Exception):
@@ -241,17 +263,19 @@ class _TermParser:
         self.lex = lex
 
     def term(self) -> Term:
-        if self.lex.at_word("let"):
+        lets = []
+        while self.lex.at_word("let"):
             self.lex.next()
             tok = self.lex.next()
             if tok[0] != "word" or tok[1] in _KEYWORDS or tok[1] in OP_NAMES or tok[1] in CONST_NAMES:
                 raise ParseError(f"expected binder name, found {tok[1]!r}", tok[2], tok[3])
             self.lex.expect("=")
-            bound = self.term()
+            lets.append((tok[1], self.term()))
             self.lex.expect("in")
-            body = self.term()
-            return Let(tok[1], bound, body)
-        return self.app()
+        t = self.app()
+        for name, bound in reversed(lets):
+            t = Let(name, bound, t)
+        return t
 
     def app(self) -> Term:
         tok = self.lex.peek()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from effsess import semantics
+from effsess import cli, semantics
 from effsess.cli import main
 
 SAMPLE = "store nat init 0\nlet x = get in put (suc x)\n"
@@ -180,12 +180,23 @@ def deep(tmp_path):
     return str(path)
 
 
-def test_deep_program_is_a_depth_error(deep, capsys):
+def test_deep_program_is_checked(deep, capsys):
+    assert main(["check", deep]) == 0
+    assert capsys.readouterr().out == "nat, [" + ", ".join(["G nat"] * 2001) + "]\n"
+
+
+def _nested_too_deeply(*args, **kwargs):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+def test_deep_program_is_a_depth_error(deep, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "infer", _nested_too_deeply)
     assert main(["check", deep]) == 3
     assert capsys.readouterr().err.startswith("no answer (depth): ")
 
 
-def test_deep_program_json_record(deep, capsys):
+def test_deep_program_json_record(deep, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "infer", _nested_too_deeply)
     assert main(["--json", "check", deep]) == 3
     record = json.loads(capsys.readouterr().out.strip())
     assert record["schema"] == 1 and record["ok"] is False and record["kind"] == "depth"

@@ -1,11 +1,12 @@
 import random
+import sys
 
 import pytest
 
 from effsess.effects import STATE_ALGEBRA
 from effsess.equations import RewriteError, apply_equation, subterm_at
 from effsess.infer import infer
-from effsess.terms import Const, Let, OpApp, ValueType, Var, free_vars, parse_term
+from effsess.terms import Const, Let, OpApp, ValueType, Var, format_term, free_vars, parse_term
 
 from oracle import gen_term
 
@@ -113,3 +114,44 @@ def test_unitr_roundtrip_preserves_typing_on_generated_terms():
         wrapped = apply_equation(t, "unitR_inv", 0, {}, NAT)
         assert infer({}, NAT, wrapped) == before
         assert apply_equation(wrapped, "unitR", 0, {}, NAT) == t
+
+
+def _preorder(t):
+    """Every node of ``t`` in preorder, found without `equations`."""
+    if isinstance(t, Let):
+        return [t, *_preorder(t.bound), *_preorder(t.body)]
+    if isinstance(t, OpApp):
+        return [t, *_preorder(t.arg)]
+    return [t]
+
+
+def test_subterm_at_is_the_preorder_node():
+    rng = random.Random(29)
+    for _ in range(60):
+        t = gen_term(rng, {}, 5)
+        nodes = _preorder(t)
+        assert all(subterm_at(t, i) is node for i, node in enumerate(nodes))
+        for past in (len(nodes), len(nodes) + 7, -1):
+            with pytest.raises(RewriteError) as exc:
+                subterm_at(t, past)
+            assert exc.value.kind == "path"
+            with pytest.raises(RewriteError) as exc:
+                apply_equation(t, "unitR_inv", past, {}, NAT)
+            assert exc.value.kind == "path"
+
+
+def test_rewrite_deep_in_a_long_chain_at_default_recursion_limit():
+    n = 2000
+    text = " ".join(f"let x{i} = get in" for i in range(n))
+    t = parse_term(f"{text} x{n - 1}")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        # the last let stands at 2 (n - 1): each let is followed by its bound get
+        out = format_term(apply_equation(t, "unitR", 2 * (n - 1), {}, NAT))
+        with pytest.raises(RewriteError) as exc:
+            subterm_at(t, 2 * n + 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == text.rsplit(" let ", 1)[0] + " get"
+    assert exc.value.kind == "path"

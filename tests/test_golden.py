@@ -5,7 +5,10 @@ faster exploration cannot change what it explores.
 Each case pins every ``run("all")`` outcome (emitted values, store,
 residual hash, steps), and the state and transition counts of the full LTS
 (`oracle.full_lts`, which folds no eligible chain) with a digest of its
-state keys in discovery order.  `GOLDEN_REDUCED` pins the same three for
+state keys in discovery order.  The key digests were frozen again when
+keys began to spell free names instead of numbering them; the old and new
+key lists matched position by position under one name-number bijection
+per case.  `GOLDEN_REDUCED` pins the same three for
 ``build_lts``, which folds eligible chains into their ends.
 The cases: corpus programs up to depth 6, the introduction's shared-store
 race, two private shared-store worlds side by side, and two criterion-3
@@ -90,36 +93,36 @@ CASES = {
 }
 
 GOLDEN = {
-    "comm-lhs": ([((), None, "ce5144517a0a", 3)], (14, 14, "ffcd91440653")),
-    "comm-rhs": ([((), None, "74424759d883", 1)], (14, 14, "a21f662ce0df")),
-    "corpus-0": ([(("1",), "0", "94bc2154a61e", 11)], (19, 25, "50751a20185a")),
-    "corpus-1": ([(("unit",), "0", "94bc2154a61e", 9)], (17, 24, "2b65af1e9708")),
-    "corpus-10": ([(("unit",), "3", "7787c9317b21", 13)], (33, 56, "04c20f6fdda4")),
-    "corpus-4": ([(("unit",), "1", "3425f5ea34ec", 42)], (70, 98, "ac73cec9317c")),
-    "corpus-7": ([(("unit",), "1", "3425f5ea34ec", 14)], (37, 64, "c6f19328ec87")),
-    "corpus-9": ([(("1",), "3", "7787c9317b21", 31)], (56, 82, "95667fc5122d")),
+    "comm-lhs": ([((), None, "ce5144517a0a", 3)], (14, 14, "e1205cef2617")),
+    "comm-rhs": ([((), None, "74424759d883", 1)], (14, 14, "9ead7e3ebedd")),
+    "corpus-0": ([(("1",), "0", "94bc2154a61e", 11)], (19, 25, "fc3e3cf3ff11")),
+    "corpus-1": ([(("unit",), "0", "94bc2154a61e", 9)], (17, 24, "6feebb57cb21")),
+    "corpus-10": ([(("unit",), "3", "7787c9317b21", 13)], (33, 56, "f3723852d4cb")),
+    "corpus-4": ([(("unit",), "1", "3425f5ea34ec", 42)], (70, 98, "1ae1d41bd991")),
+    "corpus-7": ([(("unit",), "1", "3425f5ea34ec", 14)], (37, 64, "341dd3d6fb9f")),
+    "corpus-9": ([(("1",), "3", "7787c9317b21", 31)], (56, 82, "bdd7f1bd0853")),
     "intro-race": ([((), "1", "79cf8a29f91f", 17), ((), "2", "93fa725feee4", 17), ((), "3", "566f232be8c2", 17)],
-                   (54, 55, "59e08aee47ac")),
+                   (54, 55, "ef7b2970ffa8")),
     "private-worlds": ([(("0", "5"), "0", "2f6529ae4af6", 12), (("5", "0"), "0", "2f6529ae4af6", 12)],
-                       (64, 128, "88406946c45f")),
-    "unitR-lhs": ([((), None, "bc793545a39c", 1)], (11, 11, "98e1dcee25d1")),
-    "unitR-rhs": ([((), None, "fb3597f2911a", 1)], (7, 7, "523cdf90a98e")),
+                       (64, 128, "1de87f0e32d3")),
+    "unitR-lhs": ([((), None, "bc793545a39c", 1)], (11, 11, "b7a8d8a70276")),
+    "unitR-rhs": ([((), None, "fb3597f2911a", 1)], (7, 7, "b106b386ea34")),
 }
 
 # build_lts folds eligible chains; frozen when the folding was introduced
 GOLDEN_REDUCED = {
-    "comm-lhs": (6, 6, "0b2e33a28936"),
-    "comm-rhs": (6, 6, "7d433c33690e"),
-    "corpus-0": (5, 5, "5045de0d8f52"),
-    "corpus-1": (5, 5, "1f7239596209"),
-    "corpus-10": (5, 5, "d79ccb435239"),
-    "corpus-4": (10, 10, "59748bd92d8a"),
-    "corpus-7": (5, 5, "44ed2ce7aa81"),
-    "corpus-9": (8, 8, "712f1145e30b"),
-    "intro-race": (26, 27, "9febee94de54"),
-    "private-worlds": (36, 72, "338ca85e9ca9"),
-    "unitR-lhs": (5, 5, "dd1b90355044"),
-    "unitR-rhs": (5, 5, "62477f8ab4c8"),
+    "comm-lhs": (6, 6, "06eabf424260"),
+    "comm-rhs": (6, 6, "4e56a42337f6"),
+    "corpus-0": (5, 5, "ef26a2144b68"),
+    "corpus-1": (5, 5, "b98f2dab8c04"),
+    "corpus-10": (5, 5, "ebfeb9f02c31"),
+    "corpus-4": (10, 10, "fd0c293e73c0"),
+    "corpus-7": (5, 5, "32c655b2ce39"),
+    "corpus-9": (8, 8, "43895dab3003"),
+    "intro-race": (26, 27, "d10ed45ce81d"),
+    "private-worlds": (36, 72, "7af932e25e78"),
+    "unitR-lhs": (5, 5, "66dd41c4a8cf"),
+    "unitR-rhs": (5, 5, "89ee07144af7"),
 }
 
 

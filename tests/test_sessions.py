@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -10,6 +11,7 @@ from effsess.sessions import (
     Select,
     Send,
     TVar,
+    assert_wellformed,
     dual,
     dual_compatible,
     format_session_type,
@@ -19,6 +21,8 @@ from effsess.sessions import (
     type_equal,
     unfold,
 )
+from effsess.effects import Get, Put
+from effsess.embedding import effect_to_session
 from effsess.terms import ValueType
 
 NAT, UNIT = ValueType.NAT, ValueType.UNIT
@@ -204,3 +208,19 @@ def test_parse_rejects_unbound_tvar_and_duplicates():
 
 def test_store_type_matches_display():
     assert format_session_type(STORE) == "mu a. &{get: ![nat]. a, put: ?[nat]. a, stop: end}"
+
+
+def test_long_effect_chain_prints_and_checks_at_default_recursion_limit():
+    f = tuple(Get(NAT) if i % 2 == 0 else Put(NAT) for i in range(3000))
+    chain, open_chain = effect_to_session(f), effect_to_session(f, tail=TVar("a"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        printed = format_session_type(chain)
+        assert_wellformed(chain)
+        with pytest.raises(ValueError, match="unbound session variable 'a'"):
+            assert_wellformed(open_chain)
+    finally:
+        sys.setrecursionlimit(limit)
+    steps = "".join("+{get: ?[nat]. " if i % 2 == 0 else "+{put: ![nat]. " for i in range(3000))
+    assert printed == steps + "end" + "}" * 3000

@@ -1,5 +1,9 @@
+import sys
+
 import pytest
 
+from effsess.effects import Get, Put
+from effsess.infer import infer
 from effsess.terms import (
     Const,
     Let,
@@ -7,6 +11,8 @@ from effsess.terms import (
     ParseError,
     Var,
     ValueType,
+    all_names,
+    format_term,
     free_vars,
     parse_program,
     parse_term,
@@ -84,3 +90,21 @@ def test_parse_program_bad_header():
         parse_program("store bool init 0\nzero")
     with pytest.raises(ParseError):
         parse_program("store nat init unit\nzero")
+
+
+def test_long_let_chain_at_default_recursion_limit():
+    # 2,000 lets: parsing, inference and printing follow let bodies in a loop
+    text = " ".join(f"let x{i} = get in let u{i} = put suc x{i} in" for i in range(1000)) + " get"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        t = parse_term(text)
+        typing = infer({}, ValueType.NAT, t)
+        printed = format_term(t)
+        names = (free_vars(t), len(all_names(t)))
+    finally:
+        sys.setrecursionlimit(limit)
+    # compared as text: term == still recurses on depth
+    assert printed == text
+    assert typing == (ValueType.NAT, (Get(ValueType.NAT), Put(ValueType.NAT)) * 1000 + (Get(ValueType.NAT),))
+    assert names == (frozenset(), 2000)
