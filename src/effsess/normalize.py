@@ -23,6 +23,13 @@ unless it merges two names.
 Components sort by serialization (`process.serial_pieces`): binders as
 levels, the normal form's restrictions as `<nu>`, other free names alike
 whatever their polarity.
+So that most comparisons read no further, a shape keeps the start of its
+serialization, holes marked (``Shape.prefix``), composed when first read
+from its own fields, spelled by `process.node_pieces`, and its children's
+prefixes, their holes rewired to the parent's holes and binder levels.  A
+text is cut at the first space at or past ``_PREFIX``, and ends where a
+child's was cut.  Invariant: a prefix, names filled in, is a prefix of the
+full serialization, and is marked whole only when it is all of it.
 Components that tie sort again with free names spelled, and any that still
 tie are arranged every way (up to 720 arrangements) for the least result.
 A shape whose order names decided is marked ``symmetric``: renaming a free
@@ -61,10 +68,10 @@ from typing import NamedTuple
 from . import process as P
 
 _MAX_TIE_ARRANGEMENTS = 720
-# A shape keeps the first characters of its serialization, its holes
-# marked, so that most comparisons read no further.
+# The length past which a shape's prefix is cut, at the next space.
 _PREFIX = 256
 _HOLE = re.compile("\x01([0-9]+)\x02")
+_LEVEL_OR_HOLE = re.compile("<([0-9]+)(~?)>|\x01([0-9]+)\x02")
 # Names that stand in for bound names start with this character, which no
 # parsed or generated name contains: "\0<j>:<k>" for the binder in position
 # j of its node, "\0:<k>" for a restriction; k is a serial number of the
@@ -79,7 +86,8 @@ class Shape:
     table.  ``base`` is the largest ``height`` of its subterms, and
     ``height`` adds the names the node binds.  ``symmetric`` marks a normal
     form, or a node above one, whose component order names decided;
-    ``prefix`` caches the start of its serialization."""
+    ``prefix`` is the start of its serialization and whether that is all
+    of it, or None until it is first read."""
 
     __slots__ = ("key", "arity", "id", "base", "height", "symmetric", "prefix")
 
@@ -98,6 +106,19 @@ def _vars(v: P.Value, f) -> P.Value:
     if isinstance(v, P.Pair):
         return P.Pair(_vars(v.fst, f), _vars(v.snd, f))
     return v
+
+
+def _rewired(kid: Term, env: dict[str, int], depth: int) -> str:
+    """The prefix of ``kid``'s shape inside its parent's: holes rewired to
+    the parent's markers and binder levels, its own levels ``depth`` on."""
+
+    def rewire(m: re.Match) -> str:
+        if m[1] is not None:
+            return f"<{int(m[1]) + depth}{m[2]}>"
+        name, kind = kid.args[int(m[3])]
+        return f"<{env[name]}{'~' if kind == 2 else ''}>" if name in env else name
+
+    return _LEVEL_OR_HOLE.sub(rewire, kid.shape.prefix[0])
 
 
 def _spelled(name: str, mark: str) -> str:
@@ -306,10 +327,11 @@ class InternTable:
 
     # ----------------------------------------------------- normal forms
 
-    def _spine(self, p: P.Process) -> tuple[list[str], list[tuple[P.Process, dict]]]:
+    def _spine(self, p: P.Process, env: dict | None = None) -> tuple[list[str], list[tuple[P.Process, dict]]]:
         """The restrictions of the `Par`/`New` spine of ``p``, hidden, and its
-        other nodes, each with the renaming of the restrictions over it."""
-        restricted, leaves, stack = [], [], [(p, {})]
+        other nodes, each with the renaming of the restrictions over it,
+        which extends ``env``."""
+        restricted, leaves, stack = [], [], [(p, env or {})]
         while stack:
             q, env = stack.pop()
             if type(q) is P.Par:
@@ -389,6 +411,8 @@ class InternTable:
 
     def _tied(self, comps: list[Term], free) -> list[list[Term]]:
         """``comps`` sorted by `compare` under ``free``, in runs that tie."""
+        if len(comps) == 1:
+            return [list(comps)]
         starts = {id(c): self._start(c, free) for c in comps}
 
         def compare(a: Term, b: Term) -> int:
@@ -417,20 +441,36 @@ class InternTable:
     def _start(self, t: Term, free) -> tuple[list[str], str, bool]:
         """The spelled free names of ``t``, its serialization as far as its
         shape keeps it, and whether that is all of it."""
-        shape = t.shape
-        if shape.prefix is None:
-            marked = Term(shape, tuple((f"\x01{i}\x02", 0) for i in range(shape.arity)))
-            pieces, size, whole = [], 0, True
-            for piece in P.serial_pieces(marked, lambda name, mark: name, self.view):
-                pieces.append(piece)
-                size += len(piece)
-                if size >= _PREFIX:
-                    whole = False
-                    break
-            shape.prefix = ("".join(pieces), whole)
-        text, whole = shape.prefix
+        text, whole = t.shape.prefix or self._prefix(t.shape)
         names = [free(n, "~" if k == 2 else "") for n, k in t.args]
         return names, (_HOLE.sub(lambda m: names[int(m[1])], text) if names else text), whole
+
+    def _prefix(self, shape: Shape) -> tuple[str, bool]:
+        """``shape.prefix``, composed (see the module docstring); children
+        that have none yet are composed first, with an explicit stack."""
+        stack: list[tuple[Shape, list | None]] = [(shape, None)]
+        while stack:
+            s, parts = stack.pop()
+            if s.prefix is not None:
+                continue
+            if parts is None:
+                node = self.view(Term(s, tuple((f"\x01{i}\x02", 0) for i in range(s.arity))))
+                parts = P.node_pieces(node, {}, 0, lambda name, mark: name)
+                kids = [part[0].shape for part in parts if type(part) is not str and part[0].shape.prefix is None]
+                if kids:
+                    stack.append((s, parts))
+                    stack.extend((kid, None) for kid in kids)
+                    continue
+            text, whole = "", True
+            for part in parts:
+                if type(part) is not str:
+                    whole, part = part[0].shape.prefix[1], _rewired(*part)
+                text += part
+                if not whole or text.find(" ", _PREFIX) >= 0:
+                    break
+            cut = text.find(" ", _PREFIX)
+            s.prefix = (text[:cut], False) if cut >= 0 else (text, whole)
+        return shape.prefix
 
     # ------------------------------------------------------- processes
 

@@ -536,57 +536,62 @@ def serial_pieces(p, free, expand=None) -> Iterator[str]:
             yield item
             continue
         q, env, depth = item
-        if expand is not None:
-            q = expand(q)
+        stack.extend(reversed(node_pieces(expand(q) if expand is not None else q, env, depth, free)))
 
-        def name(n: str, mark: str = "") -> str:
-            return f" <{env[n]}{mark}>" if n in env else " " + free(n, mark)
 
-        def value(v: Value) -> str:
-            if isinstance(v, VarRef):
-                return name(v.name)[1:]
-            if isinstance(v, SucOf):
-                return f"suc {value(v.arg)}"
-            if isinstance(v, Pair):
-                return f"({value(v.fst)},{value(v.snd)})"
-            return format_value(v)
+def node_pieces(q: Process, env: dict[str, int], depth: int, free) -> list:
+    """The serialization of the node ``q`` alone: strings, and in place of
+    each subterm ``(subterm, env, depth)``, the levels of the names bound
+    over it and the next level."""
 
-        form = FORMS[type(q)]
-        parts, group = ["(" + form.tag], []
-        inner, inner_depth = env, depth
-        for field, role in form.fields:
-            x = getattr(q, field)
-            if group and role not in _SEQUENCES:
-                parts.append(f" ({';'.join(group)})")
-                group = []
-            if role is ENDPOINT:
-                parts.append(name(x.name, "~" if x.dual else ""))
-            elif role is SCOPED or role is OPEN:
-                parts += [" ", (x, inner, inner_depth) if role is SCOPED else (x, env, depth)]
-            elif role is VALUE:
-                parts.append(" " + value(x))
-            elif role is SHARED:
-                parts.append(name(x))
-            elif role in _BINDERS:
-                inner = dict(inner)
-                for bound in _binders(role, x):
-                    inner[bound] = inner_depth
-                    inner_depth += 1
-                if role in _PARAMS:
-                    group.append(str(len(x)))
-            elif role is ARMS:
-                for label, cont in x:
-                    parts += [" " + label, " ", (cont, env, depth)]
-            elif role is ENDPOINTS:
-                group.append(" ".join([name(e.name, "~" if e.dual else "")[1:] for e in x]))
-            elif role is VALUES:
-                group.append(" ".join([value(v) for v in x]))
-            elif role is not ANNOTATION:
-                parts.append(" " + x)
-        if group:
+    def name(n: str, mark: str = "") -> str:
+        return f" <{env[n]}{mark}>" if n in env else " " + free(n, mark)
+
+    def value(v: Value) -> str:
+        if isinstance(v, VarRef):
+            return name(v.name)[1:]
+        if isinstance(v, SucOf):
+            return f"suc {value(v.arg)}"
+        if isinstance(v, Pair):
+            return f"({value(v.fst)},{value(v.snd)})"
+        return format_value(v)
+
+    form = FORMS[type(q)]
+    parts, group = ["(" + form.tag], []
+    inner, inner_depth = env, depth
+    for field, role in form.fields:
+        x = getattr(q, field)
+        if group and role not in _SEQUENCES:
             parts.append(f" ({';'.join(group)})")
-        parts.append(")")
-        stack.extend(reversed(parts))
+            group = []
+        if role is ENDPOINT:
+            parts.append(name(x.name, "~" if x.dual else ""))
+        elif role is SCOPED or role is OPEN:
+            parts += [" ", (x, inner, inner_depth) if role is SCOPED else (x, env, depth)]
+        elif role is VALUE:
+            parts.append(" " + value(x))
+        elif role is SHARED:
+            parts.append(name(x))
+        elif role in _BINDERS:
+            inner = dict(inner)
+            for bound in _binders(role, x):
+                inner[bound] = inner_depth
+                inner_depth += 1
+            if role in _PARAMS:
+                group.append(str(len(x)))
+        elif role is ARMS:
+            for label, cont in x:
+                parts += [" " + label, " ", (cont, env, depth)]
+        elif role is ENDPOINTS:
+            group.append(" ".join([name(e.name, "~" if e.dual else "")[1:] for e in x]))
+        elif role is VALUES:
+            group.append(" ".join([value(v) for v in x]))
+        elif role is not ANNOTATION:
+            parts.append(" " + x)
+    if group:
+        parts.append(f" ({';'.join(group)})")
+    parts.append(")")
+    return parts
 
 
 def serialize_process(p: Process, erase: frozenset[str] = frozenset()) -> str:

@@ -9,7 +9,8 @@ finite value domain and channel inputs drawn from a canonical fresh-name
 supply.
 
 Components are terms of one `normalize.InternTable` per exploration, which
-`make_configuration` creates and every derived configuration carries.  A
+`make_configuration` creates, walking the spine of the process (no normal
+form of the whole is built), and every derived configuration carries.  A
 step views the heads it consumes one node deep; their continuations are
 terms already, so filling a binder with a name rewrites a term's arguments,
 and only a value or a merge of two names rebuilds the nodes on the way to
@@ -59,6 +60,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
+from typing import Iterator
 
 from . import process as P
 from .normalize import InternTable, Term
@@ -206,8 +208,28 @@ class Configuration:
 
 
 def make_configuration(p: P.Process, observables: frozenset[str] = frozenset()) -> Configuration:
+    """The configuration of ``p``.  Other nodes of its `Par`/`New`/`Def`
+    spine are interned alone and renamed into place; a definition goes into
+    the environment and its scope back onto the spine, unless it captures a
+    restricted name or reuses a definition's name (`_assemble` takes those).
+    Restrictions are then named ``#k``, apart from every name in use."""
     table = InternTable()
-    return _assemble([], [table.term(p)], {}, observables, table)
+    hidden, comps, defs, stack = [], [], {}, [(p, {})]
+    while stack:
+        more, found = table._spine(*stack.pop())
+        hidden += more
+        for leaf, env in found:
+            if type(leaf) is P.Def and leaf.name not in defs:
+                closure = _close_def(leaf, table)
+                if not any(name in env for name, _ in closure[2].args):
+                    defs[leaf.name] = closure
+                    stack.append((leaf.scope, env))
+                    continue
+            comps.append(table.subst(table.term(leaf), env))
+    fresh = _fresh(hidden, comps, defs.items(), observables)
+    named = {h: P.Endpoint(next(fresh)) for h in hidden}
+    comps = [table.subst(c, named) for c in comps]
+    return _assemble([e.name for e in named.values()], comps, defs, observables, table)
 
 
 def _assemble(
@@ -220,10 +242,7 @@ def _assemble(
     """Flatten the components, which may be whole normal forms, giving
     their restrictions fresh names and pulling definitions into the
     environment as they surface."""
-    taken = set(restricted) | observables | set(defs)
-    for term in [*comps, *(body for _, _, body in defs.values())]:
-        taken.update(name for name, _ in term.args)
-    fresh = (name for name in (f"#{k}" for k in count()) if name not in taken)
+    fresh = _fresh(tuple(restricted), comps, tuple(defs.items()), observables)
     pending, flat = list(comps), []
     while pending:
         more, parts = table.open(pending.pop(0), fresh)
@@ -234,6 +253,18 @@ def _assemble(
             else:
                 flat.append(part)
     return Configuration(tuple(restricted), tuple(flat), tuple(sorted(defs.items())), observables, table)
+
+
+def _fresh(restricted, comps: list[Term], defs, observables: frozenset[str]) -> Iterator[str]:
+    """The names ``#k`` not in use, gathered on the first draw: a step that
+    surfaces no restriction gathers none."""
+    taken = {*restricted, *observables}
+    for name, (_, _, body) in defs:
+        taken.add(name)
+        taken.update(n for n, _ in body.args)
+    for term in comps:
+        taken.update(name for name, _ in term.args)
+    yield from (name for name in (f"#{k}" for k in count()) if name not in taken)
 
 
 def _key(table: InternTable, restricted: set[str], comps: tuple[Term, ...], defs) -> tuple:
@@ -301,7 +332,7 @@ def _close_def(d: P.Def, table: InternTable) -> DefClosure:
     chan_names = tuple(f"%c{i}" for i in range(len(d.chan_params)))
     mapping: dict[str, P.Replacement] = {old: P.VarRef(new) for (old, _), new in zip(d.val_params, val_names)}
     mapping.update({old: P.Endpoint(new) for (old, _), new in zip(d.chan_params, chan_names)})
-    return (val_names, chan_names, table.term(P.substitute(d.body, mapping)))
+    return (val_names, chan_names, table.subst(table.term(d.body), mapping))
 
 
 # ------------------------------------------------------------- transitions

@@ -122,23 +122,36 @@ def fresh_name(base: str, avoid) -> str:
 
 
 def substitute(t: Term, name: str, replacement: Term) -> Term:
-    """Capture-avoiding substitution ``t[replacement/name]``."""
+    """Capture-avoiding substitution ``t[replacement/name]``.  It follows
+    ``let`` bodies in a loop, carrying one simultaneous mapping: a binder
+    that shadows an entry removes the entry, and one that would capture a
+    free name of a replacement adds ``binder ↦ fresh`` to it."""
+    return _substitute(t, {name: (replacement, free_vars(replacement))})
+
+
+def _substitute(t: Term, mapping: dict[str, tuple[Term, frozenset[str]]]) -> Term:
+    """``t`` under ``mapping``, of names to replacements and their free names."""
+    lets = []
+    while isinstance(t, Let) and mapping:
+        name, bound = t.name, _substitute(t.bound, mapping)
+        if name in mapping:
+            mapping = {k: v for k, v in mapping.items() if k != name}
+        captured = [k for k, (_, names) in mapping.items() if name in names]
+        if captured and not free_vars(t.body).isdisjoint(captured):
+            fresh = fresh_name(name, all_names(t.body).union(*(names for _, names in mapping.values())))
+            mapping = {**mapping, name: (Var(fresh), frozenset({fresh}))}
+            name = fresh
+        lets.append((name, bound))
+        t = t.body
     if isinstance(t, Var):
-        return replacement if t.name == name else t
-    if isinstance(t, Const):
-        return t
-    if isinstance(t, OpApp):
-        return OpApp(t.op, substitute(t.arg, name, replacement))
-    if isinstance(t, Let):
-        bound = substitute(t.bound, name, replacement)
-        if t.name == name:
-            return Let(t.name, bound, t.body)
-        if t.name in free_vars(replacement) and name in free_vars(t.body):
-            renamed = fresh_name(t.name, free_vars(replacement) | all_names(t.body))
-            body = substitute(t.body, t.name, Var(renamed))
-            return Let(renamed, bound, substitute(body, name, replacement))
-        return Let(t.name, bound, substitute(t.body, name, replacement))
-    raise TypeError(f"not a term: {t!r}")
+        t = mapping[t.name][0] if t.name in mapping else t
+    elif isinstance(t, OpApp) and mapping:
+        t = OpApp(t.op, _substitute(t.arg, mapping))
+    elif not isinstance(t, (Let, Const, OpApp)):
+        raise TypeError(f"not a term: {t!r}")
+    for name, bound in reversed(lets):
+        t = Let(name, bound, t)
+    return t
 
 
 def format_term(t: Term) -> str:

@@ -7,6 +7,9 @@ translation's execution behavior.  Values are plain ints for nat and the
 string "unit" for unit.  `full_run` and `full_lts` explore every
 interleaving of `semantics.transitions`, folding no eligible chain, so they
 are the reference that `semantics.run` and `equivalence.build_lts` reduce.
+`reference_configuration` builds a first configuration from the normal
+form of the whole process, the route that `semantics.make_configuration`
+shortcuts by walking the spine.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from effsess import embedding
 from effsess import process as P
 from effsess import semantics as M
 from effsess.equivalence import LTS
+from effsess.normalize import InternTable
 from effsess.terms import Const, Let, OpApp, Program, Term, ValueType, Var
 
 
@@ -168,3 +172,10 @@ def full_lts(p: P.Process, observables, value_domain=DOMAIN) -> LTS:
             out.setdefault(label, set()).add(index[target.key])
         edges.append({label: frozenset(ts) for label, ts in out.items()})
     return LTS(0, edges, [c.key for c in configs], frozenset(observables), False)
+
+
+def reference_configuration(p: P.Process, observables=frozenset()) -> M.Configuration:
+    """The first configuration of ``p``, opened from the normal form of all
+    of ``p``: its restrictions are named by the sorted order."""
+    table = InternTable()
+    return M._assemble([], [table.term(p)], {}, frozenset(observables), table)

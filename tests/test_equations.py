@@ -155,3 +155,23 @@ def test_rewrite_deep_in_a_long_chain_at_default_recursion_limit():
         sys.setrecursionlimit(limit)
     assert out == text.rsplit(" let ", 1)[0] + " get"
     assert exc.value.kind == "path"
+
+
+def test_unitL_substitutes_along_a_long_chain_at_default_recursion_limit():
+    n = 2000
+    text = " ".join(f"let v{i} = y in" for i in range(n))
+    t = parse_term(f"let y = x in {text} y")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        out = format_term(apply_equation(t, "unitL", 0, {"x": NAT}, NAT))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == " ".join(f"let v{i} = x in" for i in range(n)) + " x"
+
+
+def test_unitL_renames_a_capturing_binder_and_stops_at_a_shadowing_one():
+    # the binder x would capture the x that y becomes; the inner y shadows
+    t = parse_term("let y = x in let x = y in let w = put y in let y = zero in suc (let u = y in x)")
+    out = apply_equation(t, "unitL", 0, {"x": NAT}, NAT)
+    assert format_term(out) == "let x1 = x in let w = put x in let y = zero in suc (let u = y in x1)"

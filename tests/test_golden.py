@@ -6,9 +6,11 @@ Each case pins every ``run("all")`` outcome (emitted values, store,
 residual hash, steps), and the state and transition counts of the full LTS
 (`oracle.full_lts`, which folds no eligible chain) with a digest of its
 state keys in discovery order.  The key digests were frozen again when
-keys began to spell free names instead of numbering them; the old and new
-key lists matched position by position under one name-number bijection
-per case.  `GOLDEN_REDUCED` pins the same three for
+keys began to spell free names instead of numbering them, and again when
+the first configuration came to be built from the spine of the process
+(which creates its shapes in another order); each time the old and new key
+lists matched position by position under one bijection per case, of names
+to numbers the first time and of shape ids the second.  `GOLDEN_REDUCED` pins the same three for
 ``build_lts``, which folds eligible chains into their ends.
 The cases: corpus programs up to depth 6, the introduction's shared-store
 race, two private shared-store worlds side by side, and two criterion-3
@@ -93,36 +95,36 @@ CASES = {
 }
 
 GOLDEN = {
-    "comm-lhs": ([((), None, "ce5144517a0a", 3)], (14, 14, "e1205cef2617")),
-    "comm-rhs": ([((), None, "74424759d883", 1)], (14, 14, "9ead7e3ebedd")),
-    "corpus-0": ([(("1",), "0", "94bc2154a61e", 11)], (19, 25, "fc3e3cf3ff11")),
-    "corpus-1": ([(("unit",), "0", "94bc2154a61e", 9)], (17, 24, "6feebb57cb21")),
-    "corpus-10": ([(("unit",), "3", "7787c9317b21", 13)], (33, 56, "f3723852d4cb")),
-    "corpus-4": ([(("unit",), "1", "3425f5ea34ec", 42)], (70, 98, "1ae1d41bd991")),
-    "corpus-7": ([(("unit",), "1", "3425f5ea34ec", 14)], (37, 64, "341dd3d6fb9f")),
-    "corpus-9": ([(("1",), "3", "7787c9317b21", 31)], (56, 82, "bdd7f1bd0853")),
+    "comm-lhs": ([((), None, "ce5144517a0a", 3)], (14, 14, "f514888a3cf2")),
+    "comm-rhs": ([((), None, "74424759d883", 1)], (14, 14, "664c1c2f20b7")),
+    "corpus-0": ([(("1",), "0", "94bc2154a61e", 11)], (19, 25, "4a870bf1f218")),
+    "corpus-1": ([(("unit",), "0", "94bc2154a61e", 9)], (17, 24, "e180c40b7644")),
+    "corpus-10": ([(("unit",), "3", "7787c9317b21", 13)], (33, 56, "01fdc4bd97eb")),
+    "corpus-4": ([(("unit",), "1", "3425f5ea34ec", 42)], (70, 98, "37627ffc1c9f")),
+    "corpus-7": ([(("unit",), "1", "3425f5ea34ec", 14)], (37, 64, "9104eb1d1c8b")),
+    "corpus-9": ([(("1",), "3", "7787c9317b21", 31)], (56, 82, "f44da4fe49c8")),
     "intro-race": ([((), "1", "79cf8a29f91f", 17), ((), "2", "93fa725feee4", 17), ((), "3", "566f232be8c2", 17)],
-                   (54, 55, "ef7b2970ffa8")),
+                   (54, 55, "ff8314f5380c")),
     "private-worlds": ([(("0", "5"), "0", "2f6529ae4af6", 12), (("5", "0"), "0", "2f6529ae4af6", 12)],
-                       (64, 128, "1de87f0e32d3")),
-    "unitR-lhs": ([((), None, "bc793545a39c", 1)], (11, 11, "b7a8d8a70276")),
-    "unitR-rhs": ([((), None, "fb3597f2911a", 1)], (7, 7, "b106b386ea34")),
+                       (64, 128, "b9cb25eafb85")),
+    "unitR-lhs": ([((), None, "bc793545a39c", 1)], (11, 11, "b48ed10d5544")),
+    "unitR-rhs": ([((), None, "fb3597f2911a", 1)], (7, 7, "d1c8fea54d62")),
 }
 
 # build_lts folds eligible chains; frozen when the folding was introduced
 GOLDEN_REDUCED = {
-    "comm-lhs": (6, 6, "06eabf424260"),
-    "comm-rhs": (6, 6, "4e56a42337f6"),
-    "corpus-0": (5, 5, "ef26a2144b68"),
-    "corpus-1": (5, 5, "b98f2dab8c04"),
-    "corpus-10": (5, 5, "ebfeb9f02c31"),
-    "corpus-4": (10, 10, "fd0c293e73c0"),
-    "corpus-7": (5, 5, "32c655b2ce39"),
-    "corpus-9": (8, 8, "43895dab3003"),
-    "intro-race": (26, 27, "d10ed45ce81d"),
-    "private-worlds": (36, 72, "7af932e25e78"),
-    "unitR-lhs": (5, 5, "66dd41c4a8cf"),
-    "unitR-rhs": (5, 5, "89ee07144af7"),
+    "comm-lhs": (6, 6, "1bca00647f59"),
+    "comm-rhs": (6, 6, "4e8b668d4773"),
+    "corpus-0": (5, 5, "2c0eb4895cf5"),
+    "corpus-1": (5, 5, "d50fb33afe32"),
+    "corpus-10": (5, 5, "566e0e7ce45f"),
+    "corpus-4": (10, 10, "393875317f39"),
+    "corpus-7": (5, 5, "836670e6fa89"),
+    "corpus-9": (8, 8, "8412da8295d4"),
+    "intro-race": (26, 27, "ac8bbe8f1904"),
+    "private-worlds": (36, 72, "265067ac0a6d"),
+    "unitR-lhs": (5, 5, "d3ff87f4c25d"),
+    "unitR-rhs": (5, 5, "d44269a8572e"),
 }
 
 

@@ -7,7 +7,9 @@ binders are spelled by a function of their pre-order position.  Two
 spellings of one shape are alpha-equivalent.
 """
 
+from importlib import import_module
 from itertools import count
+from unittest.mock import patch
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from effsess.equivalence import build_lts, weak_bisimilar
 from effsess.normalize import InternTable, normalize
 from effsess.semantics import RuntimeSafetyViolation, StateCapExceeded
 
+N = import_module("effsess.normalize")  # the package exports its function `normalize`
 FREE = ("a", "b")
 
 occurrences = st.tuples(st.sampled_from(("free", "bound")), st.integers(0, 3))
@@ -134,6 +137,30 @@ def test_normalize_preserves_weak_bisimilarity(shape):
         # a private channel) or too large to explore: no law to check
         assume(False)
     assert weak_bisimilar(*ltss).equivalent
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes)
+def test_composed_prefixes_are_prefixes_of_the_serialization(shape):
+    p = build(shape, plain)
+
+    def spell(name: str, mark: str) -> str:
+        return mark + name
+
+    printed = set()
+    # at the real cut, and at one short enough to cut most texts
+    for cut in (N._PREFIX, 12):
+        with patch.object(N, "_PREFIX", cut):
+            table, made = InternTable(), []
+            node = table.node
+            table.node = lambda q: made.append(node(q)) or made[-1]
+            printed.add(P.format_process(table.process(table.term(p))))
+            for t in made:
+                _, text, whole = table._start(t, spell)
+                full = "".join(P.serial_pieces(t, spell, table.view))
+                assert full.startswith(text) and (text == full) == whole
+    # where the cut falls decides no order
+    assert len(printed) == 1
 
 
 def _components(p: P.Process) -> list[P.Process]:

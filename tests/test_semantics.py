@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from effsess import embedding
@@ -9,6 +11,7 @@ from effsess.process import (
     NatLit,
     New,
     NIL,
+    Par,
     RecvVal,
     SendVal,
     SucOf,
@@ -32,7 +35,7 @@ from effsess.semantics import (
 )
 from effsess.terms import ValueType, parse_program
 
-from oracle import embedded_corpus, full_run
+from oracle import embedded_corpus, full_run, reference_configuration
 
 NAT = ValueType.NAT
 
@@ -259,6 +262,56 @@ def test_step_cost_does_not_repeat_for_a_repeated_value():
         cfg = transitions(cfg)[0][1]
     assert table.hits + table.misses == lookups
     assert table.memo_hits >= 5 * 3
+
+
+# ------------------------------------------------- first configurations
+
+def _same_up_to_shape_ids(a: tuple, b: tuple, ids: dict, back: dict) -> bool:
+    """Whether two state keys are equal once each shape id of ``a`` is
+    mapped to one of ``b`` by the bijection ``ids``/``back``.  After the
+    component count, a key's non-negative ints are its shape ids."""
+    if len(a) != len(b) or a[0] != b[0]:
+        return False
+    for x, y in zip(a[1:], b[1:]):
+        if type(x) is int and x >= 0:
+            if type(y) is not int or y < 0 or ids.setdefault(x, y) != y or back.setdefault(y, x) != x:
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+def test_spine_walk_matches_the_normal_form_route():
+    for pair in embedded_corpus():
+        for p in pair:
+            for observables in (frozenset({"r"}), frozenset({"r", "eff"})):
+                ours, ref = make_configuration(p, observables), reference_configuration(p, observables)
+                assert _same_up_to_shape_ids(ours.key, ref.key, {}, {})
+                assert format_process(ours.residual_process()) == format_process(ref.residual_process())
+
+
+def test_flat_parallel_builds_no_par_shape():
+    a = SendVal(Endpoint("r"), NatLit(0), NIL)
+    b = RecvVal(Endpoint("s"), "x", SendVal(Endpoint("r"), VarRef("x"), NIL))
+    cfg = make_configuration(par(a, b), frozenset({"r", "s"}))
+    assert len(cfg.components) == 2
+    assert not any(key[0] is Par for key in cfg.table._shapes)
+
+
+def test_run_one_on_a_long_composed_chain_at_default_recursion_limit():
+    n = 400
+    lets = " ".join(f"let x{i} = get in let u{i} = put (suc x{i}) in" for i in range(n))
+    prog = parse_program(f"store nat init 0\n{lets} get")
+    result = embedding.embed_top(prog)
+    system = embedding.compose_with_store(result, embedding.initial_store_value(prog), prog.store_type)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        (outcome,) = run(system, "one", fuel=100_000, store_reader=find_store_value)
+    finally:
+        sys.setrecursionlimit(limit)
+    # each put stores the successor of what the get before it read
+    assert outcome.emitted == (NatLit(n),) and outcome.store == NatLit(n)
 
 
 # ------------------------------------------------------ eligible chains
