@@ -55,6 +55,15 @@ symmetric term, and a result that is symmetric or has been marked so
 since, are rebuilt as if there were no memo.  A miss forms the result with
 `InternTable.term` on the real names, so the table gains the shapes, in the
 order, that the rebuild gives.
+
+`view` spells a node afresh on every call, with fresh stand-ins for its
+binders.  `InternTable.head` views a term once per table and keeps the
+node: execution looks at the heads of the same components step after step.
+Invariant: a kept head's stand-in binders may be shared by every use of it,
+so each one is filled (by a receive, an accept or a request) before its
+continuation enters a configuration.  ``view_hits`` and ``view_misses``
+count the heads found and the ones viewed.  One-shot views (`term`,
+`_prefix`, `open`, `process`) are not kept.
 """
 
 from __future__ import annotations
@@ -131,7 +140,9 @@ class InternTable:
     """The shapes of one exploration, or of one `normalize` call.  ``hits``
     and ``misses`` count the lookups of a node that found its shape and
     that had to create it; ``memo_hits`` and ``memo_misses`` the
-    substitutions that found their result in the memo and that formed it."""
+    substitutions that found their result in the memo and that formed it;
+    ``view_hits`` and ``view_misses`` the calls of `head` that found the
+    term's node and that viewed it."""
 
     def __init__(self):
         self._shapes: dict[tuple, Shape] = {}
@@ -139,8 +150,10 @@ class InternTable:
         # (shape, pattern) -> (result shape, wiring), or None where the
         # result is symmetric; see the module docstring
         self._memo: dict[tuple, tuple[Shape, tuple[tuple[int, int], ...]] | None] = {}
+        self._heads: dict[Term, P.Process] = {}
         self.hits = self.misses = 0
         self.memo_hits = self.memo_misses = 0
+        self.view_hits = self.view_misses = 0
 
     # ------------------------------------------------------------ nodes
 
@@ -239,6 +252,17 @@ class InternTable:
                 x = tuple((label, child(c)) for label, c in x)
             out.append(x)
         return form(*out)
+
+    def head(self, t: Term) -> P.Process:
+        """`view` of ``t`` with stand-in binders, viewed once per table and
+        kept; its binders are shared (see the module docstring)."""
+        node = self._heads.get(t)
+        if node is None:
+            self.view_misses += 1
+            node = self._heads[t] = self.view(t)
+        else:
+            self.view_hits += 1
+        return node
 
     def subst(self, t: Term, mapping: dict[str, P.Replacement]) -> Term:
         """``t`` with free names replaced as `process.substitute` replaces

@@ -11,10 +11,14 @@ supply.
 Components are terms of one `normalize.InternTable` per exploration, which
 `make_configuration` creates, walking the spine of the process (no normal
 form of the whole is built), and every derived configuration carries.  A
-step views the heads it consumes one node deep; their continuations are
-terms already, so filling a binder with a name rewrites a term's arguments,
-and only a value or a merge of two names rebuilds the nodes on the way to
-their occurrences.  A surfacing restriction gets a fresh name, and
+head is viewed one node deep once per table (`InternTable.head`, counted by
+the table's ``view_hits`` and ``view_misses``), so a step views only the
+components it creates.  Their continuations are terms already, so filling
+a binder with a name rewrites a term's arguments, and only a value or a
+merge of two names rebuilds the nodes on the way to their occurrences.  No
+component has a `Par`, `New`, `Nil` or `Def` root, so a successor keeps the
+untouched components as they are and opens only the new continuations
+(`_assemble`).  A surfacing restriction gets a fresh name, and
 restricted names are never renamed.  Only the state key abstracts them: it
 sorts the components as `normalize` does (unrestricted names spelled),
 numbers the restrictions by first occurrence, and lists each component's
@@ -51,12 +55,25 @@ bisimilarity (Groote & Sellink, *Confluence for process verification*,
 configuration they reach to the end of its chain (`fold_chain`), counting
 each against fuel; the links between are never keyed, and only chain ends
 are deduplicated.  `transitions` stays the full one-step relation.
+
+Eligible pairs come from an index of the configuration (`_Eligibility`):
+for each restricted name, its occurrences and the sync heads waiting on
+it.  A candidate pair is a restricted name on which one sync head waits at
+each end and which no other component uses; only names on which heads
+have waited at both ends are looked at.  `fold_chain` scans the
+components of the chain's start for it once, and each link takes over its
+parent's index, patched for the two components it removed and the ones it
+added; a link with no more components than that scans its own.
+Candidates are tried in the order of their later component, the order a
+scan of the components finds them in, so every chain fires the same steps
+whichever way its index was built.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
@@ -226,45 +243,59 @@ def make_configuration(p: P.Process, observables: frozenset[str] = frozenset()) 
                     stack.append((leaf.scope, env))
                     continue
             comps.append(table.subst(table.term(leaf), env))
-    fresh = _fresh(hidden, comps, defs.items(), observables)
+    fresh = _fresh(hidden, (comps,), defs.items(), observables)
     named = {h: P.Endpoint(next(fresh)) for h in hidden}
     comps = [table.subst(c, named) for c in comps]
-    return _assemble([e.name for e in named.values()], comps, defs, observables, table)
+    return _assemble([e.name for e in named.values()], (), comps, tuple(sorted(defs.items())), observables, table)
 
 
 def _assemble(
     restricted: list[str],
-    comps: list[Term],
-    defs: dict[str, DefClosure],
+    kept: tuple[Term, ...],
+    new: list[Term] | tuple[Term, ...],
+    defs: tuple[tuple[str, DefClosure], ...],
     observables: frozenset[str],
     table: InternTable,
 ) -> Configuration:
-    """Flatten the components, which may be whole normal forms, giving
-    their restrictions fresh names and pulling definitions into the
-    environment as they surface."""
-    fresh = _fresh(tuple(restricted), comps, tuple(defs.items()), observables)
-    pending, flat = list(comps), []
-    while pending:
-        more, parts = table.open(pending.pop(0), fresh)
+    """The configuration of the components ``kept``, taken as they are,
+    and ``new``, which may be whole normal forms: these are flattened,
+    their restrictions given fresh names and definitions pulled into the
+    environment (``defs``, sorted by name) as they surface."""
+    fresh = _fresh(tuple(restricted), (kept, new), defs, observables)
+    pending, flat, env = list(new), [], None
+    for term in pending:  # a surfaced definition's scope goes on the end
+        more, parts = table.open(term, fresh)
         restricted += more
         for part in parts:
             if part.shape.key[0] is P.Def:
-                pending.append(_define(table.process(part), restricted, defs, table))
+                env = dict(defs) if env is None else env
+                pending.append(_define(table.process(part), restricted, env, table))
             else:
                 flat.append(part)
-    return Configuration(tuple(restricted), tuple(flat), tuple(sorted(defs.items())), observables, table)
+    if env is not None:
+        defs = tuple(sorted(env.items()))
+    return Configuration(tuple(restricted), kept + tuple(flat), defs, observables, table)
 
 
-def _fresh(restricted, comps: list[Term], defs, observables: frozenset[str]) -> Iterator[str]:
-    """The names ``#k`` not in use, gathered on the first draw: a step that
+def _fresh(restricted, groups, defs, observables: frozenset[str]) -> Iterator[str]:
+    """The names ``#k`` that no restriction, observable, definition or
+    component in ``groups`` uses, gathered on the first draw: a step that
     surfaces no restriction gathers none."""
     taken = {*restricted, *observables}
     for name, (_, _, body) in defs:
         taken.add(name)
         taken.update(n for n, _ in body.args)
-    for term in comps:
+    for term in (t for group in groups for t in group):
         taken.update(name for name, _ in term.args)
     yield from (name for name in (f"#{k}" for k in count()) if name not in taken)
+
+
+def _without(comps: tuple[Term, ...], *drop: int) -> tuple[Term, ...]:
+    """``comps`` less the positions ``drop``."""
+    out, start = (), 0
+    for k in sorted(drop):
+        out, start = out + comps[start:k], k + 1
+    return out + comps[start:]
 
 
 def _key(table: InternTable, restricted: set[str], comps: tuple[Term, ...], defs) -> tuple:
@@ -339,6 +370,7 @@ def _close_def(d: P.Def, table: InternTable) -> DefClosure:
 
 _SEND_HEADS = (P.SendVal, P.SendChan)
 _RECV_HEADS = (P.RecvVal, P.RecvChan)
+_ACTIVE_HEADS = (*_SEND_HEADS, P.Select)  # the side that counts a synchronization
 
 
 def _sync_mismatch(a: P.Process, b: P.Process) -> str | None:
@@ -379,16 +411,18 @@ def transitions(
     out: list[tuple[TransitionLabel, Configuration]] = []
     table = cfg.table
     _, comps, live = cfg.ordered
-    # the heads, one node deep: their subterms are terms
-    heads = [table.view(c) for c in comps]
+    # the heads, one node deep and viewed once per table: their subterms
+    # are terms
+    heads = [table.head(c) for c in comps]
     restricted = set(live)
     defs = dict(cfg.defs)
 
-    def rebuild(new_comps: list[Term], new_restricted=None) -> Configuration:
+    def rebuild(kept: tuple[Term, ...], *new: Term, new_restricted=None) -> Configuration:
         return _assemble(
             list(new_restricted if new_restricted is not None else live),
-            new_comps,
-            dict(defs),
+            kept,
+            new,
+            cfg.defs,
             cfg.observables,
             table,
         )
@@ -409,22 +443,28 @@ def transitions(
             k += 1
         return template.format(k)
 
-    def replaced(i: int, *new: Term) -> list[Term]:
-        return [c for k, c in enumerate(comps) if k != i] + list(new)
-
-    def replaced2(i: int, j: int, *new: Term) -> list[Term]:
-        return [c for k, c in enumerate(comps) if k not in (i, j)] + list(new)
+    # the heads by what they can do, each in order: on a channel (by
+    # subject, and the active sides among them), accepts, requests, calls
+    by_subject: dict[P.Endpoint, list[int]] = {}
+    on_channels, active, accepts, requests, calls = [], [], [], [], []
+    for i, a in enumerate(heads):
+        kind = type(a)
+        if kind is P.Call:
+            calls.append(i)
+        elif kind is P.Accept:
+            accepts.append(i)
+        elif kind is P.Request:
+            requests.append(i)
+        else:
+            on_channels.append(i)
+            by_subject.setdefault(a.chan, []).append(i)
+            if kind in _ACTIVE_HEADS:
+                active.append(i)
 
     # internal synchronization on dual endpoints, each pair counted once,
     # from the active side; partners are found by subject, in order
-    by_subject: dict[P.Endpoint, list[int]] = {}
-    for j, b in enumerate(heads):
-        subj_b = getattr(b, "chan", None)
-        if subj_b is not None:
-            by_subject.setdefault(subj_b, []).append(j)
-    for i, a in enumerate(heads):
-        if not isinstance(a, _SEND_HEADS) and not isinstance(a, P.Select):
-            continue
+    for i in active:
+        a = heads[i]
         for j in by_subject.get(a.chan.flip(), ()):
             b = heads[j]
             reason = _sync_mismatch(a, b)
@@ -432,28 +472,27 @@ def transitions(
                 if a.chan.name in restricted:
                     raise RuntimeSafetyViolation(reason)
                 continue
-            out.append((TAU, rebuild(replaced2(i, j, *_exchange(table, a, b)))))
+            out.append((TAU, rebuild(_without(comps, i, j), *_exchange(table, a, b))))
 
     # accept/request pairing on shared names
-    for i, a in enumerate(heads):
-        if not isinstance(a, P.Accept):
-            continue
-        for j, b in enumerate(heads):
-            if not isinstance(b, P.Request) or b.shared != a.shared:
+    for i in accepts:
+        a = heads[i]
+        for j in requests:
+            b = heads[j]
+            if b.shared != a.shared:
                 continue
             session = fresh("s{}'")
             acc = receive(a, P.Endpoint(session, False))
             req = receive(b, P.Endpoint(session, True))
-            target = rebuild(replaced2(i, j, acc, req), list(live) + [session])
+            target = rebuild(_without(comps, i, j), acc, req, new_restricted=list(live) + [session])
             label: TransitionLabel = (
                 SharedInit(a.shared) if a.shared in cfg.observables else TAU
             )
             out.append((label, target))
 
     # call unfolding
-    for i, a in enumerate(heads):
-        if not isinstance(a, P.Call):
-            continue
+    for i in calls:
+        a = heads[i]
         closure = defs.get(a.name)
         if closure is None:
             raise RuntimeSafetyViolation(f"call to unknown definition {a.name!r}")
@@ -464,40 +503,40 @@ def transitions(
             name: P.eval_value(value) for name, value in zip(val_names, a.val_args)
         }
         mapping.update(zip(chan_names, a.chan_args))
-        out.append((TAU, rebuild(replaced(i, table.subst(body, mapping)))))
+        out.append((TAU, rebuild(_without(comps, i), table.subst(body, mapping))))
 
     # visible actions on observable free endpoints; names drawn from the
     # canonical fresh supply (@k) are observable by construction
-    for i, a in enumerate(heads):
-        subj = getattr(a, "chan", None)
-        if subj is None or subj.name in restricted:
+    for i in on_channels:
+        a = heads[i]
+        subj = a.chan
+        if subj.name in restricted:
             continue
         if subj.name not in cfg.observables and not subj.name.startswith("@"):
             continue
         if isinstance(a, P.SendVal):
-            out.append((OutVal(subj, P.eval_value(a.value)), rebuild(replaced(i, a.cont))))
+            out.append((OutVal(subj, P.eval_value(a.value)), rebuild(_without(comps, i), a.cont)))
         elif isinstance(a, P.SendChan):
             sent = a.sent
             if sent.name in restricted:
                 supply = fresh("@{}")
-                renamed = [table.subst(c, {sent.name: P.Endpoint(supply)}) for c in replaced(i, a.cont)]
+                renamed = tuple(table.subst(c, {sent.name: P.Endpoint(supply)}) for c in (*_without(comps, i), a.cont))
                 rest = [n for n in live if n != sent.name]
-                out.append(
-                    (OutChan(subj, str(P.Endpoint(supply, sent.dual))), rebuild(renamed, rest))
-                )
+                target = rebuild(renamed[:-1], renamed[-1], new_restricted=rest)
+                out.append((OutChan(subj, str(P.Endpoint(supply, sent.dual))), target))
             else:
-                out.append((OutChan(subj, str(sent)), rebuild(replaced(i, a.cont))))
+                out.append((OutChan(subj, str(sent)), rebuild(_without(comps, i), a.cont)))
         elif isinstance(a, P.RecvVal):
             for v in value_domain:
-                out.append((InVal(subj, v), rebuild(replaced(i, receive(a, v)))))
+                out.append((InVal(subj, v), rebuild(_without(comps, i), receive(a, v))))
         elif isinstance(a, P.RecvChan):
             supply = fresh("@{}")
-            out.append((InChan(subj, supply), rebuild(replaced(i, receive(a, P.Endpoint(supply, False))))))
+            out.append((InChan(subj, supply), rebuild(_without(comps, i), receive(a, P.Endpoint(supply, False)))))
         elif isinstance(a, P.Select):
-            out.append((SelectL(subj, a.label), rebuild(replaced(i, a.cont))))
+            out.append((SelectL(subj, a.label), rebuild(_without(comps, i), a.cont)))
         elif isinstance(a, P.Branch):
             for label, cont in a.branches:
-                out.append((OfferL(subj, label), rebuild(replaced(i, cont))))
+                out.append((OfferL(subj, label), rebuild(_without(comps, i), cont)))
     return out
 
 
@@ -506,24 +545,98 @@ def transitions(
 _SYNC_HEADS = frozenset({*_SEND_HEADS, *_RECV_HEADS, P.Select, P.Branch})
 
 
-def _eligible_step(cfg: Configuration) -> Configuration | None:
+class _Eligibility:
+    """The eligibility index of one configuration (see the module
+    docstring).  ``stamps`` numbers its components, increasing in their
+    order.  ``waiting`` holds, for each restricted subject, the stamp of
+    each sync head on it and the occurrences of its name there, and
+    ``dual`` the names on which heads have waited at both ends.  ``users``
+    counts the occurrences of a restricted name, one per hole, from the
+    first time a candidate needs them, or from its restriction in a link."""
+
+    __slots__ = ("restricted", "stamps", "waiting", "dual", "users")
+
+    def __init__(self, cfg: Configuration):
+        self.restricted = set(cfg.restricted)
+        self.stamps = list(range(len(cfg.components)))
+        self.waiting: dict[tuple[str, int], list[tuple[int, int]]] = {}
+        self.dual: set[str] = set()
+        self.users: dict[str, int] = {}
+        self._count(cfg.components, self.stamps, 1)
+
+    def candidates(self, comps: tuple[Term, ...]) -> list[tuple[int, int]]:
+        """The positions in ``comps``, the configuration's components, of
+        the candidate pairs, in the order of their later component.  The
+        occurrences of a name are counted here the first time they are
+        needed, and kept up to date from then on."""
+        waiting, users, pairs = self.waiting, self.users, []
+        for name in tuple(self.dual):
+            one, other = waiting[name, 1], waiting[name, 2]
+            if not one or not other:
+                self.dual.discard(name)
+            elif len(one) == 1 and len(other) == 1:
+                if name not in users:
+                    users[name] = _occurrences(name, comps)
+                # one head waiting at each end, and every occurrence theirs
+                if users[name] == one[0][1] + other[0][1]:
+                    pairs.append((max(one[0][0], other[0][0]), min(one[0][0], other[0][0])))
+        pairs.sort()
+        return [(bisect_left(self.stamps, i), bisect_left(self.stamps, j)) for j, i in pairs]
+
+    def replace(self, comps: tuple[Term, ...], i: int, j: int, added, restricted) -> None:
+        """Patch the index of ``comps`` into that of the link that removes
+        the components at positions ``i`` < ``j``, appends ``added``, and
+        restricts ``restricted`` too (names no component of ``comps`` uses)."""
+        self.restricted.update(restricted)
+        self.users.update(dict.fromkeys(restricted, 0))
+        stamps = self.stamps
+        self._count((comps[j], comps[i]), (stamps.pop(j), stamps.pop(i)), -1)
+        start = stamps[-1] + 1 if stamps else 0
+        stamps += range(start, start + len(added))
+        self._count(added, stamps[len(stamps) - len(added):], 1)
+
+    def _count(self, comps, stamps, sign: int) -> None:
+        """Count ``comps``, with their ``stamps``, in (``sign`` 1) or out
+        (-1)."""
+        restricted, users, waiting = self.restricted, self.users, self.waiting
+        for stamp, comp in zip(stamps, comps):
+            if users:
+                for name, _ in comp.args:
+                    if name in users:
+                        users[name] += sign
+            if comp.shape.key[0] not in _SYNC_HEADS:
+                continue
+            subject = comp.args[0]  # a sync head's subject is its first hole
+            if subject[0] not in restricted:
+                continue
+            entry = (stamp, _occurrences(subject[0], (comp,)))
+            if sign < 0:
+                waiting[subject].remove(entry)
+                continue
+            waiting.setdefault(subject, []).append(entry)
+            if waiting.get((subject[0], 3 - subject[1])):
+                self.dual.add(subject[0])
+
+
+def _occurrences(name: str, comps) -> int:
+    """The holes of ``comps`` that ``name`` fills."""
+    n = 0
+    for comp in comps:
+        for other, _ in comp.args:
+            if other == name:
+                n += 1
+    return n
+
+
+def _eligible_step(cfg: Configuration, index: _Eligibility) -> tuple[Configuration, _Eligibility] | None:
     """The target of the first eligible step of ``cfg`` (see the module
-    docstring), or None if it has none."""
+    docstring) and its eligibility index, or None if it has none.
+    ``index`` is that of ``cfg``; the target's is ``index`` patched, or
+    built afresh where that reads fewer components."""
     comps, table = cfg.components, cfg.table
-    restricted = set(cfg.restricted)
-    waiting: dict[tuple[str, int], int] = {}
-    for j, comp in enumerate(comps):
-        if comp.shape.key[0] not in _SYNC_HEADS:
-            continue
-        name, kind = comp.args[0]  # a head's subject is its first hole
-        i = waiting.get((name, 3 - kind))
-        waiting.setdefault((name, kind), j)
-        if i is None or name not in restricted:
-            continue
-        if any(n == name for k, c in enumerate(comps) if k != i and k != j for n, _ in c.args):
-            continue
-        a, b = table.view(comps[i]), table.view(comps[j])
-        if isinstance(b, (*_SEND_HEADS, P.Select)):
+    for i, j in index.candidates(comps):
+        a, b = table.head(comps[i]), table.head(comps[j])
+        if isinstance(b, _ACTIVE_HEADS):
             a, b = b, a
         if _sync_mismatch(a, b) is not None:
             continue
@@ -531,8 +644,14 @@ def _eligible_step(cfg: Configuration) -> Configuration | None:
         kept = {n for t in conts for n, _ in t.args}
         if any(n[0] == "@" and n not in kept for c in (comps[i], comps[j]) for n, _ in c.args):
             continue
-        rest = [c for k, c in enumerate(comps) if k != i and k != j]
-        return _assemble(list(cfg.restricted), rest + list(conts), dict(cfg.defs), cfg.observables, table)
+        rest = _without(comps, i, j)
+        link = _assemble(list(cfg.restricted), rest, conts, cfg.defs, cfg.observables, table)
+        added = link.components[len(rest):]
+        # a patch reads the two components removed and those added
+        if 2 + len(added) >= len(link.components):
+            return link, _Eligibility(link)
+        index.replace(comps, i, j, added, link.restricted[len(cfg.restricted):])
+        return link, index
     return None
 
 
@@ -540,11 +659,14 @@ def fold_chain(cfg: Configuration, steps: int, fuel: int) -> tuple[Configuration
     """Fire eligible steps from ``cfg``, reached after ``steps`` steps, to
     the end of their chain, or until ``steps`` reaches ``fuel``; the end,
     and its step count.  The links between are never keyed."""
+    if not cfg.restricted:  # no step on a free name is eligible
+        return cfg, steps
+    index = _Eligibility(cfg)
     while steps < fuel:
-        link = _eligible_step(cfg)
+        link = _eligible_step(cfg, index)
         if link is None:
             break
-        cfg, steps = link, steps + 1
+        (cfg, index), steps = link, steps + 1
     return cfg, steps
 
 
@@ -566,7 +688,7 @@ def find_store_value(cfg: Configuration) -> P.Value | None:
     payload of the get branch of a {get, put, stop} offer (possibly behind
     an accept)."""
 
-    view = cfg.table.view
+    view = cfg.table.head
 
     def from_branch(t: Term) -> P.Value | None:
         b = view(t)

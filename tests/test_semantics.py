@@ -3,7 +3,9 @@ import sys
 import pytest
 
 from effsess import embedding
+from effsess import semantics as M
 from effsess.equivalence import build_lts
+from effsess.normalize import _HIDDEN
 from effsess.process import (
     Call,
     Def,
@@ -35,7 +37,7 @@ from effsess.semantics import (
 )
 from effsess.terms import ValueType, parse_program
 
-from oracle import embedded_corpus, full_run, reference_configuration
+from oracle import check_chain, embedded_corpus, full_lts, full_run, reference_configuration
 
 NAT = ValueType.NAT
 
@@ -179,15 +181,20 @@ def test_transitions_commute_with_normalization():
     ]
 
 
-def _idle_and_pair(k: int, messages: int = 4):
-    """k idle components, half of them blocked on a private channel, and a
-    pair that exchanges ``messages`` values on a channel of its own."""
-    idle = [
+def _idle(k: int) -> list:
+    """k idle components, half of them blocked on a private channel."""
+    return [
         New(f"e{i}", None, SendVal(Endpoint(f"e{i}"), NatLit(i), NIL))
         if i % 2 == 0
         else RecvVal(Endpoint(f"a{i}"), "x", SendVal(Endpoint(f"b{i}"), VarRef("x"), NIL))
         for i in range(k)
     ]
+
+
+def _idle_and_pair(k: int, messages: int = 4):
+    """`_idle` components and a pair that exchanges ``messages`` values on
+    a channel of its own."""
+    idle = _idle(k)
     sender, receiver = NIL, NIL
     for j in reversed(range(messages)):
         sender = SendVal(Endpoint("c"), NatLit(j), sender)
@@ -223,6 +230,70 @@ def test_step_cost_does_not_grow_with_untouched_components():
     few, many = _misses_per_step(_idle_and_pair(2)), _misses_per_step(_idle_and_pair(8))
     assert len(few) == len(many) == 4
     assert few == many
+
+
+def _counting_opens(table) -> list:
+    """The terms ``table.open`` is called on from now on."""
+    opened, real_open = [], table.open
+    table.open = lambda t, names=None: opened.append(t) or real_open(t, names)
+    return opened
+
+
+def _fold_costs(p) -> list[tuple[int, int, int]]:
+    """The heads viewed, the terms opened and the components whose name
+    occurrences are counted by each step of the eligible chain from the
+    first configuration of ``p``."""
+    cfg = make_configuration(p)
+    table, index, costs, read = cfg.table, M._Eligibility(cfg), [], []
+    opened = _counting_opens(table)
+    occurrences = M._occurrences
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(M, "_occurrences", lambda name, comps: read.extend(comps) or occurrences(name, comps))
+        while True:
+            misses, opens, reads = table.view_misses, len(opened), len(read)
+            link = M._eligible_step(cfg, index)
+            if link is None:
+                return costs
+            cfg, index = link
+            costs.append((table.view_misses - misses, len(opened) - opens, len(read) - reads))
+
+
+def test_fold_step_cost_does_not_grow_with_untouched_components():
+    few, many = _fold_costs(_idle_and_pair(2, 20)), _fold_costs(_idle_and_pair(64, 20))
+    assert len(few) == len(many) == 20
+    # a step views the two heads it consumes and opens the two
+    # continuations it creates; past the first step, which counts the
+    # occurrences of the channel in every component, it reads those four
+    # (the last step leaves nothing)
+    assert [cost[:2] for cost in few] == [cost[:2] for cost in many] == [(2, 2)] * 20
+    assert many[1:] == [(2, 2, 4)] * 18 + [(2, 2, 2)]
+    # a private channel restricted in a link is counted as it surfaces
+    some, more = (_fold_costs(par(*_idle(k), _relay(8))) for k in (32, 64))
+    assert len(some) == 16 and some[1:] == more[1:]
+
+
+def _transition_costs(p) -> list[tuple[int, int]]:
+    """The heads viewed and the terms opened by each step of the one
+    schedule of ``p``."""
+    cfg = make_configuration(p)
+    table, costs = cfg.table, []
+    opened = _counting_opens(table)
+    while True:
+        misses, opens = table.view_misses, len(opened)
+        successors = transitions(cfg)
+        if not successors:
+            return costs
+        costs.append((table.view_misses - misses, len(opened) - opens))
+        ((_, cfg),) = successors
+
+
+def test_transitions_view_only_the_heads_a_step_creates():
+    few, many = _transition_costs(_idle_and_pair(2, 20)), _transition_costs(_idle_and_pair(64, 20))
+    assert len(few) == len(many) == 20
+    # the first call views every head; each later one only the two new
+    # ones, and every call opens the two continuations of its one target
+    assert few[0] == (4, 2) and many[0] == (66, 2)
+    assert set(few[1:]) == set(many[1:]) == {(2, 2)}
 
 
 def test_step_cost_does_not_grow_with_the_continuation_it_creates():
@@ -355,3 +426,67 @@ def test_fuel_counts_folded_steps():
     assert build_lts(chain, frozenset(), fuel=6).partial
     lts = build_lts(chain, frozenset(), fuel=7)
     assert not lts.partial and lts.n_states == 1 and lts.folded == 6
+
+
+# ------------------------------------------------ the eligibility index
+
+def test_carried_index_agrees_with_a_fresh_scan(monkeypatch):
+    fold, patched = M.fold_chain, []
+
+    def checked(cfg, steps, fuel):
+        patched.append(check_chain(cfg))
+        return fold(cfg, steps, fuel)
+
+    monkeypatch.setattr(M, "fold_chain", checked)
+    for _, system in embedded_corpus():
+        run(system, "all", store_reader=find_store_value)
+    for p in (_idle_and_pair(6, 8), _relay(6)):
+        run(p, "all", observables=frozenset())
+    with pytest.raises(FuelExhausted):  # it never ends
+        run(_store_and_client(), "one", fuel=60, observables=frozenset())
+    # links that patch their parent's index, not only fresh scans
+    assert sum(patched) >= 500
+
+
+@pytest.mark.parametrize(
+    "text, folded",
+    [
+        ("new c. (c!<zero> | ~c?(y). 0 | a!<c>)", 0),  # a third component sends c
+        ("new c. (c!<zero> | ~c?(y). 0 | a?(x). c!<x>)", 0),  # or uses it later
+        ("new c. (c!<zero>. ~c?(z). r!<z> | ~c?(y). c!<suc y>)", 2),  # both ends in each
+        ("new c. new d. (d!<zero> | ~d?(x). c!<x> | ~c?(y). r!<y>)", 2),  # a pair once d is done
+    ],
+)
+def test_eligibility_counts_every_occurrence(text, folded):
+    cfg = make_configuration(parse_process(text), frozenset({"a", "r"}))
+    check_chain(cfg)
+    assert M.fold_chain(cfg, 0, 100)[1] == folded
+
+
+def _no_stand_ins(cfg: M.Configuration) -> None:
+    for term in (*cfg.components, *(body for _, (_, _, body) in cfg.defs)):
+        assert not any(name.startswith(_HIDDEN) for name, _ in term.args), term
+
+
+def test_no_stand_in_binder_reaches_a_configuration(monkeypatch):
+    # heads are viewed once per table, so their stand-in binders are
+    # shared: every one must be filled before its continuation is assembled
+    assemble, built = M._assemble, []
+
+    def checked(*args):
+        cfg = assemble(*args)
+        _no_stand_ins(cfg)
+        built.append(len(cfg.components))
+        return cfg
+
+    monkeypatch.setattr(M, "_assemble", checked)
+    for program, system in embedded_corpus():
+        full_run(system, store_reader=find_store_value)
+        full_lts(program, {"r", "eff"})
+    store = embedding.shared_store_agent(NatLit(0), "k", NAT)
+    clients = [
+        embedding.shared_get("k", "x", embedding.shared_put("k", SucOf(VarRef("x")), NIL)) for _ in range(3)
+    ]
+    outcomes = full_run(par(store, *clients), observables=frozenset(), store_reader=find_store_value)
+    assert sorted({o.store.n for o in outcomes}) == [1, 2, 3]
+    assert len(built) > 1000
