@@ -55,25 +55,16 @@ bisimilarity (Groote & Sellink, *Confluence for process verification*,
 configuration they reach to the end of its chain (`fold_chain`), counting
 each against fuel; the links between are never keyed, and only chain ends
 are deduplicated.  `transitions` stays the full one-step relation.
+`_eligible_step` finds the first eligible pair by scanning the arguments
+of every component, so it still reads the components a step leaves
+untouched.
 
-Eligible pairs come from an index of the configuration (`_Eligibility`):
-for each restricted name, its occurrences and the sync heads waiting on
-it.  A candidate pair is a restricted name on which one sync head waits at
-each end and which no other component uses; only names on which heads
-have waited at both ends are looked at.  `fold_chain` scans the
-components of the chain's start for it once, and each link takes over its
-parent's index, patched for the two components it removed and the ones it
-added; a link with no more components than that scans its own.
-Candidates are tried in the order of their later component, the order a
-scan of the components finds them in, so every chain fires the same steps
-whichever way its index was built.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
@@ -545,96 +536,22 @@ def transitions(
 _SYNC_HEADS = frozenset({*_SEND_HEADS, *_RECV_HEADS, P.Select, P.Branch})
 
 
-class _Eligibility:
-    """The eligibility index of one configuration (see the module
-    docstring).  ``stamps`` numbers its components, increasing in their
-    order.  ``waiting`` holds, for each restricted subject, the stamp of
-    each sync head on it and the occurrences of its name there, and
-    ``dual`` the names on which heads have waited at both ends.  ``users``
-    counts the occurrences of a restricted name, one per hole, from the
-    first time a candidate needs them, or from its restriction in a link."""
-
-    __slots__ = ("restricted", "stamps", "waiting", "dual", "users")
-
-    def __init__(self, cfg: Configuration):
-        self.restricted = set(cfg.restricted)
-        self.stamps = list(range(len(cfg.components)))
-        self.waiting: dict[tuple[str, int], list[tuple[int, int]]] = {}
-        self.dual: set[str] = set()
-        self.users: dict[str, int] = {}
-        self._count(cfg.components, self.stamps, 1)
-
-    def candidates(self, comps: tuple[Term, ...]) -> list[tuple[int, int]]:
-        """The positions in ``comps``, the configuration's components, of
-        the candidate pairs, in the order of their later component.  The
-        occurrences of a name are counted here the first time they are
-        needed, and kept up to date from then on."""
-        waiting, users, pairs = self.waiting, self.users, []
-        for name in tuple(self.dual):
-            one, other = waiting[name, 1], waiting[name, 2]
-            if not one or not other:
-                self.dual.discard(name)
-            elif len(one) == 1 and len(other) == 1:
-                if name not in users:
-                    users[name] = _occurrences(name, comps)
-                # one head waiting at each end, and every occurrence theirs
-                if users[name] == one[0][1] + other[0][1]:
-                    pairs.append((max(one[0][0], other[0][0]), min(one[0][0], other[0][0])))
-        pairs.sort()
-        return [(bisect_left(self.stamps, i), bisect_left(self.stamps, j)) for j, i in pairs]
-
-    def replace(self, comps: tuple[Term, ...], i: int, j: int, added, restricted) -> None:
-        """Patch the index of ``comps`` into that of the link that removes
-        the components at positions ``i`` < ``j``, appends ``added``, and
-        restricts ``restricted`` too (names no component of ``comps`` uses)."""
-        self.restricted.update(restricted)
-        self.users.update(dict.fromkeys(restricted, 0))
-        stamps = self.stamps
-        self._count((comps[j], comps[i]), (stamps.pop(j), stamps.pop(i)), -1)
-        start = stamps[-1] + 1 if stamps else 0
-        stamps += range(start, start + len(added))
-        self._count(added, stamps[len(stamps) - len(added):], 1)
-
-    def _count(self, comps, stamps, sign: int) -> None:
-        """Count ``comps``, with their ``stamps``, in (``sign`` 1) or out
-        (-1)."""
-        restricted, users, waiting = self.restricted, self.users, self.waiting
-        for stamp, comp in zip(stamps, comps):
-            if users:
-                for name, _ in comp.args:
-                    if name in users:
-                        users[name] += sign
-            if comp.shape.key[0] not in _SYNC_HEADS:
-                continue
-            subject = comp.args[0]  # a sync head's subject is its first hole
-            if subject[0] not in restricted:
-                continue
-            entry = (stamp, _occurrences(subject[0], (comp,)))
-            if sign < 0:
-                waiting[subject].remove(entry)
-                continue
-            waiting.setdefault(subject, []).append(entry)
-            if waiting.get((subject[0], 3 - subject[1])):
-                self.dual.add(subject[0])
-
-
-def _occurrences(name: str, comps) -> int:
-    """The holes of ``comps`` that ``name`` fills."""
-    n = 0
-    for comp in comps:
-        for other, _ in comp.args:
-            if other == name:
-                n += 1
-    return n
-
-
-def _eligible_step(cfg: Configuration, index: _Eligibility) -> tuple[Configuration, _Eligibility] | None:
+def _eligible_step(cfg: Configuration) -> Configuration | None:
     """The target of the first eligible step of ``cfg`` (see the module
-    docstring) and its eligibility index, or None if it has none.
-    ``index`` is that of ``cfg``; the target's is ``index`` patched, or
-    built afresh where that reads fewer components."""
+    docstring), or None if it has none."""
     comps, table = cfg.components, cfg.table
-    for i, j in index.candidates(comps):
+    restricted = set(cfg.restricted)
+    waiting: dict[tuple[str, int], int] = {}
+    for j, comp in enumerate(comps):
+        if comp.shape.key[0] not in _SYNC_HEADS:
+            continue
+        name, kind = comp.args[0]  # a head's subject is its first hole
+        i = waiting.get((name, 3 - kind))
+        waiting.setdefault((name, kind), j)
+        if i is None or name not in restricted:
+            continue
+        if any(n == name for k, c in enumerate(comps) if k != i and k != j for n, _ in c.args):
+            continue
         a, b = table.head(comps[i]), table.head(comps[j])
         if isinstance(b, _ACTIVE_HEADS):
             a, b = b, a
@@ -644,14 +561,7 @@ def _eligible_step(cfg: Configuration, index: _Eligibility) -> tuple[Configurati
         kept = {n for t in conts for n, _ in t.args}
         if any(n[0] == "@" and n not in kept for c in (comps[i], comps[j]) for n, _ in c.args):
             continue
-        rest = _without(comps, i, j)
-        link = _assemble(list(cfg.restricted), rest, conts, cfg.defs, cfg.observables, table)
-        added = link.components[len(rest):]
-        # a patch reads the two components removed and those added
-        if 2 + len(added) >= len(link.components):
-            return link, _Eligibility(link)
-        index.replace(comps, i, j, added, link.restricted[len(cfg.restricted):])
-        return link, index
+        return _assemble(list(cfg.restricted), _without(comps, i, j), conts, cfg.defs, cfg.observables, table)
     return None
 
 
@@ -659,14 +569,11 @@ def fold_chain(cfg: Configuration, steps: int, fuel: int) -> tuple[Configuration
     """Fire eligible steps from ``cfg``, reached after ``steps`` steps, to
     the end of their chain, or until ``steps`` reaches ``fuel``; the end,
     and its step count.  The links between are never keyed."""
-    if not cfg.restricted:  # no step on a free name is eligible
-        return cfg, steps
-    index = _Eligibility(cfg)
     while steps < fuel:
-        link = _eligible_step(cfg, index)
+        link = _eligible_step(cfg)
         if link is None:
             break
-        (cfg, index), steps = link, steps + 1
+        cfg, steps = link, steps + 1
     return cfg, steps
 
 
@@ -688,20 +595,22 @@ def find_store_value(cfg: Configuration) -> P.Value | None:
     payload of the get branch of a {get, put, stop} offer (possibly behind
     an accept)."""
 
-    view = cfg.table.head
+    table = cfg.table
 
-    def from_branch(t: Term) -> P.Value | None:
-        b = view(t)
+    def from_branch(b: P.Process) -> P.Value | None:
         if isinstance(b, P.Branch) and set(dict(b.branches)) == {"get", "put", "stop"}:
-            get_cont = view(b.get("get"))
+            get_cont = table.view(b.get("get"))
             if isinstance(get_cont, P.SendVal):
                 return P.eval_value(get_cont.value)
         return None
 
+    # only the components' own heads are kept; the views behind them are
+    # one-shot
     for comp in cfg.ordered[1]:
-        found = from_branch(comp)
-        if found is None and comp.shape.key[0] is P.Accept:
-            found = from_branch(view(comp).cont)
+        head = table.head(comp)
+        found = from_branch(head)
+        if found is None and isinstance(head, P.Accept):
+            found = from_branch(table.view(head.cont))
         if found is not None:
             return found
     return None

@@ -9,10 +9,7 @@ interleaving of `semantics.transitions`, folding no eligible chain, so they
 are the reference that `semantics.run` and `equivalence.build_lts` reduce.
 `reference_configuration` builds a first configuration from the normal
 form of the whole process, the route that `semantics.make_configuration`
-shortcuts by walking the spine.  `scan_eligible_step` finds an eligible
-step by scanning every component, the route that `semantics._eligible_step`
-shortcuts with the index a chain carries; `check_chain` holds the two
-against each other, link by link.
+shortcuts by walking the spine.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from effsess import process as P
 from effsess import semantics as M
 from effsess.equivalence import LTS
 from effsess.normalize import InternTable
-from effsess.semantics import fold_chain
 from effsess.terms import Const, Let, OpApp, Program, Term, ValueType, Var
 
 
@@ -183,67 +179,3 @@ def reference_configuration(p: P.Process, observables=frozenset()) -> M.Configur
     of ``p``: its restrictions are named by the sorted order."""
     table = InternTable()
     return M._assemble([], (), [table.term(p)], (), frozenset(observables), table)
-
-
-def scan_eligible_step(cfg: M.Configuration) -> M.Configuration | None:
-    """The target of the first eligible step of ``cfg``, found by scanning
-    every component's arguments for each candidate pair: the route that
-    `semantics._eligible_step` shortcuts with its carried index."""
-    comps, table = cfg.components, cfg.table
-    restricted = set(cfg.restricted)
-    waiting: dict[tuple[str, int], int] = {}
-    for j, comp in enumerate(comps):
-        if comp.shape.key[0] not in M._SYNC_HEADS:
-            continue
-        name, kind = comp.args[0]  # a head's subject is its first hole
-        i = waiting.get((name, 3 - kind))
-        waiting.setdefault((name, kind), j)
-        if i is None or name not in restricted:
-            continue
-        if any(n == name for k, c in enumerate(comps) if k != i and k != j for n, _ in c.args):
-            continue
-        a, b = table.view(comps[i]), table.view(comps[j])
-        if isinstance(b, (*M._SEND_HEADS, P.Select)):
-            a, b = b, a
-        if M._sync_mismatch(a, b) is not None:
-            continue
-        conts = M._exchange(table, a, b)
-        kept = {n for t in conts for n, _ in t.args}
-        if any(n[0] == "@" and n not in kept for c in (comps[i], comps[j]) for n, _ in c.args):
-            continue
-        rest = M._without(comps, i, j)
-        return M._assemble(list(cfg.restricted), rest, conts, cfg.defs, cfg.observables, table)
-    return None
-
-
-def _by_position(index, comps) -> tuple:
-    """An eligibility index of ``comps`` with its stamps read as positions;
-    every occurrence count it holds is checked against ``comps``."""
-    for name, n in index.users.items():
-        assert n == sum(m == name for comp in comps for m, _ in comp.args)
-    at = {stamp: k for k, stamp in enumerate(index.stamps)}
-    return (
-        index.restricted,
-        {subject: sorted((at[s], n) for s, n in heads) for subject, heads in index.waiting.items() if heads},
-        index.candidates(comps),
-    )
-
-
-def check_chain(start: M.Configuration) -> int:
-    """Follow the eligible chain from ``start`` with its carried index,
-    which must agree with a fresh scan at every link, and fire at every
-    link the step that scanning every component fires; its patched links."""
-    cfg, index, steps, patched = start, M._Eligibility(start), 0, 0
-    while True:
-        assert _by_position(index, cfg.components) == _by_position(M._Eligibility(cfg), cfg.components)
-        link, scanned = M._eligible_step(cfg, index), scan_eligible_step(cfg)
-        assert (link is None) == (scanned is None)
-        if link is None:
-            break
-        assert link[0].components == scanned.components and link[0].restricted == scanned.restricted
-        patched += link[1] is index
-        (cfg, index), steps = link, steps + 1
-    # so fold_chain ends where the scan ends, after as many steps
-    end, folded = fold_chain(start, 0, 10_000)
-    assert (end.key, folded) == (cfg.key, steps)
-    return patched

@@ -37,7 +37,7 @@ from effsess.semantics import (
 )
 from effsess.terms import ValueType, parse_program
 
-from oracle import check_chain, embedded_corpus, full_lts, full_run, reference_configuration
+from oracle import embedded_corpus, full_lts, full_run, reference_configuration
 
 NAT = ValueType.NAT
 
@@ -239,37 +239,29 @@ def _counting_opens(table) -> list:
     return opened
 
 
-def _fold_costs(p) -> list[tuple[int, int, int]]:
-    """The heads viewed, the terms opened and the components whose name
-    occurrences are counted by each step of the eligible chain from the
-    first configuration of ``p``."""
+def _fold_costs(p) -> list[tuple[int, int]]:
+    """The heads viewed and the terms opened by each step of the eligible
+    chain from the first configuration of ``p``."""
     cfg = make_configuration(p)
-    table, index, costs, read = cfg.table, M._Eligibility(cfg), [], []
+    table, costs = cfg.table, []
     opened = _counting_opens(table)
-    occurrences = M._occurrences
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(M, "_occurrences", lambda name, comps: read.extend(comps) or occurrences(name, comps))
-        while True:
-            misses, opens, reads = table.view_misses, len(opened), len(read)
-            link = M._eligible_step(cfg, index)
-            if link is None:
-                return costs
-            cfg, index = link
-            costs.append((table.view_misses - misses, len(opened) - opens, len(read) - reads))
+    while True:
+        misses, opens = table.view_misses, len(opened)
+        link = M._eligible_step(cfg)
+        if link is None:
+            return costs
+        cfg = link
+        costs.append((table.view_misses - misses, len(opened) - opens))
 
 
-def test_fold_step_cost_does_not_grow_with_untouched_components():
+def test_fold_step_views_and_opens_only_what_it_changes():
     few, many = _fold_costs(_idle_and_pair(2, 20)), _fold_costs(_idle_and_pair(64, 20))
-    assert len(few) == len(many) == 20
     # a step views the two heads it consumes and opens the two
-    # continuations it creates; past the first step, which counts the
-    # occurrences of the channel in every component, it reads those four
-    # (the last step leaves nothing)
-    assert [cost[:2] for cost in few] == [cost[:2] for cost in many] == [(2, 2)] * 20
-    assert many[1:] == [(2, 2, 4)] * 18 + [(2, 2, 2)]
-    # a private channel restricted in a link is counted as it surfaces
+    # continuations it creates
+    assert few == many == [(2, 2)] * 20
+    # so does a relay, whose private channels are restricted as they surface
     some, more = (_fold_costs(par(*_idle(k), _relay(8))) for k in (32, 64))
-    assert len(some) == 16 and some[1:] == more[1:]
+    assert len(some) == 16 and some == more
 
 
 def _transition_costs(p) -> list[tuple[int, int]]:
@@ -428,26 +420,6 @@ def test_fuel_counts_folded_steps():
     assert not lts.partial and lts.n_states == 1 and lts.folded == 6
 
 
-# ------------------------------------------------ the eligibility index
-
-def test_carried_index_agrees_with_a_fresh_scan(monkeypatch):
-    fold, patched = M.fold_chain, []
-
-    def checked(cfg, steps, fuel):
-        patched.append(check_chain(cfg))
-        return fold(cfg, steps, fuel)
-
-    monkeypatch.setattr(M, "fold_chain", checked)
-    for _, system in embedded_corpus():
-        run(system, "all", store_reader=find_store_value)
-    for p in (_idle_and_pair(6, 8), _relay(6)):
-        run(p, "all", observables=frozenset())
-    with pytest.raises(FuelExhausted):  # it never ends
-        run(_store_and_client(), "one", fuel=60, observables=frozenset())
-    # links that patch their parent's index, not only fresh scans
-    assert sum(patched) >= 500
-
-
 @pytest.mark.parametrize(
     "text, folded",
     [
@@ -459,7 +431,6 @@ def test_carried_index_agrees_with_a_fresh_scan(monkeypatch):
 )
 def test_eligibility_counts_every_occurrence(text, folded):
     cfg = make_configuration(parse_process(text), frozenset({"a", "r"}))
-    check_chain(cfg)
     assert M.fold_chain(cfg, 0, 100)[1] == folded
 
 
