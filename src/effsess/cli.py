@@ -106,19 +106,22 @@ def parse_translation(text: str) -> tuple[ProcEnv, dict[P.Endpoint, S.SessionTyp
     process text (the directives are ordinary comments to the parser)."""
     delta: dict[P.Endpoint, S.SessionType] = {}
     gamma: dict[str, ValueType] = {}
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         for directive in ("-- delta ", "-- gamma "):
             if stripped.startswith(directive):
                 payload = stripped[len(directive):]
                 name, _, type_text = payload.partition(":")
-                name = name.strip()
-                if directive == "-- delta ":
-                    dualized = name.startswith("~")
-                    ep = P.Endpoint(name.lstrip("~"), dualized)
-                    delta[ep] = S.parse_session_type(type_text.strip())
-                else:
-                    gamma[name] = parse_value_type(type_text.strip())
+                name, type_text = name.strip(), type_text.strip()
+                try:
+                    if directive == "-- delta ":
+                        dualized = name.startswith("~")
+                        ep = P.Endpoint(name.lstrip("~"), dualized)
+                        delta[ep] = S.parse_session_type(type_text)
+                    else:
+                        gamma[name] = parse_value_type(type_text)
+                except ValueError as exc:  # an ill-formed type, or no type at all
+                    raise ParseError(str(exc), number, line.rfind(type_text) + 1) from None
     known = {ep.name for ep in delta}
     proc = P.parse_process(text, known_channels=known)
     env = ProcEnv(vars=gamma)

@@ -5,8 +5,8 @@ base name.  Communication in the semantics happens between the two
 polarities of a restricted base, and `new` binds both.
 
 The binder table `FORMS` has one entry per constructor: its fields in
-declaration order, each with the role it plays.  A name slot holds an
-occurrence of one of four kinds:
+declaration order, each with the role it plays, and its concrete syntax.
+A name slot holds an occurrence of one of four kinds:
 
 - endpoint: a channel endpoint, `c` or `~c`;
 - value: a variable inside a payload or a call argument;
@@ -25,18 +25,27 @@ each constructor binds:
 Every name-aware operation walks this table: free names, simultaneous
 capture-avoiding substitution, the alpha-invariant serialization,
 structural equality, kind resolution, and the interned shapes of
-`normalize`.
+`normalize`.  So do `format_process` and `parse_process`: a row's syntax
+is a template of literal text and field names, which the printer fills
+and the parser reads field by field, by role.  The parser picks a form by
+its first token, or by the token after its subject.  A form that ends in
+a process (a prefix's continuation, the body of `new`, the scope of `def`)
+leaves that process to a loop, so a chain of prefixes costs no recursion.
+Three cases are special: `Par` is n-ary, `(P | Q | R)`; `new a, b. P`
+restricts a list of names; and a `~` payload makes a send a `SendChan`.
 
 The surface syntax cannot distinguish a received value from a received
-channel (`c?(x).P` covers both), so the parser resolves binder and payload
-kinds from usage: names that appear in subject position, in call channel
-arguments, or dual-marked are channels; everything else is a value.  Free
-names can be forced to channel kind via `known_channels`.
+channel (`c?(x).P` covers both), so the parser reads every receive as a
+`RecvVal` and resolves binder and payload kinds from usage: names that
+appear in subject position, in call channel arguments, or dual-marked are
+channels; everything else is a value.  Free names can be forced to channel
+kind via `known_channels`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator, NamedTuple
 
 from .sessions import SessionType, _TypeParser, format_session_type
@@ -290,30 +299,36 @@ _SEQUENCES = (ENDPOINTS, VALUES) + _PARAMS
 
 
 class Form(NamedTuple):
-    """A row of the binder table: the constructor's serialization tag and
-    its fields, in declaration order, with their roles."""
+    """A row of the binder table: the constructor's serialization tag, its
+    fields in declaration order with their roles, and its concrete syntax:
+    literal text and field names, in field order."""
 
     tag: str
     fields: tuple[tuple[str, str], ...]
+    syntax: tuple[str, ...]
 
 
 _SESSION = (("shared", SHARED), ("binder", CHANNEL_BINDER), ("cont", SCOPED))
+_RECEIVE = ("chan", "?(", "binder", ")", "cont")
 
 FORMS: dict[type, Form] = {
-    RecvVal: Form("rv", (("chan", ENDPOINT), ("binder", VALUE_BINDER), ("cont", SCOPED))),
-    SendVal: Form("sv", (("chan", ENDPOINT), ("value", VALUE), ("cont", OPEN))),
-    RecvChan: Form("rc", (("chan", ENDPOINT), ("binder", CHANNEL_BINDER), ("cont", SCOPED))),
-    SendChan: Form("sc", (("chan", ENDPOINT), ("sent", ENDPOINT), ("cont", OPEN))),
-    Branch: Form("br", (("chan", ENDPOINT), ("branches", ARMS))),
-    Select: Form("sel", (("chan", ENDPOINT), ("label", LABEL), ("cont", OPEN))),
+    RecvVal: Form("rv", (("chan", ENDPOINT), ("binder", VALUE_BINDER), ("cont", SCOPED)), _RECEIVE),
+    SendVal: Form("sv", (("chan", ENDPOINT), ("value", VALUE), ("cont", OPEN)), ("chan", "!<", "value", ">", "cont")),
+    RecvChan: Form("rc", (("chan", ENDPOINT), ("binder", CHANNEL_BINDER), ("cont", SCOPED)), _RECEIVE),
+    SendChan: Form("sc", (("chan", ENDPOINT), ("sent", ENDPOINT), ("cont", OPEN)), ("chan", "!<", "sent", ">", "cont")),
+    Branch: Form("br", (("chan", ENDPOINT), ("branches", ARMS)), ("chan", " >> {", "branches", "}")),
+    Select: Form("sel", (("chan", ENDPOINT), ("label", LABEL), ("cont", OPEN)), ("chan", " <+ ", "label", "cont")),
     Def: Form("def", (("name", DEFINES), ("val_params", VALUE_PARAMS), ("chan_params", CHANNEL_PARAMS),
-                      ("body", SCOPED), ("scope", OPEN))),
-    Call: Form("call", (("name", DEFINITION), ("val_args", VALUES), ("chan_args", ENDPOINTS))),
-    New: Form("new", (("name", CHANNEL_BINDER), ("annotation", ANNOTATION), ("body", SCOPED))),
-    Par: Form("par", (("left", OPEN), ("right", OPEN))),
-    Nil: Form("nil", ()),
-    Accept: Form("acc", _SESSION),
-    Request: Form("req", _SESSION),
+                      ("body", SCOPED), ("scope", OPEN)),
+              ("def ", "name", "(", "val_params", "; ", "chan_params", ") = ", "body", " in ", "scope")),
+    Call: Form("call", (("name", DEFINITION), ("val_args", VALUES), ("chan_args", ENDPOINTS)),
+               ("name", "<", "val_args", "; ", "chan_args", ">")),
+    New: Form("new", (("name", CHANNEL_BINDER), ("annotation", ANNOTATION), ("body", SCOPED)),
+              ("new ", "name", "annotation", ". ", "body")),
+    Par: Form("par", (("left", OPEN), ("right", OPEN)), ("(", "left", " | ", "right", ")")),
+    Nil: Form("nil", (), ("0",)),
+    Accept: Form("acc", _SESSION, ("accept ", "shared", "(", "binder", ")", "cont")),
+    Request: Form("req", _SESSION, ("request ", "shared", "(", "binder", ")", "cont")),
 }
 
 
@@ -336,9 +351,12 @@ class FreeNames(NamedTuple):
 
 def free_names(p: Process) -> FreeNames:
     out = FreeNames({}, set(), set())
-
-    def go(q: Process, bound: frozenset[str], defs: frozenset[str]) -> None:
-        inner = bound
+    # every row lists its subterms after its names, so a stack of subterms
+    # meets the names in pre-order
+    stack = [(p, frozenset(), frozenset())]
+    while stack:
+        q, bound, defs = stack.pop()
+        inner, kids = bound, []
         for field, role in FORMS[type(q)].fields:
             x = getattr(q, field)
             if role is ENDPOINT or role is ENDPOINTS:
@@ -347,7 +365,7 @@ def free_names(p: Process) -> FreeNames:
                         out.endpoints.add(e)
                         out.terms[e.name] = None
             elif role is SCOPED or role is OPEN:
-                go(x, inner if role is SCOPED else bound, defs)
+                kids.append((x, inner if role is SCOPED else bound, defs))
             elif role is VALUE or role is VALUES:
                 for v in (x,) if role is VALUE else x:
                     for name in value_var_names(v):
@@ -359,14 +377,12 @@ def free_names(p: Process) -> FreeNames:
             elif role in _BINDERS:
                 inner = inner.union(_binders(role, x))
             elif role is ARMS:
-                for _, cont in x:
-                    go(cont, bound, defs)
+                kids.extend((cont, bound, defs) for _, cont in x)
             elif role is DEFINES:
                 defs = defs | {x}
             elif role is DEFINITION and x not in defs:
                 out.definitions.add(x)
-
-    go(p, frozenset(), frozenset())
+        stack.extend(reversed(kids))
     return out
 
 
@@ -624,7 +640,40 @@ def process_equal(p: Process, q: Process) -> bool:
     return True
 
 
-# ---------------------------------------------------------------- printer
+# ------------------------------------------------------- concrete syntax
+
+_PROC_PUNCT = (
+    "![", "?[", "+{", "&{", ">>", "<+",
+    "?", "!", "<", ">", "(", ")", ".", ",", ":", ";", "|", "~", "{", "}", "=", "]",
+)
+_PROC_KEYWORDS = ("def", "in", "new", "accept", "request", "zero", "unit", "suc", "end", "mu")
+# Each row's template as steps: a field name with its role, or a literal
+# with no role and its tokens.
+_STEPS = {
+    cls: tuple(
+        (item, dict(form.fields).get(item), tuple(tok[1] for tok in _Lexer(item, _PROC_PUNCT).tokens))
+        for item in form.syntax
+    )
+    for cls, form in FORMS.items()
+}
+# How a field that holds no process prints, by role; a name prints as itself.
+_TEXT = {
+    ENDPOINT: str,
+    VALUE: format_value,
+    ENDPOINTS: lambda x: ", ".join(map(str, x)),
+    VALUES: lambda x: ", ".join(map(format_value, x)),
+    VALUE_PARAMS: lambda x: ", ".join([n if t is None else f"{n}: {t}" for n, t in x]),
+    CHANNEL_PARAMS: lambda x: ", ".join([n if t is None else f"{n}: {format_session_type(t)}" for n, t in x]),
+    ANNOTATION: lambda x: "" if x is None else f": {format_session_type(x)}",
+}
+# The form a token opens, as the first token of a process (False) or as the
+# token after a subject (True).  Receives and sends read as the first rows
+# with their token, RecvVal and SendVal.
+_OPENS: dict[tuple[bool, str], type] = {}
+for _cls, _steps in _STEPS.items():
+    _first = next(tokens for _, role, tokens in _steps if role is None)[0]
+    _OPENS.setdefault((_steps[0][1] is not None, _first), _cls)
+
 
 def format_process(p: Process) -> str:
     """The concrete syntax of ``p``, walked with an explicit stack, so that
@@ -641,33 +690,10 @@ def format_process(p: Process) -> str:
 
 
 def _syntax(q: Process) -> list:
-    """The concrete syntax of ``q`` as strings and subprocesses, in order."""
-    cont = [] if isinstance(getattr(q, "cont", NIL), Nil) else [". ", q.cont]
-    if isinstance(q, Nil):
-        return ["0"]
-    if isinstance(q, (RecvVal, RecvChan)):
-        return [f"{q.chan}?({q.binder})", *cont]
-    if isinstance(q, SendVal):
-        return [f"{q.chan}!<{format_value(q.value)}>", *cont]
-    if isinstance(q, SendChan):
-        return [f"{q.chan}!<{q.sent}>", *cont]
-    if isinstance(q, Branch):
-        arms = [x for label, arm in q.branches for x in (", ", f"{label}: ", arm)]
-        return [f"{q.chan} >> {{", *arms[1:], "}"]
-    if isinstance(q, Select):
-        return [f"{q.chan} <+ {q.label}", *cont]
-    if isinstance(q, Def):
-        vals = ", ".join(n if t is None else f"{n}: {t}" for n, t in q.val_params)
-        chans = ", ".join(n if t is None else f"{n}: {format_session_type(t)}" for n, t in q.chan_params)
-        return [f"def {q.name}({vals}; {chans}) = ", q.body, " in ", q.scope]
-    if isinstance(q, Call):
-        vals = ", ".join(format_value(v) for v in q.val_args)
-        chans = ", ".join(str(ep) for ep in q.chan_args)
-        return [f"{q.name}<{vals}; {chans}>"]
-    if isinstance(q, New):
-        annot = f": {format_session_type(q.annotation)}" if q.annotation is not None else ""
-        return [f"new {q.name}{annot}. ", q.body]
-    if isinstance(q, Par):
+    """The concrete syntax of ``q`` as strings and subprocesses, in order:
+    its row's template, filled in.  A prefix's ``cont`` prints as ". P", and
+    not at all when P is 0.  Nested parallel compositions print as one."""
+    if type(q) is Par:
         parts, todo = [], [q]
         while todo:
             node = todo.pop()
@@ -676,18 +702,21 @@ def _syntax(q: Process) -> list:
             else:
                 parts += [" | ", node]
         return ["(", *parts[1:], ")"]
-    if isinstance(q, (Accept, Request)):
-        return [f"{'accept' if isinstance(q, Accept) else 'request'} {q.shared}({q.binder})", *cont]
-    raise TypeError(f"not a process: {q!r}")
-
-
-# ----------------------------------------------------------------- parser
-
-_PROC_PUNCT = (
-    "![", "?[", "+{", "&{", ">>", "<+",
-    "?", "!", "<", ">", "(", ")", ".", ",", ":", ";", "|", "~", "{", "}", "=", "]",
-)
-_PROC_KEYWORDS = ("def", "in", "new", "accept", "request", "zero", "unit", "suc", "end", "mu")
+    out = [""]  # text and subprocesses, in turn
+    for item, role, _ in _STEPS[type(q)]:
+        x = item if role is None else getattr(q, item)
+        if role is SCOPED or role is OPEN:
+            if item == "cont" and type(x) is Nil:
+                continue
+            out[-1] += ". " if item == "cont" else ""
+            out += [x, ""]
+        elif role is ARMS:
+            for k, (label, arm) in enumerate(x):
+                out[-1] += f"{', ' if k else ''}{label}: "
+                out += [arm, ""]
+        else:  # a literal, or a field that holds no process
+            out[-1] += x if role is None else _TEXT.get(role, str)(x)
+    return out
 
 
 class _ProcParser:
@@ -696,14 +725,8 @@ class _ProcParser:
         self.types = _TypeParser(lex)
 
     def endpoint(self) -> Endpoint:
-        dual = False
-        if self.lex.at_punct("~"):
-            self.lex.next()
-            dual = True
-        tok = self.lex.next()
-        if tok[0] != "word" or tok[1] in _PROC_KEYWORDS:
-            raise ParseError(f"expected a channel name, found {tok[1]!r}", tok[2], tok[3])
-        return Endpoint(tok[1], dual)
+        dual = self.lex.take("~")
+        return Endpoint(self.ident("a channel name"), dual)
 
     def ident(self, what: str) -> str:
         tok = self.lex.next()
@@ -712,197 +735,116 @@ class _ProcParser:
         return tok[1]
 
     def value(self) -> Value:
-        tok = self.lex.peek()
-        if tok is None:
-            raise self.lex.error("expected a value")
+        tok = self.lex.next()
         if tok[0] == "num":
-            self.lex.next()
             return NatLit(int(tok[1]))
-        if tok[0] == "punct" and tok[1] == "~":
-            # dual endpoints are unambiguous channel payloads; the caller
-            # turns them into channel sends
-            raise ParseError("dual endpoint in value position", tok[2], tok[3])
+        if tok[1] == "zero" or tok[1] == "unit":
+            return NatLit(0) if tok[1] == "zero" else UNIT_VALUE
+        if tok[1] == "suc":
+            return SucOf(self.value())
         if tok[0] == "punct" and tok[1] == "(":
-            self.lex.next()
             fst = self.value()
             self.lex.expect(",")
             snd = self.value()
             self.lex.expect(")")
             return Pair(fst, snd)
-        if tok[0] == "word":
-            self.lex.next()
-            if tok[1] == "zero":
-                return NatLit(0)
-            if tok[1] == "unit":
-                return UNIT_VALUE
-            if tok[1] == "suc":
-                return SucOf(self.value())
-            if tok[1] in _PROC_KEYWORDS:
-                raise ParseError(f"unexpected keyword {tok[1]!r} in value", tok[2], tok[3])
-            return VarRef(tok[1])
-        raise ParseError(f"unexpected token {tok[1]!r} in value", tok[2], tok[3])
+        if tok[0] != "word" or tok[1] in _PROC_KEYWORDS:
+            # a dual endpoint is a channel payload, which a send reads itself
+            raise ParseError(f"unexpected token {tok[1]!r} in value", tok[2], tok[3])
+        return VarRef(tok[1])
 
-    def cont(self) -> Process:
-        if self.lex.at_punct("."):
-            self.lex.next()
-            return self.proc()
-        return NIL
+    def param(self, role: str) -> tuple[str, ValueType | SessionType | None]:
+        """A parameter and its annotation, if any."""
+        name = self.ident("a parameter")
+        if not self.lex.take(":"):
+            return name, None
+        if role is CHANNEL_PARAMS:
+            return name, self.types.type()
+        tok = self.lex.next()
+        try:
+            return name, parse_value_type(tok[1])
+        except ValueError as exc:
+            raise ParseError(str(exc), tok[2], tok[3]) from None
+
+    def arm(self) -> tuple[str, Process]:
+        label = self.ident("a label")
+        self.lex.expect(":")
+        return label, self.proc()
 
     def proc(self) -> Process:
+        """A process.  The chain of forms that each end in the next (a
+        prefix's continuation, the body of `new`, the scope of `def`) is
+        read in a loop and built from its end."""
+        chain = []
+        q = self.node()
+        while type(q) is tuple:
+            chain.append(q)
+            q = self.node()
+        for make, args in reversed(chain):
+            q = make(*args, q)
+        return q
+
+    def node(self):
+        """One form, read by its row's template.  A form that ends in a
+        process stops there and comes back as its constructor and the
+        fields read so far; any other comes back built."""
         tok = self.lex.peek()
-        if tok is None:
-            raise self.lex.error("expected a process")
-        if tok[0] == "num" and tok[1] == "0":
+        cls, args = _OPENS.get((False, tok[1])) if tok is not None else None, []
+        if cls is Par:  # n-ary
             self.lex.next()
-            return NIL
-        if tok[0] == "punct" and tok[1] == "(":
-            self.lex.next()
-            parts = [self.proc()]
-            while self.lex.at_punct("|"):
-                self.lex.next()
-                parts.append(self.proc())
+            parts = self.lex.sequence(self.proc, sep="|")
             self.lex.expect(")")
-            result = parts[-1]
-            for part in reversed(parts[:-1]):
-                result = Par(part, result)
-            return result
-        if tok[0] == "word" and tok[1] == "new":
-            self.lex.next()
-            names = [self.ident("a channel name")]
-            while self.lex.at_punct(","):
-                self.lex.next()
-                names.append(self.ident("a channel name"))
-            annotation = None
-            if self.lex.at_punct(":"):
-                self.lex.next()
-                annotation = self.types.type()
-            self.lex.expect(".")
-            return new(names, self.proc(), annotation)
-        if tok[0] == "word" and tok[1] == "def":
-            return self.parse_def()
-        if tok[0] == "word" and tok[1] in ("accept", "request"):
-            self.lex.next()
-            shared = self.ident("a shared channel name")
-            self.lex.expect("(")
-            binder = self.ident("a session binder")
-            self.lex.expect(")")
-            cls = Accept if tok[1] == "accept" else Request
-            return cls(shared, binder, self.cont())
-        # endpoint-led forms or a call
-        if tok[0] == "punct" and tok[1] == "~":
+            return reduce(lambda right, left: Par(left, right), reversed(parts))
+        if cls is None:
             subject = self.endpoint()
-            return self.prefixed(subject)
-        if tok[0] == "word":
-            name = self.ident("a process")
             nxt = self.lex.peek()
-            if nxt is not None and nxt[0] == "punct" and nxt[1] == "<":
-                return self.parse_call(name)
-            return self.prefixed(Endpoint(name, False))
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
-
-    def prefixed(self, subject: Endpoint) -> Process:
-        tok = self.lex.next()
-        if tok[1] == "?":
-            self.lex.expect("(")
-            binder = self.ident("a binder")
-            self.lex.expect(")")
-            return RecvVal(subject, binder, self.cont())
-        if tok[1] == "!":
-            self.lex.expect("<")
-            if self.lex.at_punct("~"):
-                self.lex.next()
-                sent = Endpoint(self.ident("a channel name"), True)
-                self.lex.expect(">")
-                return SendChan(subject, sent, self.cont())
-            value = self.value()
-            self.lex.expect(">")
-            return SendVal(subject, value, self.cont())
-        if tok[1] == ">>":
-            self.lex.expect("{")
-            branches = []
-            while True:
-                label = self.ident("a label")
-                self.lex.expect(":")
-                branches.append((label, self.proc()))
-                sep = self.lex.next()
-                if sep[1] == "}":
-                    break
-                if sep[1] != ",":
-                    raise ParseError(f"expected ',' or '}}', found {sep[1]!r}", sep[2], sep[3])
-            try:
-                return Branch(subject, tuple(branches))
-            except ValueError as exc:
-                raise ParseError(str(exc), tok[2], tok[3]) from None
-        if tok[1] == "<+":
-            label = self.ident("a label")
-            return Select(subject, label, self.cont())
-        raise ParseError(f"expected a prefix after {subject}, found {tok[1]!r}", tok[2], tok[3])
-
-    def parse_call(self, name: str) -> Process:
-        self.lex.expect("<")
-        val_args: list[Value] = []
-        chan_args: list[Endpoint] = []
-        if not self.lex.at_punct(";") and not self.lex.at_punct(">"):
-            val_args.append(self.value())
-            while self.lex.at_punct(","):
-                self.lex.next()
-                val_args.append(self.value())
-        if self.lex.at_punct(";"):
-            self.lex.next()
-            if not self.lex.at_punct(">"):
-                chan_args.append(self.endpoint())
-                while self.lex.at_punct(","):
-                    self.lex.next()
-                    chan_args.append(self.endpoint())
-        self.lex.expect(">")
-        return Call(name, tuple(val_args), tuple(chan_args))
-
-    def parse_def(self) -> Process:
-        self.lex.expect("def")
-        name = self.ident("a definition name")
-        self.lex.expect("(")
-        val_params: list[tuple[str, ValueType | None]] = []
-        chan_params: list[tuple[str, SessionType | None]] = []
-
-        def param(target, is_chan: bool):
-            pname = self.ident("a parameter")
-            annot = None
-            if self.lex.at_punct(":"):
-                self.lex.next()
-                if is_chan:
-                    annot = self.types.type()
+            cls = _OPENS.get((True, nxt[1])) if nxt is not None else None
+            if cls is None or (cls is Call and subject.dual):
+                raise self.lex.error(f"expected a prefix after {subject}")
+            args.append(subject.name if cls is Call else subject)
+        make, missing, tail = cls, False, FORMS[cls].syntax[-1]
+        for item, role, tokens in _STEPS[cls][len(args):]:
+            if tokens == (";",):  # between two lists; it may go when the second is empty
+                missing = not self.lex.take(";")
+            elif role is None:
+                for t in tokens:
+                    self.lex.expect(t)
+            elif role is SCOPED or role is OPEN:
+                if item == "cont" and not self.lex.take("."):
+                    args.append(NIL)
+                elif item == tail:
+                    return make, args
                 else:
-                    tok = self.lex.next()
-                    annot = parse_value_type(tok[1])
-            target.append((pname, annot))
-
-        if not self.lex.at_punct(";") and not self.lex.at_punct(")"):
-            param(val_params, False)
-            while self.lex.at_punct(","):
-                self.lex.next()
-                param(val_params, False)
-        if self.lex.at_punct(";"):
-            self.lex.next()
-            if not self.lex.at_punct(")"):
-                param(chan_params, True)
-                while self.lex.at_punct(","):
-                    self.lex.next()
-                    param(chan_params, True)
-        self.lex.expect(")")
-        self.lex.expect("=")
-        body = self.proc()
-        self.lex.expect("in")
-        scope = self.proc()
-        return Def(name, tuple(val_params), tuple(chan_params), body, scope)
+                    args.append(self.proc())
+            elif role is VALUE and self.lex.at_punct("~"):  # a dual endpoint: a channel send
+                make = SendChan
+                args.append(self.endpoint())
+            elif role is ENDPOINT:
+                args.append(self.endpoint())
+            elif role is VALUE:
+                args.append(self.value())
+            elif role in _SEQUENCES:
+                read = {ENDPOINTS: self.endpoint, VALUES: self.value}.get(role) or (lambda: self.param(role))
+                args.append(() if missing else tuple(self.lex.sequence(read, stop=(";", ">", ")"))))
+            elif role is ARMS:
+                args.append(tuple(self.lex.sequence(self.arm)))
+            elif role is ANNOTATION:
+                args.append(self.types.type() if self.lex.take(":") else None)
+            elif cls is New:  # a list of names, one restriction each
+                make = lambda names, annotation, body: new(names, body, annotation)
+                args.append(self.lex.sequence(lambda: self.ident("a channel name")))
+            else:
+                args.append(self.ident(f"a {item}"))
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise ParseError(str(exc), tok[2], tok[3]) from None
 
 
 def parse_process(text: str, known_channels=()) -> Process:
     lex = _Lexer(text, punct=_PROC_PUNCT)
-    parser = _ProcParser(lex)
-    p = parser.proc()
-    tok = lex.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
+    p = _ProcParser(lex).proc()
+    lex.end()
     return resolve_kinds(p, known_channels=frozenset(known_channels))
 
 
@@ -916,33 +858,62 @@ def resolve_kinds(p: Process, known_channels: frozenset[str] = frozenset()) -> P
     send exactly when the name is channel-kind where it occurs.  A name is
     channel-kind under a channel binder or channel parameter, and value-kind
     under a value binder or value parameter.
-    """
 
-    def go(q: Process, chans: frozenset[str]) -> Process:
-        cls = type(q)
-        if cls is RecvVal or cls is RecvChan:
-            used = any(e.name == q.binder for e in free_names(q.cont).endpoints)
-            cls = RecvChan if used else RecvVal
-        elif cls is SendVal and isinstance(q.value, VarRef) and q.value.name in chans:
-            return SendChan(q.chan, Endpoint(q.value.name, False), go(q.cont, chans))
-        out = []
-        inner = chans
-        for field, role in FORMS[cls].fields:
+    One walk finds the receives whose binder is used as an endpoint; a
+    second rebuilds the process.  Both use explicit stacks.
+    """
+    used: set[int] = set()
+    stack: list = [(p, {})]  # a subterm, and the receive binding each name in scope, if one does
+    while stack:
+        q, env = stack.pop()
+        inner = env
+        for field, role in FORMS[type(q)].fields:
             x = getattr(q, field)
-            if role is SCOPED:
-                x = go(x, inner)
-            elif role is OPEN:
-                x = go(x, chans)
+            if role is ENDPOINT or role is ENDPOINTS:
+                used.update(env[e.name] for e in ((x,) if role is ENDPOINT else x) if env.get(e.name) is not None)
+            elif role in _BINDERS:
+                receive = id(q) if type(q) is RecvVal or type(q) is RecvChan else None
+                inner = {**inner, **dict.fromkeys(_binders(role, x), receive)}
+            elif role is SCOPED or role is OPEN:
+                stack.append((x, inner if role is SCOPED else env))
             elif role is ARMS:
-                arms = []
-                for label, cont in x:
-                    arms.append((label, go(cont, chans)))
-                x = tuple(arms)
+                stack.extend((cont, env) for _, cont in x)
+
+    built: list[Process] = []
+    todo: list = [(p, known_channels)]
+    while todo:
+        q, chans = todo.pop()
+        if chans is None:  # q is (class, fields, number of subterms), its subterms built
+            cls, values, n = q
+            kids = iter(built[len(built) - n:])
+            del built[len(built) - n:]
+            out = []
+            for (_, role), x in zip(FORMS[cls].fields, values):
+                if role is SCOPED or role is OPEN:
+                    x = next(kids)
+                elif role is ARMS:
+                    x = tuple([(label, next(kids)) for label, _ in x])
+                out.append(x)
+            built.append(cls(*out))
+            continue
+        cls = type(q)
+        values = [getattr(q, field) for field, _ in FORMS[cls].fields]
+        if cls is RecvVal or cls is RecvChan:
+            cls = RecvChan if id(q) in used else RecvVal
+        elif cls is SendVal and isinstance(q.value, VarRef) and q.value.name in chans:
+            cls, values = SendChan, [q.chan, Endpoint(q.value.name, False), q.cont]
+        kids, inner = [], chans
+        for (_, role), x in zip(FORMS[cls].fields, values):
+            if role is SCOPED:
+                kids.append((x, inner))
+            elif role is OPEN:
+                kids.append((x, chans))
+            elif role is ARMS:
+                kids.extend((cont, chans) for _, cont in x)
             elif role is CHANNEL_BINDER or role is CHANNEL_PARAMS:
                 inner = inner.union(_binders(role, x))
             elif role is VALUE_BINDER or role is VALUE_PARAMS:
                 inner = inner.difference(_binders(role, x))
-            out.append(x)
-        return cls(*out)
-
-    return go(p, known_channels)
+        todo.append(((cls, values, len(kids)), None))
+        todo.extend(reversed(kids))
+    return built[0]

@@ -278,49 +278,59 @@ def format_session_type(s: SessionType) -> str:
 _TYPE_PUNCT = ("![", "?[", "]", "+{", "&{", "}", ":", ",", ".", "(", ")")
 
 
+# Words that cannot name a mu variable.
+_TYPE_KEYWORDS = ("end", "mu", "nat", "unit")
+
+
 class _TypeParser:
     def __init__(self, lex: _Lexer):
         self.lex = lex
 
     def type(self) -> SessionType:
-        tok = self.lex.peek()
-        if tok is None:
-            raise self.lex.error("expected a session type")
-        if tok[1] in ("![", "?["):
-            self.lex.next()
-            payload = self.payload()
-            self.lex.expect("]")
-            cont = self.optional_cont()
-            return Send(payload, cont) if tok[1] == "![" else Recv(payload, cont)
-        if tok[1] in ("+{", "&{"):
-            self.lex.next()
-            choices = []
-            while True:
-                label = self.lex.next()
-                if label[0] != "word":
-                    raise ParseError(f"expected a label, found {label[1]!r}", label[2], label[3])
-                self.lex.expect(":")
-                choices.append((label[1], self.type()))
-                sep = self.lex.next()
-                if sep[1] == "}":
+        """A session type.  Its chain of prefixes and mu binders is read in
+        a loop and built from its end."""
+        chain: list[tuple[type, object]] = []
+        while True:
+            tok = self.lex.next()
+            if tok[1] in ("![", "?["):
+                payload = self.payload()
+                self.lex.expect("]")
+                chain.append((Send if tok[1] == "![" else Recv, payload))
+                if not self.lex.take("."):
+                    s = END
                     break
-                if sep[1] != ",":
-                    raise ParseError(f"expected ',' or '}}', found {sep[1]!r}", sep[2], sep[3])
-            cls = Select if tok[1] == "+{" else Branch
+            elif tok[0] == "word" and tok[1] == "mu":
+                var = self.lex.next()
+                if var[0] != "word" or var[1] in _TYPE_KEYWORDS:
+                    raise ParseError(f"expected a type variable, found {var[1]!r}", var[2], var[3])
+                self.lex.expect(".")
+                chain.append((Mu, var[1]))
+            else:
+                s = self.atom(tok)
+                break
+        for cls, x in reversed(chain):
+            s = cls(x, s)
+        return s
+
+    def atom(self, tok) -> SessionType:
+        """The session type that ``tok`` opens, other than a prefix or a mu."""
+        if tok[1] in ("+{", "&{"):
+            choices = self.lex.sequence(self.choice)
+            self.lex.expect("}")
             try:
-                return cls(tuple(choices))
+                return (Select if tok[1] == "+{" else Branch)(tuple(choices))
             except ValueError as exc:
                 raise ParseError(str(exc), tok[2], tok[3]) from None
         if tok[0] == "word":
-            self.lex.next()
-            if tok[1] == "end":
-                return END
-            if tok[1] == "mu":
-                var = self.lex.next()
-                self.lex.expect(".")
-                return Mu(var[1], self.type())
-            return TVar(tok[1])
+            return END if tok[1] == "end" else TVar(tok[1])
         raise ParseError(f"unexpected token {tok[1]!r} in session type", tok[2], tok[3])
+
+    def choice(self) -> tuple[str, SessionType]:
+        label = self.lex.next()
+        if label[0] != "word":
+            raise ParseError(f"expected a label, found {label[1]!r}", label[2], label[3])
+        self.lex.expect(":")
+        return label[1], self.type()
 
     def payload(self):
         tok = self.lex.peek()
@@ -329,19 +339,10 @@ class _TypeParser:
             return parse_value_type(tok[1])
         return self.type()
 
-    def optional_cont(self) -> SessionType:
-        if self.lex.at_punct("."):
-            self.lex.next()
-            return self.type()
-        return END
-
 
 def parse_session_type(text: str) -> SessionType:
     lex = _Lexer(text, punct=_TYPE_PUNCT)
-    parser = _TypeParser(lex)
-    s = parser.type()
-    tok = lex.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
+    s = _TypeParser(lex).type()
+    lex.end()
     assert_wellformed(s)
     return s

@@ -264,6 +264,29 @@ class _Lexer:
         tok = self.peek()
         return tok is not None and tok[0] == "punct" and tok[1] == p
 
+    def end(self) -> None:
+        """Raise unless the input is used up."""
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
+
+    def take(self, p: str) -> bool:
+        """Consume the punctuation ``p`` if it comes next."""
+        found = self.at_punct(p)
+        if found:
+            self.index += 1
+        return found
+
+    def sequence(self, item, sep: str = ",", stop: tuple[str, ...] = ()) -> list:
+        """Items read by ``item`` and separated by ``sep``; none when the
+        next token is punctuation in ``stop``."""
+        if any(self.at_punct(p) for p in stop):
+            return []
+        out = [item()]
+        while self.take(sep):
+            out.append(item())
+        return out
+
     def error(self, message: str) -> ParseError:
         tok = self.peek()
         if tok is None:
@@ -317,11 +340,8 @@ class _TermParser:
 
 def parse_term(text: str) -> Term:
     lex = _Lexer(text, punct=("(", ")", "="))
-    parser = _TermParser(lex)
-    t = parser.term()
-    tok = lex.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
+    t = _TermParser(lex).term()
+    lex.end()
     return t
 
 
@@ -346,7 +366,5 @@ def parse_program(text: str) -> Program:
             raise ParseError(f"unit store needs init unit, found {tok[1]!r}", tok[2], tok[3])
         init = None
     root = _TermParser(lex).term()
-    trailing = lex.peek()
-    if trailing is not None:
-        raise ParseError(f"trailing input {trailing[1]!r}", trailing[2], trailing[3])
+    lex.end()
     return Program(store_type, init, root)

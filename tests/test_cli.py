@@ -64,6 +64,22 @@ def test_pi_check_rejects_tampered_delta(sample, tmp_path, capsys):
     assert main(["pi-check", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("def X(x: foo; ) = 0 in X<0; >\n", "1:10: unknown value type 'foo'"),
+        ("-- delta r : mu a. b\nr!<0>\n", "1:14: non-contractive mu 'a'"),
+        ("-- gamma x : bool\n0\n", "1:14: unknown value type 'bool'"),
+    ],
+)
+def test_pi_check_malformed_annotation_is_a_parse_error(tmp_path, capsys, text, where):
+    path = tmp_path / "bad.pi"
+    path.write_text(text)
+    assert main(["pi-check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"parse error: {where}\n"
+
+
 def test_run_reports_store_and_result(sample, capsys):
     assert main(["run", sample, "--all-schedules"]) == 0
     out = capsys.readouterr().out

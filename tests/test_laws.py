@@ -121,6 +121,13 @@ def test_simultaneous_swap_is_an_involution(shape):
 
 @settings(max_examples=150, deadline=None)
 @given(shapes)
+def test_printed_processes_parse_back_to_their_text(shape):
+    text = P.format_process(build(shape, plain))
+    assert P.format_process(P.parse_process(text)) == text
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes)
 def test_normalize_is_alpha_invariant(shape):
     p, variant = build(shape, plain), build(shape, tricky)
     assert P.format_process(normalize(variant)) == P.format_process(normalize(p))

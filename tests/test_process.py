@@ -1,4 +1,8 @@
+import sys
+
 import pytest
+
+import oracle
 
 from effsess.process import (
     Accept,
@@ -93,9 +97,37 @@ def test_format_parse_roundtrip():
         "accept k(c). c >> {get: c!<0>, put: c?(y), stop: 0}",
         "new a, b. (a!<(zero, suc zero)> | ~a?(p) | b!<1> | ~b?(q))",
     ]
+    # and the printed embeddings, alone and composed with their store
+    texts += [format_process(p) for pair in oracle.embedded_corpus() for p in pair]
     for text in texts:
         p = parse_process(text)
         assert parse_process(format_process(p)) == p
+
+
+@pytest.mark.parametrize(
+    "link, end",
+    [
+        ("c!<{i}>. ", "c!<x>"),
+        ("c?(x{i}). ", "c?(y)"),
+        ("new c{i}. ", "0"),
+        ("accept k(c{i}). c{i} <+ l. ", "k!<0>"),
+        ("def X{i}(x; d) = 0 in ", "X0<1; e>"),
+    ],
+)
+def test_long_chains_parse_and_print_at_default_recursion_limit(link, end):
+    text = "".join(link.format(i=i) for i in range(1500)) + end
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        printed = format_process(parse_process(text))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert printed == text
+
+
+def test_malformed_parameter_type_is_a_parse_error():
+    with pytest.raises(ParseError, match="1:10: unknown value type 'foo'"):
+        parse_process("def X(x: foo; ) = 0 in X<0; >")
 
 
 def test_free_endpoints_polarity():

@@ -23,7 +23,7 @@ from effsess.sessions import (
 )
 from effsess.effects import Get, Put
 from effsess.embedding import effect_to_session
-from effsess.terms import ValueType
+from effsess.terms import ParseError, ValueType
 
 NAT, UNIT = ValueType.NAT, ValueType.UNIT
 
@@ -204,6 +204,24 @@ def test_parse_rejects_unbound_tvar_and_duplicates():
         parse_session_type("&{get: ![nat]. a, stop: end}")
     with pytest.raises(Exception):
         parse_session_type("+{get: end, get: end}")
+
+
+@pytest.mark.parametrize("text", ["mu (. end", "mu 3. end", "mu end. end", "mu nat. ![nat]. end"])
+def test_mu_binder_must_be_a_name(text):
+    with pytest.raises(ParseError):
+        parse_session_type(text)
+
+
+def test_long_prefix_chain_parses_at_default_recursion_limit():
+    text = "mu a. " + "![nat]. ?[unit]. " * 750 + "+{l: a, m: end}"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        printed = format_session_type(parse_session_type(text))
+    finally:
+        sys.setrecursionlimit(limit)
+    # session-type == still recurses, so compare the text
+    assert printed == text
 
 
 def test_store_type_matches_display():
