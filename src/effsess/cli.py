@@ -113,6 +113,7 @@ def parse_translation(text: str) -> tuple[ProcEnv, dict[P.Endpoint, S.SessionTyp
                 payload = stripped[len(directive):]
                 name, _, type_text = payload.partition(":")
                 name, type_text = name.strip(), type_text.strip()
+                start = line.rfind(type_text) + 1
                 try:
                     if directive == "-- delta ":
                         dualized = name.startswith("~")
@@ -120,8 +121,10 @@ def parse_translation(text: str) -> tuple[ProcEnv, dict[P.Endpoint, S.SessionTyp
                         delta[ep] = S.parse_session_type(type_text)
                     else:
                         gamma[name] = parse_value_type(type_text)
+                except ParseError as exc:  # a syntax error inside the type
+                    raise ParseError(exc.message, number, start + exc.column - 1) from None
                 except ValueError as exc:  # an ill-formed type, or no type at all
-                    raise ParseError(str(exc), number, line.rfind(type_text) + 1) from None
+                    raise ParseError(str(exc), number, start) from None
     known = {ep.name for ep in delta}
     proc = P.parse_process(text, known_channels=known)
     env = ProcEnv(vars=gamma)

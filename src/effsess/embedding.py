@@ -7,6 +7,11 @@ effect channel through the computation (received on `ei`, handed on via
 recursive branching agent; a shared-channel variant initiates one short
 session per effect operation, which serializes concurrent access at the
 cost of forgetting effect order in the types.
+
+Both term embeddings read a `let` chain in one pass, in a loop: each
+binding is typed once, by `infer` on the binding alone, and the session
+still owed after it (its `ea` annotation) is built from the chain's end, so
+consecutive annotations share their tail and no `let` body is re-typed.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from dataclasses import dataclass, field
 
 from . import process as P
 from . import sessions as S
-from .effects import EffectAnnotation, Get, IDENTITY, Put, STATE_ALGEBRA
+from .effects import EffectAnnotation, Get, IDENTITY, Put
 from .infer import EffectTypeError, TypeEnv, infer
-from .terms import Const, Let, OpApp, Program, Term, ValueType, Var, all_names, free_vars, fresh_name
+from .terms import Const, Let, OpApp, Program, Term, ValueType, Var, all_names, free_vars
 
 
 class EmbeddingError(Exception):
@@ -142,12 +147,19 @@ def shared_put(k: str, value: P.Value, cont: P.Process) -> P.Process:
 @dataclass
 class NameSupply:
     """Deterministic fresh names following the proof conventions: the bare
-    base first (q, ea), then numbered (q1, q2, ...)."""
+    base first (q, ea), then numbered (q1, q2, ...).  Names are only ever
+    added to ``taken``, so each base resumes where its last draw stopped."""
 
     taken: set[str] = field(default_factory=set)
+    _next: dict[str, int] = field(default_factory=dict, init=False, repr=False)
 
     def fresh(self, base: str) -> str:
-        name = fresh_name(base, self.taken)
+        k = self._next.get(base, 0)
+        name = f"{base}{k or ''}"
+        while name in self.taken:
+            k += 1
+            name = f"{base}{k}"
+        self._next[base] = k + 1
         self.taken.add(name)
         return name
 
@@ -178,47 +190,45 @@ def embed_pure(
     """
     supply = supply or _supply_for(t, r.name)
 
-    def annot(term: Term, local_env: TypeEnv | None) -> S.SessionType | None:
-        if local_env is None:
-            return None
-        tau, _ = infer(local_env, store_type, term)
-        return S.Send(tau, S.END)
+    def annot(term: Term, env: TypeEnv | None) -> S.SessionType | None:
+        return None if env is None else S.Send(infer(env, store_type, term)[0], S.END)
 
-    def go(term: Term, res: P.Endpoint, local_env: TypeEnv | None, then: P.Process) -> P.Process:
+    def go(term: Term, res: P.Endpoint, env: TypeEnv | None, then: P.Process) -> P.Process:
+        # a let chain in a loop: each binding sends on its own q, which the
+        # rest of the chain receives
+        links = []
+        if isinstance(term, Let) and env is not None:
+            env = dict(env)  # extended in place along the chain
+        while isinstance(term, Let):
+            q = supply.fresh("q")
+            ann = annot(term.bound, env)
+            links.append((q, ann, term.name, go(term.bound, P.Endpoint(q), env, P.NIL)))
+            if env is not None:
+                env[term.name] = ann.payload
+            term = term.body
         if isinstance(term, Var):
-            return P.SendVal(res, P.VarRef(term.name), then)
-        if isinstance(term, Const):
+            p = P.SendVal(res, P.VarRef(term.name), then)
+        elif isinstance(term, Const):
             if term.const not in _PURE_CONST_VALUES:
                 raise EmbeddingError(f"constant {term.const} is effectful; no pure embedding")
-            return P.SendVal(res, _PURE_CONST_VALUES[term.const], then)
-        if isinstance(term, OpApp):
+            p = P.SendVal(res, _PURE_CONST_VALUES[term.const], then)
+        elif isinstance(term, OpApp):
             if term.op not in _PURE_OP_VALUES:
                 raise EmbeddingError(f"operation {term.op} is effectful; no pure embedding")
             q = supply.fresh("q")
             x = supply.fresh("x")
             qe = P.Endpoint(q)
             payload = _PURE_OP_VALUES[term.op](P.VarRef(x))
-            return P.New(
+            p = P.New(
                 q,
-                annot(term.arg, local_env),
-                P.par(go(term.arg, qe, local_env, P.NIL), P.RecvVal(qe.flip(), x, P.SendVal(res, payload, then))),
+                annot(term.arg, env),
+                P.par(go(term.arg, qe, env, P.NIL), P.RecvVal(qe.flip(), x, P.SendVal(res, payload, then))),
             )
-        if isinstance(term, Let):
-            q = supply.fresh("q")
-            qe = P.Endpoint(q)
-            env2 = None
-            if local_env is not None:
-                env2 = dict(local_env)
-                env2[term.name] = infer(local_env, store_type, term.bound)[0]
-            return P.New(
-                q,
-                annot(term.bound, local_env),
-                P.par(
-                    go(term.bound, qe, local_env, P.NIL),
-                    P.RecvVal(qe.flip(), term.name, go(term.body, res, env2, then)),
-                ),
-            )
-        raise TypeError(f"not a term: {term!r}")
+        else:
+            raise TypeError(f"not a term: {term!r}")
+        for q, ann, x, left in reversed(links):
+            p = P.New(q, ann, P.par(left, P.RecvVal(P.Endpoint(q, True), x, p)))
+        return p
 
     return go(t, r, env, then)
 
@@ -240,14 +250,81 @@ def embed_intermediate(
     of ``eo``.  ``tail`` is the effect still to come after this term, used
     only to annotate the intermediate restrictions.
     """
-    env = {} if env is None else env
+    return _embed_effectful(t, ei, eo, r, env, store_type, supply, tail, commuting=False)
+
+
+def _embed_effectful(t: Term, ei: P.Endpoint, eo: P.Endpoint, r: P.Endpoint, env: TypeEnv | None,
+                     store_type: ValueType, supply: NameSupply | None, tail: EffectAnnotation,
+                     commuting: bool) -> P.Process:
+    """`embed_intermediate`, and with ``commuting`` `optimize_commuting`."""
     supply = supply or _supply_for(t, ei.name, eo.name, r.name)
-    infer(env, store_type, t)
 
-    def chan_annot(effect: EffectAnnotation) -> S.SessionType:
-        return S.Recv(effect_to_session(effect), S.END)
+    def commuting_pair(term: Let, env: TypeEnv):
+        # let x = M in (let y = N in P) with M pure, or the mirror image
+        # let y = N in (let x = M in P) with M pure: (x, M, M's type),
+        # (y, N) and P
+        outer, inner = term, term.body
+        if not isinstance(inner, Let) or outer.name == inner.name:
+            return None
+        for (x, m), (y, n) in (((outer.name, outer.bound), (inner.name, inner.bound)),
+                               ((inner.name, inner.bound), (outer.name, outer.bound))):
+            try:
+                sigma_m, m_eff = infer(env, store_type, m)
+            except EffectTypeError:
+                continue
+            if m_eff == IDENTITY and x not in free_vars(n) and y not in free_vars(m):
+                return (x, m, sigma_m), (y, n), inner.body
+        return None
 
-    def go(term: Term, ei: P.Endpoint, eo: P.Endpoint, res: P.Endpoint, env: TypeEnv, tail: EffectAnnotation) -> P.Process:
+    def chain(term: Term, ei: P.Endpoint, eo: P.Endpoint, res: P.Endpoint, env: TypeEnv,
+              owed: S.SessionType, commuting: bool = False) -> P.Process:
+        # Type each binding alone, in chain order.  A link binds one name,
+        # or a commuting pair whose pure first binding runs beside the second.
+        links, scope = [], dict(env)
+        pair = commuting and isinstance(term, Let) and commuting_pair(term, scope)
+        if pair:
+            (x, m, sigma_m), (y, n), term = pair
+            sigma_n, f = infer(scope, store_type, n)
+            links.append((((x, m, sigma_m), (y, n, sigma_n)), f))
+            scope[x], scope[y] = sigma_m, sigma_n
+        while isinstance(term, Let):
+            sigma, f = infer(scope, store_type, term.bound)
+            links.append((((term.name, term.bound, sigma),), f))
+            scope[term.name] = sigma
+            term = term.body
+        _, f = infer(scope, store_type, term)
+        # The session still owed after each link, built from the chain's end
+        # so that consecutive annotations share their tail.
+        afters = []
+        for _, f_link in reversed(links):
+            owed = effect_to_session(f, tail=owed)
+            afters.append(owed)
+            f = f_link
+        afters.reverse()
+        # Names and bindings in chain order; the process from the chain's end.
+        built, scope = [], dict(env)
+        for (bindings, _), after in zip(links, afters):
+            chans = [supply.fresh(base) for base, _ in zip("qs", bindings)]
+            ea = supply.fresh("ea")
+            *pure, (_, bound, _) = bindings
+            lefts = [embed_pure(m, P.Endpoint(c), scope, store_type, supply) for (_, m, _), c in zip(pure, chans)]
+            args = (bound, ei, P.Endpoint(ea), P.Endpoint(chans[-1]), scope)
+            lefts.append(chain(*args, after) if isinstance(bound, Let) else clause(*args))
+            for x, _, sigma in bindings:
+                scope[x] = sigma
+            built.append((bindings, chans, ea, after, lefts))
+            ei = P.Endpoint(ea)
+        p = clause(term, ei, eo, res, scope)
+        for bindings, chans, ea, after, lefts in reversed(built):
+            for (x, _, _), c in zip(reversed(bindings), reversed(chans)):
+                p = P.RecvVal(P.Endpoint(c, True), x, p)
+            p = P.New(ea, S.Recv(after, S.END), P.par(*lefts, p))
+            for (_, _, sigma), c in zip(reversed(bindings), reversed(chans)):
+                p = P.New(c, S.Send(sigma, S.END), p)
+        return p
+
+    def clause(term: Term, ei: P.Endpoint, eo: P.Endpoint, res: P.Endpoint, env: TypeEnv) -> P.Process:
+        # a term that is not a let: its effects, then the channel handed on
         eo_bar = eo.flip()
         if (
             isinstance(term, Var)
@@ -262,15 +339,8 @@ def embed_intermediate(
                 c = supply.fresh("c")
                 x = supply.fresh("x")
                 ce = P.Endpoint(c)
-                return P.RecvChan(
-                    ei,
-                    c,
-                    P.Select(
-                        ce,
-                        "get",
-                        P.RecvVal(ce, x, P.SendVal(res, P.VarRef(x), P.SendChan(eo_bar, ce, P.NIL))),
-                    ),
-                )
+                done = P.SendVal(res, P.VarRef(x), P.SendChan(eo_bar, ce, P.NIL))
+                return P.RecvChan(ei, c, get_op(ce.flip(), x, done))
             raise EmbeddingError(f"effectful constant {term.const} has no embedding clause")
         if isinstance(term, OpApp):
             if term.op == "put":
@@ -278,44 +348,14 @@ def embed_intermediate(
                 c = supply.fresh("c")
                 x = supply.fresh("x")
                 qe, ce = P.Endpoint(q), P.Endpoint(c)
-                doput = P.RecvChan(
-                    ei,
-                    c,
-                    P.RecvVal(
-                        qe.flip(),
-                        x,
-                        P.Select(
-                            ce,
-                            "put",
-                            P.SendVal(
-                                ce,
-                                P.VarRef(x),
-                                P.SendVal(res, P.UNIT_VALUE, P.SendChan(eo_bar, ce, P.NIL)),
-                            ),
-                        ),
-                    ),
-                )
+                done = P.SendVal(res, P.UNIT_VALUE, P.SendChan(eo_bar, ce, P.NIL))
+                doput = P.RecvChan(ei, c, P.RecvVal(qe.flip(), x, put_op(ce.flip(), P.VarRef(x), done)))
                 pure = embed_pure(term.arg, qe, env, store_type, supply)
                 return P.New(q, S.Send(store_type, S.END), P.par(pure, doput))
             raise EmbeddingError(f"effectful operation {term.op} has no embedding clause")
-        if isinstance(term, Let):
-            sigma, _ = infer(env, store_type, term.bound)
-            env2 = dict(env)
-            env2[term.name] = sigma
-            _, g_eff = infer(env2, store_type, term.body)
-            q = supply.fresh("q")
-            ea = supply.fresh("ea")
-            qe = P.Endpoint(q)
-            left = go(term.bound, ei, P.Endpoint(ea), qe, env, STATE_ALGEBRA.combine(g_eff, tail))
-            right = P.RecvVal(qe.flip(), term.name, go(term.body, P.Endpoint(ea), eo, res, env2, tail))
-            return P.New(
-                q,
-                S.Send(sigma, S.END),
-                P.New(ea, chan_annot(STATE_ALGEBRA.combine(g_eff, tail)), P.par(left, right)),
-            )
         raise TypeError(f"not a term: {term!r}")
 
-    return go(t, ei, eo, r, env, tail)
+    return chain(t, ei, eo, r, {} if env is None else env, effect_to_session(tail), commuting)
 
 
 # -------------------------------------------------------------- top level
@@ -441,65 +481,4 @@ def optimize_commuting(
     """Compile a commuting let pair to the parallel form: the pure binding
     runs as a sibling of the effectful one.  Anything else falls back to
     the standard embedding."""
-    env = {} if env is None else env
-    supply = supply or _supply_for(t, ei.name, eo.name, r.name)
-
-    def match_commuting(term: Term):
-        # let x = M in (let y = N in P) with M pure, or the mirror image
-        # let y = N in (let x = M in P) with M pure.
-        if not (isinstance(term, Let) and isinstance(term.body, Let)):
-            return None
-        outer, inner = term, term.body
-        for pure_first in (True, False):
-            if pure_first:
-                x, m = outer.name, outer.bound
-                y, n = inner.name, inner.bound
-            else:
-                y, n = outer.name, outer.bound
-                x, m = inner.name, inner.bound
-            if x == y:
-                continue
-            try:
-                _, m_eff = infer(env, store_type, m)
-            except EffectTypeError:
-                continue
-            if m_eff != IDENTITY:
-                continue
-            if x in free_vars(n) or y in free_vars(m):
-                continue
-            return x, m, y, n, inner.body
-        return None
-
-    hit = match_commuting(t)
-    if hit is None:
-        return embed_intermediate(t, ei, eo, r, env, store_type, supply, tail)
-    x, m, y, n, p_body = hit
-    sigma_m, _ = infer(env, store_type, m)
-    sigma_n, _ = infer(env, store_type, n)
-    env_p = dict(env)
-    env_p[x] = sigma_m
-    env_p[y] = sigma_n
-    _, g_eff = infer(env_p, store_type, p_body)
-    q = supply.fresh("q")
-    s_name = supply.fresh("s")
-    ea = supply.fresh("ea")
-    qe, se = P.Endpoint(q), P.Endpoint(s_name)
-    pure_m = embed_pure(m, qe, env, store_type, supply)
-    enc_n = embed_intermediate(
-        n, ei, P.Endpoint(ea), se, env, store_type, supply, STATE_ALGEBRA.combine(g_eff, tail)
-    )
-    enc_p = embed_intermediate(p_body, P.Endpoint(ea), eo, r, env_p, store_type, supply, tail)
-    collect = P.RecvVal(qe.flip(), x, P.RecvVal(se.flip(), y, enc_p))
-    return P.New(
-        q,
-        S.Send(sigma_m, S.END),
-        P.New(
-            s_name,
-            S.Send(sigma_n, S.END),
-            P.New(
-                ea,
-                S.Recv(effect_to_session(STATE_ALGEBRA.combine(g_eff, tail)), S.END),
-                P.par(pure_m, enc_n, collect),
-            ),
-        ),
-    )
+    return _embed_effectful(t, ei, eo, r, env, store_type, supply, tail, commuting=True)

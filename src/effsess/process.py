@@ -610,11 +610,9 @@ def node_pieces(q: Process, env: dict[str, int], depth: int, free) -> list:
     return parts
 
 
-def serialize_process(p: Process, erase: frozenset[str] = frozenset()) -> str:
-    """A total, alpha-invariant textual key.  Free names in ``erase`` are
-    hidden (polarity kept) and the key describes the wiring-free skeleton;
-    other free names print concretely."""
-    return "".join(serial_pieces(p, lambda n, mark: f"<nu{mark}>" if n in erase else mark + n))
+def serialize_process(p: Process) -> str:
+    """A total, alpha-invariant textual key; free names print concretely."""
+    return "".join(serial_pieces(p, lambda n, mark: mark + n))
 
 
 def process_equal(p: Process, q: Process) -> bool:

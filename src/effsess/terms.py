@@ -174,6 +174,7 @@ def format_term(t: Term) -> str:
 class ParseError(Exception):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -70,6 +71,7 @@ def test_pi_check_rejects_tampered_delta(sample, tmp_path, capsys):
         ("def X(x: foo; ) = 0 in X<0; >\n", "1:10: unknown value type 'foo'"),
         ("-- delta r : mu a. b\nr!<0>\n", "1:14: non-contractive mu 'a'"),
         ("-- gamma x : bool\n0\n", "1:14: unknown value type 'bool'"),
+        ("-- delta r : ![nat]. end\n-- delta q : ![nat\nr!<0>\n", "2:19: unexpected end of input"),
     ],
 )
 def test_pi_check_malformed_annotation_is_a_parse_error(tmp_path, capsys, text, where):
@@ -199,6 +201,18 @@ def deep(tmp_path):
 def test_deep_program_is_checked(deep, capsys):
     assert main(["check", deep]) == 0
     assert capsys.readouterr().out == "nat, [" + ", ".join(["G nat"] * 2001) + "]\n"
+
+
+def test_deep_program_translates_at_default_recursion_limit(deep, capsys):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code = main(["translate", deep])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    (eff,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("-- delta eff : ")]
+    assert eff == "-- delta eff : " + "+{get: ?[nat]. " * 2001 + "end" + "}" * 2001
 
 
 def _nested_too_deeply(*args, **kwargs):

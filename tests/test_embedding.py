@@ -1,9 +1,10 @@
+import hashlib
 import random
 from itertools import product
 
 import pytest
 
-from effsess import embedding
+from effsess import cli, embedding, sessions
 from effsess.effects import Get, IDENTITY, Put
 from effsess.infer import EffectTypeError, infer
 from effsess.process import (
@@ -22,9 +23,9 @@ from effsess.process import (
 )
 from effsess.sessions import Branch, END, Recv, Select, Send, format_session_type, type_equal
 from effsess.session_check import ProcEnv, SessionTypeError, session_check
-from effsess.terms import ValueType, parse_term
+from effsess.terms import ValueType, parse_program, parse_term
 
-from oracle import gen_term
+from oracle import corpus, gen_term
 
 NAT, UNIT = ValueType.NAT, ValueType.UNIT
 TOKENS = (Get(NAT), Put(NAT), Get(UNIT), Put(UNIT))
@@ -276,3 +277,49 @@ def test_shared_store_agent_checks():
     env = ProcEnv(shared={"k": embedding.shared_store_type(NAT)})
     agent = embedding.shared_store_agent(NatLit(0), "k", NAT)
     session_check(env, {}, agent)
+
+
+# ------------------------------------------------------- one-pass embedding
+
+def _chain(n):
+    lets = " ".join(f"let x{i} = get in let u{i} = put (suc x{i}) in" for i in range(n))
+    return parse_program(f"store nat init 0\n{lets} get")
+
+
+def test_chain_annotations_share_their_tail(monkeypatch):
+    # each let's ea annotation is the next one's with a select consed on,
+    # so the selects built grow linearly with the chain
+    calls = []
+    norm = sessions._norm_choices
+
+    def counting(choices):
+        calls.append(None)
+        return norm(choices)
+
+    monkeypatch.setattr(sessions, "_norm_choices", counting)
+    counts = []
+    for n in (100, 200):
+        calls.clear()
+        embedding.embed_top(_chain(n))
+        counts.append(len(calls))
+    assert counts[1] <= 2.2 * counts[0]
+
+
+# sha256 of every corpus translation, by (optimize, send_stop); frozen
+# before the embedding read let chains in one pass
+TRANSLATION_DIGESTS = {
+    (False, False): "8f00893426dbfa0d5cad693fc45dc08ef187e6a36b54a22d5bb6a48362a4b0c9",
+    (False, True): "3c9583d61999dbfbe310ee1c61266d20ad9873b699efb421f5d9974084e4d4a1",
+    (True, False): "b30a3074f15323f43e1f1b81d14e4825c69c27cd37adec56325c1419869b0c1d",
+    (True, True): "166783710796a5b71f395559befe6d8ab5a13004669e04303a18ed8c5b4141b7",
+}
+
+
+@pytest.mark.parametrize("optimize, send_stop", sorted(TRANSLATION_DIGESTS))
+def test_corpus_translations_are_frozen(optimize, send_stop):
+    digest = hashlib.sha256()
+    for seed in range(10):
+        for prog in corpus(seed, 12, 6):
+            result = embedding.embed_top(prog, optimize=optimize, send_stop=send_stop)
+            digest.update(cli.render_translation(result).encode())
+    assert digest.hexdigest() == TRANSLATION_DIGESTS[optimize, send_stop]
