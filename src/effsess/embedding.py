@@ -243,19 +243,16 @@ def embed_intermediate(
     env: TypeEnv | None = None,
     store_type: ValueType = ValueType.NAT,
     supply: NameSupply | None = None,
-    tail: EffectAnnotation = IDENTITY,
 ) -> P.Process:
     """Effect-threading embedding: receive the effect channel on ``ei``,
     perform the term's effects on it, hand it on via the opposite endpoint
-    of ``eo``.  ``tail`` is the effect still to come after this term, used
-    only to annotate the intermediate restrictions.
+    of ``eo``.
     """
-    return _embed_effectful(t, ei, eo, r, env, store_type, supply, tail, commuting=False)
+    return _embed_effectful(t, ei, eo, r, env, store_type, supply, commuting=False)
 
 
 def _embed_effectful(t: Term, ei: P.Endpoint, eo: P.Endpoint, r: P.Endpoint, env: TypeEnv | None,
-                     store_type: ValueType, supply: NameSupply | None, tail: EffectAnnotation,
-                     commuting: bool) -> P.Process:
+                     store_type: ValueType, supply: NameSupply | None, commuting: bool) -> P.Process:
     """`embed_intermediate`, and with ``commuting`` `optimize_commuting`."""
     supply = supply or _supply_for(t, ei.name, eo.name, r.name)
 
@@ -355,7 +352,7 @@ def _embed_effectful(t: Term, ei: P.Endpoint, eo: P.Endpoint, r: P.Endpoint, env
             raise EmbeddingError(f"effectful operation {term.op} has no embedding clause")
         raise TypeError(f"not a term: {term!r}")
 
-    return chain(t, ei, eo, r, {} if env is None else env, effect_to_session(tail), commuting)
+    return chain(t, ei, eo, r, {} if env is None else env, S.END, commuting)
 
 
 # -------------------------------------------------------------- top level
@@ -387,7 +384,7 @@ def embed_term_top(
     ei = supply.fresh("ei")
     eo = supply.fresh("eo")
     build = optimize_commuting if optimize else embed_intermediate
-    body = build(t, P.Endpoint(ei), P.Endpoint(eo), r, env, store_type, supply, IDENTITY)
+    body = build(t, P.Endpoint(ei), P.Endpoint(eo), r, env, store_type, supply)
 
     leftover: S.SessionType = S.Select((("stop", S.END),)) if send_stop else S.END
     eff_session = effect_to_session(f_eff, tail=leftover)
@@ -476,9 +473,8 @@ def optimize_commuting(
     env: TypeEnv | None = None,
     store_type: ValueType = ValueType.NAT,
     supply: NameSupply | None = None,
-    tail: EffectAnnotation = IDENTITY,
 ) -> P.Process:
     """Compile a commuting let pair to the parallel form: the pure binding
     runs as a sibling of the effectful one.  Anything else falls back to
     the standard embedding."""
-    return _embed_effectful(t, ei, eo, r, env, store_type, supply, tail, commuting=True)
+    return _embed_effectful(t, ei, eo, r, env, store_type, supply, commuting=True)

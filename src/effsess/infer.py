@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .effects import EffectAnnotation, Get, IDENTITY, Put, STATE_ALGEBRA, format_effect
+from .effects import EffectAnnotation, Get, IDENTITY, Put, format_effect
 from .terms import Const, Let, OpApp, Term, ValueType, Var, format_term
 
 TypeEnv = dict[str, ValueType]
@@ -45,14 +45,15 @@ CONSTANTS: dict[str, ConstSignature] = {
 def infer(env: TypeEnv, store_type: ValueType, t: Term) -> tuple[ValueType, EffectAnnotation]:
     """The type and effect of ``t``.  A chain of ``let``s is followed in a
     loop that extends one copy of ``env``, since each binder is in scope
-    for the rest of the chain; the effects compose left to right."""
-    effects = []
+    for the rest of the chain; the effects compose left to right, their
+    tokens collected in order and the annotation built once."""
+    tokens = []
+    if isinstance(t, Let):
+        env = dict(env)
     while isinstance(t, Let):
         bound_type, f = infer(env, store_type, t.bound)
-        if not effects:
-            env = dict(env)
         env[t.name] = bound_type
-        effects.append(f)
+        tokens += f
         t = t.body
     if isinstance(t, Var):
         if t.name not in env:
@@ -80,6 +81,4 @@ def infer(env: TypeEnv, store_type: ValueType, t: Term) -> tuple[ValueType, Effe
             )
     else:
         raise TypeError(f"not a term: {t!r}")
-    for f in reversed(effects):
-        g = STATE_ALGEBRA.combine(f, g)
-    return tau, g
+    return tau, (*tokens, *g)

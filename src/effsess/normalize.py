@@ -198,8 +198,8 @@ class InternTable:
                 x = wire(x, bound)
             elif role is P.OPEN:
                 x = wire(x, {})
-            elif role is P.ARMS:
-                x = tuple(sorted(((label, wire(t, {})) for label, t in x), key=lambda arm: arm[0]))
+            elif role is P.ARMS:  # arms, and the holes they number, in label order: it carries no meaning
+                x = tuple([(label, wire(t, {})) for label, t in sorted(x, key=lambda arm: arm[0])])
             elif role is P.ANNOTATION:
                 x = None
             key.append(x)
@@ -304,50 +304,43 @@ class InternTable:
 
     def term(self, root, mapping: dict[str, P.Replacement] | None = None) -> Term:
         """The normal form of ``root``, a process or a term, with free names
-        replaced through ``mapping``; bottom-up, with an explicit stack.  A
-        term the mapping leaves alone is kept whole; every other node is
-        formed and interned once, and so is every normal form on the way."""
-        results: list[Term] = []
-        stack: list = [(root, mapping or {})]
-        while stack:
-            u, m = stack.pop()
-            if type(u) is list or type(u) is set:  # a normal form whose components are done
-                kids = results[len(results) - len(m):]
-                del results[len(results) - len(m):]
-                comps = [self.subst(c, env) if env else c for c, env in zip(kids, m)]
-                # formed anew after a substitution, a term's normal form keeps
-                # the order its restrictions were given (see `normal`)
-                results.append(self.normal(u, comps) if type(u) is list else self._nest(u, comps))
-                continue
-            if isinstance(u, Term):
+        replaced through ``mapping``: a `process.fold` whose context is the
+        substitution in scope.  A term it leaves alone is kept whole.  A
+        `Par`/`New`/`Nil` spine is one node over its components, left as a
+        normal form.  Any other node, viewed if it is a term, is renamed by
+        `process.renamed`, the step of `substitute`, and interned over its
+        subterms' terms."""
+
+        def enter(u, ctx):
+            if type(u) is Term:
                 names = {n for n, _ in u.args}
-                m = {n: r for n, r in m.items() if n in names}
+                m = {n: r for n, r in ctx[0].items() if n in names}
                 if not m:
-                    results.append(u)
-                    continue
+                    return None, ()
+                ctx = (m, *ctx[1:])
                 if u.shape.key[0] in _SPINE:
                     restricted, comps = self.open(u)
-                    stack.append((set(restricted), [{}] * len(comps)))
-                    stack.extend((c, m) for c in reversed(comps))
-                    continue
+                    return set(restricted), [(c, ctx) for c in comps]
                 u = self.view(u)
             elif type(u) in _SPINE:  # hide the restrictions once the components are done
                 restricted, leaves = self._spine(u)
-                stack.append((restricted, [env for _, env in leaves]))
-                stack.extend((q, m) for q, _ in reversed(leaves))
-                continue
-            if type(m) is int:  # a node whose subterms are done
-                kids = results[len(results) - m:]
-                del results[len(results) - m:]
-                node = P.with_subterms(u[0], kids)
-                results.append(self.node(P.substitute(node, u[1]) if u[1] else node))
-                continue
-            # a node: its subterms come first (a view binds only names the
-            # mapping does not hold)
-            kids = P.subterms(u)
-            stack.append(((u, m), len(kids)))
-            stack.extend((k, m) for k in reversed(kids))
-        return results[0]
+                return (restricted, [env for _, env in leaves]), [(q, ctx) for q, _ in leaves]
+            # a view binds only names the mapping does not hold
+            return P.renamed(u, ctx) if ctx[0] else (u, [(kid, ctx) for kid in P.subterms(u)])
+
+        def leave(u, note, kids: list[Term]) -> Term:
+            if note is None:
+                return u
+            if type(note) is set:
+                return self._nest(note, kids)
+            if type(note) is tuple:
+                # formed anew after a substitution, a term's normal form keeps
+                # the order its restrictions were given (see `normal`)
+                restricted, envs = note
+                return self.normal(restricted, [self.subst(c, env) if env else c for c, env in zip(kids, envs)])
+            return self.node(P.with_subterms(note, kids))
+
+        return P.fold(root, P.substitution(mapping or {}, {}), enter, leave)
 
     # ----------------------------------------------------- normal forms
 
@@ -503,16 +496,12 @@ class InternTable:
         iterator consumed in pre-order, or else `%h` after their height, so
         that a subterm is spelled alike wherever it sits; free names that
         look like `%h` are not avoided."""
-        views, stack = [], [t]
-        while stack:
-            u = stack.pop()
-            views.append(self.view(u, names if names is not None else (f"%{k}" for k in count(u.shape.base))))
-            stack.extend(reversed(P.subterms(views[-1])))
-        built: list[P.Process] = []
-        for v in reversed(views):
-            kids = [built.pop() for _ in P.subterms(v)]
-            built.append(P.with_subterms(v, kids))
-        return built[0]
+
+        def enter(u: Term, _) -> tuple[P.Process, list]:
+            view = self.view(u, names if names is not None else (f"%{k}" for k in count(u.shape.base)))
+            return view, [(kid, None) for kid in P.subterms(view)]
+
+        return P.fold(t, None, enter, lambda u, view, kids: P.with_subterms(view, kids))
 
 
 def normalize(p: P.Process) -> P.Process:

@@ -33,6 +33,9 @@ a process (a prefix's continuation, the body of `new`, the scope of `def`)
 leaves that process to a loop, so a chain of prefixes costs no recursion.
 Three cases are special: `Par` is n-ary, `(P | Q | R)`; `new a, b. P`
 restricts a list of names; and a `~` payload makes a send a `SendChan`.
+Every rebuild of a process is one `fold`, walked with an explicit stack:
+substitution, kind resolution, interning (`normalize`) and type synthesis
+(`session_check`).
 
 The surface syntax cannot distinguish a received value from a received
 channel (`c?(x).P` covers both), so the parser reads every receive as a
@@ -391,6 +394,31 @@ def free_endpoints(p: Process) -> frozenset[Endpoint]:
     return frozenset(free_names(p).endpoints)
 
 
+# ------------------------------------------------------------------- fold
+
+def fold(root, ctx, enter, leave):
+    """The traversal behind every rebuild of a process: a bottom-up fold of
+    ``root``, walked with an explicit stack.  ``enter(node, ctx)`` gives a
+    note and the node's subterms, each with its context; ``leave(node,
+    note, results)`` gives the node's result from its subterms' results, in
+    order.  Nodes are entered in pre-order, left to right, and each is left
+    once its subterms are."""
+    out: list = []
+    stack: list = [(root, ctx)]
+    while stack:
+        frame = stack.pop()
+        if len(frame) == 2:  # a node to enter, and its context
+            note, kids = enter(*frame)
+            stack.append((frame[0], note, len(kids)))
+            stack.extend(reversed(kids))
+            continue
+        node, note, n = frame
+        results = out[len(out) - n:]
+        del out[len(out) - n:]
+        out.append(leave(node, note, results))
+    return out[0]
+
+
 # ------------------------------------------------------------ substitution
 
 Replacement = Endpoint | Value
@@ -410,102 +438,92 @@ def substitute(
     name becomes a call of the partial call's name, its arguments first.
     A binder that would capture a name the substitution brings in is renamed.
     """
-    return _rewrite(p, mapping or {}, definitions or {})
+    return fold(p, substitution(mapping or {}, definitions or {}),
+                lambda q, ctx: renamed(q, ctx) if ctx[0] or ctx[1] else (q, ()),
+                lambda q, node, kids: with_subterms(node, kids) if kids else node)
 
 
-def _rewrite(p: Process, mapping: dict, definitions: dict) -> Process:
-    """Rebuild ``p`` with free names replaced through the mappings; binders
-    keep their names unless they would capture.  A subterm that is not a
-    process node is kept as it is."""
+def substitution(mapping: dict, definitions: dict) -> tuple:
+    """The context `renamed` takes: the mappings, and the names they may
+    bring in, which a binder of that spelling would capture."""
     introduced = set().union(
         *((r.name,) if isinstance(r, Endpoint) else value_var_names(r) for r in mapping.values()),
         *(free_names(call).terms for call in definitions.values()),
     )
-    introduced_defs = {call.name for call in definitions.values()}
+    return mapping, definitions, introduced, {call.name for call in definitions.values()}
 
-    # ``intro`` holds the names the mapping in scope may bring in: the
-    # mapping's own, plus the fresh names of binders renamed further out,
-    # which a nested binder of that spelling would otherwise capture.
-    def bind(name: str, m: dict, intro: set, q: Process) -> tuple[str, dict, set]:
-        if name in m:
-            m = {k: r for k, r in m.items() if k != name}
-        if not m or name not in intro:
-            return name, m, intro
-        fields = FORMS[type(q)].fields
-        scoped = [free_names(getattr(q, f)).terms for f, role in fields if role is SCOPED]
-        siblings = [_binders(role, getattr(q, f)) for f, role in fields if role in _BINDERS]
-        fresh = fresh_name(name, intro.union(m, *scoped, *siblings))
-        return fresh, {**m, name: Endpoint(fresh)}, intro | {fresh}
 
-    def bind_definition(name: str, dm: dict, intro: set, q: Process) -> tuple[str, dict, set]:
-        if name in dm:
-            dm = {k: call for k, call in dm.items() if k != name}
-        if not dm or name not in intro:
-            return name, dm, intro
-        fresh = fresh_name(name, intro.union(dm, free_names(q).definitions))
-        return fresh, {**dm, name: Call(fresh, (), ())}, intro | {fresh}
+def renamed(q: Process, ctx: tuple) -> tuple[Process, list]:
+    """`substitute`'s step at one node: ``q`` with its own names replaced
+    under the context ``ctx`` (``q`` itself when none changes), and its
+    subterms, each with the context that holds under it.  A binder keeps
+    its name unless it would capture a name the mapping may bring in: one
+    it holds, or the fresh name of a binder renamed further out."""
+    m, dm, intro, dintro = ctx
+    out, kids, changed = [], [], False
+    inner, inner_intro, partial = m, intro, None
+    fields = FORMS[type(q)].fields
+    for field, role in fields:
+        x = y = getattr(q, field)
+        if role is ENDPOINT:
+            y = _endpoint(x, m)
+        elif role is SCOPED:
+            kids.append((x, (inner, dm, inner_intro, dintro)))
+        elif role is OPEN:
+            kids.append((x, (m, dm, intro, dintro)))
+        elif role is VALUE:
+            y = _value(x, m)
+        elif role in _BINDERS:
+            names = []
+            for name in _binders(role, x):
+                if name in inner:
+                    inner = {k: r for k, r in inner.items() if k != name}
+                if inner and name in inner_intro:
+                    scoped = [free_names(getattr(q, f)).terms for f, r in fields if r is SCOPED]
+                    siblings = [_binders(r, getattr(q, f)) for f, r in fields if r in _BINDERS]
+                    fresh = fresh_name(name, inner_intro.union(inner, *scoped, *siblings))
+                    inner, inner_intro, name = {**inner, name: Endpoint(fresh)}, inner_intro | {fresh}, fresh
+                names.append(name)
+            y = tuple(zip(names, [t for _, t in x])) if role in _PARAMS else names[0]
+        elif role is ARMS:
+            kids.extend((cont, (m, dm, intro, dintro)) for _, cont in x)
+        elif role is SHARED:
+            r = m.get(x)
+            y = r.name if isinstance(r, (Endpoint, VarRef)) else x
+        elif role is ENDPOINTS:
+            y = (partial.chan_args if partial is not None else ()) + tuple([_endpoint(e, m) for e in x])
+        elif role is VALUES:
+            y = (partial.val_args if partial is not None else ()) + tuple([_value(v, m) for v in x])
+        elif role is DEFINES and dm:
+            if y in dm:
+                dm = {k: call for k, call in dm.items() if k != y}
+            if dm and y in dintro:
+                y = fresh_name(y, dintro.union(dm, free_names(q).definitions))
+                dm, dintro = {**dm, x: Call(y, (), ())}, dintro | {y}
+        elif role is DEFINITION:
+            partial = dm.get(x)
+            y = x if partial is None else partial.name
+        changed = changed or (y is not x and y != x)
+        out.append(y)
+    return (type(q)(*out) if changed else q), kids
 
-    def endpoint(e: Endpoint, m: dict) -> Endpoint:
-        r = m.get(e.name)
-        if isinstance(r, Endpoint):
-            return Endpoint(r.name, r.dual != e.dual)
-        return Endpoint(r.name, e.dual) if isinstance(r, VarRef) else e
 
-    def value(v: Value, m: dict) -> Value:
-        if isinstance(v, VarRef):
-            r = m.get(v.name, v)
-            return VarRef(r.name) if isinstance(r, Endpoint) else r
-        if isinstance(v, SucOf):
-            return SucOf(value(v.arg, m))
-        if isinstance(v, Pair):
-            return Pair(value(v.fst, m), value(v.snd, m))
-        return v
+def _endpoint(e: Endpoint, m: dict) -> Endpoint:
+    r = m.get(e.name)
+    if isinstance(r, Endpoint):
+        return Endpoint(r.name, r.dual != e.dual)
+    return Endpoint(r.name, e.dual) if isinstance(r, VarRef) else e
 
-    def go(q: Process, m: dict, dm: dict, intro: set, dintro: set) -> Process:
-        fields = FORMS[type(q)].fields if isinstance(q, _Node) else ()
-        if not fields or (not m and not dm):
-            return q
-        out = []
-        inner, inner_intro, partial = m, intro, None
-        for field, role in fields:
-            x = getattr(q, field)
-            if role is ENDPOINT:
-                x = endpoint(x, m)
-            elif role is SCOPED:
-                x = go(x, inner, dm, inner_intro, dintro)
-            elif role is OPEN:
-                x = go(x, m, dm, intro, dintro)
-            elif role is VALUE:
-                x = value(x, m)
-            elif role is CHANNEL_BINDER or role is VALUE_BINDER:
-                x, inner, inner_intro = bind(x, inner, inner_intro, q)
-            elif role is ARMS:
-                arms = []
-                for label, cont in x:
-                    arms.append((label, go(cont, m, dm, intro, dintro)))
-                x = tuple(arms)
-            elif role is SHARED:
-                r = m.get(x)
-                x = r.name if isinstance(r, (Endpoint, VarRef)) else x
-            elif role is ENDPOINTS:
-                x = (partial.chan_args if partial is not None else ()) + tuple([endpoint(e, m) for e in x])
-            elif role is VALUES:
-                x = (partial.val_args if partial is not None else ()) + tuple([value(v, m) for v in x])
-            elif role in _PARAMS:
-                params = []
-                for name, annotation in x:
-                    name, inner, inner_intro = bind(name, inner, inner_intro, q)
-                    params.append((name, annotation))
-                x = tuple(params)
-            elif role is DEFINES:
-                x, dm, dintro = bind_definition(x, dm, dintro, q)
-            elif role is DEFINITION:
-                partial = dm.get(x)
-                x = x if partial is None else partial.name
-            out.append(x)
-        return type(q)(*out)
 
-    return go(p, mapping, definitions, introduced, introduced_defs)
+def _value(v: Value, m: dict) -> Value:
+    if isinstance(v, VarRef):
+        r = m.get(v.name, v)
+        return VarRef(r.name) if isinstance(r, Endpoint) else r
+    if isinstance(v, SucOf):
+        return SucOf(_value(v.arg, m))
+    if isinstance(v, Pair):
+        return Pair(_value(v.fst, m), _value(v.snd, m))
+    return v
 
 
 # --------------------------------------------- subterms, key and equality
@@ -521,10 +539,9 @@ def subterms(p: Process) -> list[Process]:
     return out
 
 
-def with_subterms(p: Process, kids: list[Process]) -> Process:
+def with_subterms(p: Process, kids: list) -> Process:
     """``p`` with its immediate subprocesses replaced, listed as
-    ``subterms`` lists them.  Branch arms come back sorted by label: their
-    order carries no meaning, and a canonical form needs one order."""
+    ``subterms`` lists them."""
     kids_left = iter(kids)
     out = []
     for field, role in FORMS[type(p)].fields:
@@ -532,7 +549,7 @@ def with_subterms(p: Process, kids: list[Process]) -> Process:
         if role is SCOPED or role is OPEN:
             x = next(kids_left)
         elif role is ARMS:
-            x = tuple(sorted(((label, next(kids_left)) for label, _ in x), key=lambda arm: arm[0]))
+            x = tuple([(label, next(kids_left)) for label, _ in x])
         out.append(x)
     return type(p)(*out) if kids else p
 
@@ -857,8 +874,8 @@ def resolve_kinds(p: Process, known_channels: frozenset[str] = frozenset()) -> P
     channel-kind under a channel binder or channel parameter, and value-kind
     under a value binder or value parameter.
 
-    One walk finds the receives whose binder is used as an endpoint; a
-    second rebuilds the process.  Both use explicit stacks.
+    One walk finds the receives whose binder is used as an endpoint, with
+    an explicit stack; a `fold` rebuilds the process.
     """
     used: set[int] = set()
     stack: list = [(p, {})]  # a subterm, and the receive binding each name in scope, if one does
@@ -877,31 +894,15 @@ def resolve_kinds(p: Process, known_channels: frozenset[str] = frozenset()) -> P
             elif role is ARMS:
                 stack.extend((cont, env) for _, cont in x)
 
-    built: list[Process] = []
-    todo: list = [(p, known_channels)]
-    while todo:
-        q, chans = todo.pop()
-        if chans is None:  # q is (class, fields, number of subterms), its subterms built
-            cls, values, n = q
-            kids = iter(built[len(built) - n:])
-            del built[len(built) - n:]
-            out = []
-            for (_, role), x in zip(FORMS[cls].fields, values):
-                if role is SCOPED or role is OPEN:
-                    x = next(kids)
-                elif role is ARMS:
-                    x = tuple([(label, next(kids)) for label, _ in x])
-                out.append(x)
-            built.append(cls(*out))
-            continue
-        cls = type(q)
-        values = [getattr(q, field) for field, _ in FORMS[cls].fields]
-        if cls is RecvVal or cls is RecvChan:
+    def enter(q: Process, chans: frozenset[str]) -> tuple[Process, list]:
+        if type(q) is RecvVal or type(q) is RecvChan:
             cls = RecvChan if id(q) in used else RecvVal
-        elif cls is SendVal and isinstance(q.value, VarRef) and q.value.name in chans:
-            cls, values = SendChan, [q.chan, Endpoint(q.value.name, False), q.cont]
+            q = q if type(q) is cls else cls(q.chan, q.binder, q.cont)
+        elif type(q) is SendVal and isinstance(q.value, VarRef) and q.value.name in chans:
+            q = SendChan(q.chan, Endpoint(q.value.name, False), q.cont)
         kids, inner = [], chans
-        for (_, role), x in zip(FORMS[cls].fields, values):
+        for field, role in FORMS[type(q)].fields:
+            x = getattr(q, field)
             if role is SCOPED:
                 kids.append((x, inner))
             elif role is OPEN:
@@ -912,6 +913,6 @@ def resolve_kinds(p: Process, known_channels: frozenset[str] = frozenset()) -> P
                 inner = inner.union(_binders(role, x))
             elif role is VALUE_BINDER or role is VALUE_PARAMS:
                 inner = inner.difference(_binders(role, x))
-        todo.append(((cls, values, len(kids)), None))
-        todo.extend(reversed(kids))
-    return built[0]
+        return q, kids
+
+    return fold(p, known_channels, enter, lambda q, node, kids: with_subterms(node, kids))

@@ -310,8 +310,9 @@ _UNUSED = object()
 
 def _synthesize(env: ProcEnv, gamma: dict, delta: SessionEnv, eps: tuple[P.Endpoint, ...], p: P.Process) -> list:
     """Best-effort session types of the endpoints ``eps`` (the two ends of
-    one channel) from their usage, in one walk; None for an endpoint whose
-    usage involves information only the other side can provide."""
+    one channel) from their usage, in one `process.fold`; None for an
+    endpoint whose usage involves information only the other side can
+    provide."""
 
     defs = dict(env.defs)
     unused = [_UNUSED] * len(eps)
@@ -319,18 +320,18 @@ def _synthesize(env: ProcEnv, gamma: dict, delta: SessionEnv, eps: tuple[P.Endpo
     def end(r):
         return S.END if r is _UNUSED else r
 
-    def go(q: P.Process, g: dict) -> list:
-        """Per endpoint: its type in ``q``, None if unknown, or _UNUSED if
-        ``q`` does not use it."""
-        if isinstance(q, P.Nil):
-            return unused
-        if isinstance(q, P.Par):
-            return [r if l is _UNUSED else l if r is _UNUSED else None for l, r in zip(go(q.left, g), go(q.right, g))]
+    def enter(q: P.Process, g: dict) -> tuple:
+        """What ``q``'s result needs of its own fields (for a node with no
+        subterms, its result), and its subterms with their value typings."""
+        if isinstance(q, P.Nil) or isinstance(q, P.New) and q.name == eps[0].name:
+            return unused, ()
+        if isinstance(q, (P.Accept, P.Request)) and q.binder == eps[0].name:
+            return unused, ()
         if isinstance(q, (P.RecvVal, P.RecvChan)):
             if q.binder == eps[0].name:
-                return [None if q.chan == e else _UNUSED for e in eps]
+                return [None if q.chan == e else _UNUSED for e in eps], ()
             # a payload type comes from the sender
-            return [None if q.chan == e else r for e, r in zip(eps, go(q.cont, {**g, q.binder: None}))]
+            return None, [(q.cont, {**g, q.binder: None})]
         if isinstance(q, (P.SendVal, P.SendChan)):
             payload = None
             if q.chan in eps and isinstance(q, P.SendVal):
@@ -340,49 +341,54 @@ def _synthesize(env: ProcEnv, gamma: dict, delta: SessionEnv, eps: tuple[P.Endpo
                     pass
             elif q.chan in eps:
                 payload = delta.get(q.sent)
-            out = []
-            for e, r in zip(eps, go(q.cont, g)):
-                if q.chan == e:
-                    r = None if payload is None or r is None else S.Send(payload, end(r))
-                elif isinstance(q, P.SendChan) and q.sent == e:
-                    r = end(r)  # a delegated endpoint counts as used
-                out.append(r)
-            return out
-        if isinstance(q, P.Select):
-            return [
-                (None if r is None else S.Select(((q.label, end(r)),))) if q.chan == e else r
-                for e, r in zip(eps, go(q.cont, g))
-            ]
-        if isinstance(q, P.Branch):
-            arms = [go(cont, g) for _, cont in q.branches]
-            out = []
-            for e, results in zip(eps, zip(*arms)):
-                if q.chan == e:
-                    conts = tuple((label, end(r)) for (label, _), r in zip(q.branches, results))
-                    out.append(None if any(c is None for _, c in conts) else S.Branch(conts))
-                elif all(r is _UNUSED for r in results):
-                    out.append(_UNUSED)
-                else:
-                    first, *rest = map(end, results)
-                    agree = first is not None and all(r is not None and S.type_equal(r, first) for r in rest)
-                    out.append(first if agree else None)
-            return out
+            return payload, [(q.cont, g)]
         if isinstance(q, P.Def):
             sig = _signature(q)
             if sig is not None:
                 defs[q.name] = sig
-            return go(q.scope, g)
+            return None, [(q.scope, g)]
         if isinstance(q, P.Call):
             sig = defs.get(q.name)
             known = sig is not None and len(sig[1]) == len(q.chan_args)
             return [
                 next(((sig[1][i] if known else None) for i, ep in enumerate(q.chan_args) if ep == e), _UNUSED)
                 for e in eps
-            ]
-        if isinstance(q, P.New):
-            return unused if q.name == eps[0].name else go(q.body, g)
-        if isinstance(q, (P.Accept, P.Request)):
-            return unused if q.binder == eps[0].name else go(q.cont, g)
-        raise TypeError(f"not a process: {q!r}")
+            ], ()
+        if type(q) not in P.FORMS:
+            raise TypeError(f"not a process: {q!r}")
+        return None, [(kid, g) for kid in P.subterms(q)]  # a parallel composition, branch, select or binder
 
-    return [end(r) for r in go(p, gamma)]
+    def leave(q: P.Process, note, results: list) -> list:
+        """Per endpoint: its type in ``q``, None if unknown, or _UNUSED if
+        ``q`` does not use it."""
+        if not results:
+            return note
+        if isinstance(q, P.Par):
+            return [r if l is _UNUSED else l if r is _UNUSED else None for l, r in zip(*results)]
+        if isinstance(q, P.Branch):
+            out = []
+            for e, arms in zip(eps, zip(*results)):
+                if q.chan == e:
+                    conts = tuple((label, end(r)) for (label, _), r in zip(q.branches, arms))
+                    out.append(None if any(c is None for _, c in conts) else S.Branch(conts))
+                elif all(r is _UNUSED for r in arms):
+                    out.append(_UNUSED)
+                else:
+                    first, *rest = map(end, arms)
+                    agree = first is not None and all(r is not None and S.type_equal(r, first) for r in rest)
+                    out.append(first if agree else None)
+            return out
+        out = []  # a prefix, or a binder whose result is its scope's
+        for e, r in zip(eps, results[0]):
+            if isinstance(q, (P.RecvVal, P.RecvChan)) and q.chan == e:
+                r = None
+            elif isinstance(q, (P.SendVal, P.SendChan)) and q.chan == e:
+                r = None if note is None or r is None else S.Send(note, end(r))
+            elif isinstance(q, P.SendChan) and q.sent == e:
+                r = end(r)  # a delegated endpoint counts as used
+            elif isinstance(q, P.Select) and q.chan == e:
+                r = None if r is None else S.Select(((q.label, end(r)),))
+            out.append(r)
+        return out
+
+    return [end(r) for r in P.fold(p, gamma, enter, leave)]

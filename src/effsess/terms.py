@@ -187,7 +187,8 @@ class _Lexer:
 
     def __init__(self, text: str, punct: tuple[str, ...]):
         self.text = text
-        self.punct = sorted(punct, key=len, reverse=True)
+        # the punctuation by its first character, longest first: ">>" before ">"
+        self.punct = {p[0]: sorted((q for q in punct if q[0] == p[0]), key=len, reverse=True) for p in punct}
         self.pos = 0
         self.line = 1
         self.col = 1
@@ -231,7 +232,7 @@ class _Lexer:
                 self.tokens.append(("num", text[self.pos : j], line, col))
                 self._advance(j - self.pos)
                 continue
-            for p in self.punct:
+            for p in self.punct.get(ch, ()):
                 if text.startswith(p, self.pos):
                     self.tokens.append(("punct", p, line, col))
                     self._advance(len(p))

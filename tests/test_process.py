@@ -1,3 +1,4 @@
+import re
 import sys
 
 import pytest
@@ -26,6 +27,7 @@ from effsess.process import (
     eval_value,
     format_process,
     free_endpoints,
+    free_names,
     parse_process,
     resolve_kinds,
     substitute,
@@ -119,10 +121,15 @@ def test_long_chains_parse_and_print_at_default_recursion_limit(link, end):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        printed = format_process(parse_process(text))
+        p = parse_process(text)
+        printed = format_process(p)
+        # rename the first free name; the chain of restrictions has none
+        name = next(iter(free_names(p).terms), "c")
+        renamed = format_process(substitute(p, {name: Endpoint("z")}))
     finally:
         sys.setrecursionlimit(limit)
     assert printed == text
+    assert renamed == re.sub(rf"\b{name}\b", "z", text)
 
 
 def test_malformed_parameter_type_is_a_parse_error():

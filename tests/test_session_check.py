@@ -102,6 +102,19 @@ def test_restriction_synthesis_value_chain():
     session_check(ProcEnv(), {}, p)
 
 
+def test_restriction_synthesis_on_long_chains_at_default_recursion_limit():
+    # the synthesized type of c is 1,500 sends deep
+    sends = ". ".join(f"c!<{i}>" for i in range(1500))
+    receives = ". ".join(f"~c?(y{i})" for i in range(1500))
+    p = parse_process(f"new c. ({sends} | {receives})")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        session_check(ProcEnv(), {}, p)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_restriction_duality_failure():
     p = parse_process("new c. (c!<zero> | ~c!<zero>)")
     with pytest.raises(SessionTypeError):
