@@ -309,7 +309,11 @@ class InternTable:
         `Par`/`New`/`Nil` spine is one node over its components, left as a
         normal form.  Any other node, viewed if it is a term, is renamed by
         `process.renamed`, the step of `substitute`, and interned over its
-        subterms' terms."""
+        subterms' terms.  A process with a mapping is interned first and
+        then substituted as a term, so its restrictions, hidden, neither
+        take the mapping nor capture what it puts in."""
+        if mapping and type(root) is not Term:
+            return self.subst(self.term(root), mapping)
 
         def enter(u, ctx):
             if type(u) is Term:

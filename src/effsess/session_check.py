@@ -2,34 +2,37 @@
 restriction, select-width subtyping, and shared-channel signatures.
 
 The checker threads the linear environment (Walker, *Substructural Type
-Systems*, 2005; Vasconcelos, *Fundamentals of Session Types*, 2012).  The
-session environment (delta) maps endpoints to the protocol they still owe;
-checking a process consumes the entries it uses and returns the rest, its
-leftover.  Parallel composition checks the right side under what the left
-side left over, so an endpoint one side uses is gone for the other.
+Systems*, 2005; Vasconcelos, *Fundamentals of Session Types*, 2012): delta
+maps endpoints to the protocol they still owe, and checking a process
+consumes the entries it uses.  The check is one loop over one stack of
+tasks, each "check this process" or "end this scope", so nodes are visited
+in pre-order, left to right, and none takes a Python frame.  A parallel
+composition pushes its right side, then its left, on the same delta, so an
+endpoint one side uses is gone for the other; a branch pushes the join of
+its arms, then each arm on its own copy of delta.
 
-- A prefix ends its own endpoint: once its continuation is checked, the
-  endpoint must be ``end`` or gone.  So do the scopes of ``new``, a channel
-  receive, ``accept``/``request`` and a definition body for the endpoints
-  they bind, and the top level for all of delta.  Only these report
-  ``leftover``.
-- A binder sets aside the outer entries for the endpoints it binds and
-  restores them, untouched, when its scope ends.
-- Only when a side of a parallel composition fails are both sides' free
-  endpoints computed; a shared one (which always fails a side, since the
-  other consumed it) makes the error ``linearity``, naming the first.
+- Delta, the value typings, the names that may select by width and the
+  definition signatures are each one mutable map.  A prefix or binder
+  pushes the end of its scope, then its continuation.  A binder shadows
+  its names' outer entries, and the end of its scope restores them.
+- The end of a scope ends its endpoints, which must be ``end`` or gone: a
+  prefix its own, ``new``, a channel receive and ``accept``/``request`` the
+  ones they bind, a definition body and the top level all of their delta.
+  Only these report ``leftover``.
+- Only when a check fails are free endpoints computed: the outermost open
+  parallel composition whose sides share one (the other side consumed it)
+  makes the error ``linearity``, naming the first.
 
 Select subtyping is granted only where restriction or a shared-channel
 signature introduces the endpoint, matching the rule that widening happens
 when duality is discharged.  Restricted channels without an annotation get
-their types synthesized from usage when possible (value chains, selects,
-branches, call signatures); delegation payloads generally need an
-annotation.
+their types synthesized from usage when possible; delegation payloads
+generally need an annotation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import process as P
 from . import sessions as S
@@ -76,8 +79,16 @@ def value_type(gamma: dict[str, ValueType], v: P.Value) -> ValueType:
 
 def session_check(env: ProcEnv, delta: SessionEnv, p: P.Process) -> None:
     """Raise SessionTypeError unless ``p`` checks under exactly ``delta``."""
-    leftover = _check(env, dict(env.vars), dict(delta), p, frozenset())
-    _close(leftover, list(leftover), "the process")
+    todo: list[tuple] = []
+    try:
+        _check(env, dict(delta), p, todo)
+    except SessionTypeError:
+        for task in todo:  # the parallel compositions still open, outermost first
+            if task[0] is _PAR and (shared := P.free_endpoints(task[1].left) & P.free_endpoints(task[1].right)):
+                raise SessionTypeError(
+                    "linearity", f"endpoint {min(map(str, shared))} is used by both sides of a parallel composition"
+                ) from None
+        raise
 
 
 def _take(delta: SessionEnv, p: P.Process, shape: type, verb: str) -> S.SessionType:
@@ -102,12 +113,44 @@ def _close(delta: SessionEnv, eps, where: str) -> None:
             )
 
 
-def _bind(delta: SessionEnv, scopes: list, name: str, where: str) -> tuple[P.Endpoint, P.Endpoint]:
-    """Open the scope of a binder of ``name``: set aside the outer entries
-    for both endpoints it binds, to restore when the scope ends."""
+def _hand_over(delta: SessionEnv, ep: P.Endpoint, expected: S.SessionType, what: str) -> None:
+    """Consume ``ep``, handed over as ``what``; its type must be ``expected``."""
+    actual = delta.pop(ep, None)
+    if actual is None:
+        raise SessionTypeError("unbound", f"{what} {ep} is not available here")
+    if not S.type_equal(actual, expected):
+        raise SessionTypeError(
+            "payload",
+            f"{what} {ep} has type {S.format_session_type(actual)}, expected {S.format_session_type(expected)}",
+        )
+
+
+# Tasks: check a process, end a scope, end a parallel composition, join a branch's arms.
+_CHECK, _END, _PAR, _JOIN = "check", "end", "par", "join"
+_ABSENT = object()
+
+
+def _scope(todo: list, delta: SessionEnv, eps, where: str) -> list:
+    """Push the end of a scope over ``eps`` (None: all of delta); the list returned keeps what it restores."""
+    saved: list = []
+    todo.append((_END, delta, eps, where, saved))
+    return saved
+
+
+def _shadow(saved: list, m: dict, key, value=_ABSENT) -> None:
+    """Give ``key`` the entry ``value`` in ``m`` (none, for _ABSENT) until the scope ends."""
+    saved.append((m, key, m.pop(key, _ABSENT)))
+    if value is not _ABSENT:
+        m[key] = value
+
+
+def _bind(todo: list, delta: SessionEnv, name: str, where: str) -> tuple[tuple[P.Endpoint, P.Endpoint], list]:
+    """Open the scope of a binder of ``name``, shadowing both its endpoints."""
     eps = (P.Endpoint(name, False), P.Endpoint(name, True))
-    scopes.append((eps, {e: delta.pop(e) for e in eps if e in delta}, where))
-    return eps
+    saved = _scope(todo, delta, eps, where)
+    for e in eps:
+        _shadow(saved, delta, e)
+    return eps, saved
 
 
 def _signature(d: P.Def):
@@ -116,63 +159,61 @@ def _signature(d: P.Def):
     return None if any(t is None for t in vals + chans) else (vals, chans)
 
 
-def _check(env: ProcEnv, gamma: dict, delta: SessionEnv, p: P.Process, width: frozenset[str]) -> SessionEnv:
-    """Check ``p`` under ``delta``, consuming its entries in place, and
-    return the leftover.  A run of prefixes and binders is one loop, whose
-    scopes end in reverse once the run does; only parallel composition,
-    branching and definition bodies take a Python frame."""
-    scopes: list[tuple[tuple[P.Endpoint, ...], SessionEnv, str]] = []
-    while True:
+def _check(env: ProcEnv, delta: SessionEnv, root: P.Process, todo: list) -> None:
+    """Check ``root`` under ``delta`` in one loop over the stack ``todo``."""
+    gamma, defs, width = dict(env.vars), dict(env.defs), {}
+    _scope(todo, delta, None, "the process")
+    todo.append((_CHECK, root, delta))
+    while todo:
+        task = todo.pop()
+        if task[0] is not _CHECK:
+            if task[0] is _END:
+                _, delta, eps, where, saved = task
+                _close(delta, list(delta) if eps is None else eps, where)
+                for m, key, value in saved:
+                    m.pop(key, None)
+                    if value is not _ABSENT:
+                        m[key] = value
+            elif task[0] is _JOIN:
+                _, p, delta, arms = task
+                # what one arm uses, every arm must use up
+                for e in [e for e in delta if not all(e in arm for arm in arms)]:
+                    del delta[e]
+                for arm in arms:
+                    _close(arm, [e for e in arm if e not in delta], f"a branch on {p.chan}")
+            continue
+        _, p, delta = task
         if isinstance(p, (P.RecvVal, P.RecvChan)):
             s = _take(delta, p, S.Recv, "performs a receive")
             delta[p.chan] = s.cont
-            scopes.append(((p.chan,), {}, "its prefix"))
-            eps = _bind(delta, scopes, p.binder, f"the scope of {p.binder}")
+            _scope(todo, delta, (p.chan,), "its prefix")
+            eps, saved = _bind(todo, delta, p.binder, f"the scope of {p.binder}")
             if S.is_value_payload(s.payload):
-                gamma = {**gamma, p.binder: s.payload}
-            else:
-                # receive of a channel; the binder owns the delegated endpoint
+                _shadow(saved, gamma, p.binder, s.payload)
+            else:  # receive of a channel; the binder owns the delegated endpoint
                 delta[eps[0]] = s.payload
-            width = width - {p.binder}
-            p = p.cont
-
-        elif isinstance(p, P.SendVal):
-            s = _take(delta, p, S.Send, "performs a send")
-            if not S.is_value_payload(s.payload):
-                # session payload: accept a bare name the parser left as a value
-                if not isinstance(p.value, P.VarRef):
-                    raise SessionTypeError(
-                        "payload", f"{p.chan} expects a channel payload, got value {P.format_value(p.value)}"
-                    )
-                delta[p.chan] = s
-                p = P.SendChan(p.chan, P.Endpoint(p.value.name), p.cont)
-                continue
-            actual = value_type(gamma, p.value)
-            if actual is not s.payload:
-                raise SessionTypeError("payload", f"{p.chan} expects a {s.payload} payload, got {actual}")
-            delta[p.chan] = s.cont
-            scopes.append(((p.chan,), {}, "its prefix"))
-            p = p.cont
-
-        elif isinstance(p, P.SendChan):
-            s = _take(delta, p, S.Send, "delegates a channel")
-            if S.is_value_payload(s.payload):
+            _shadow(saved, width, p.binder)
+            todo.append((_CHECK, p.cont, delta))
+        elif isinstance(p, (P.SendVal, P.SendChan)):
+            s = _take(delta, p, S.Send, "performs a send" if isinstance(p, P.SendVal) else "delegates a channel")
+            if isinstance(p, P.SendVal) and S.is_value_payload(s.payload):
+                actual = value_type(gamma, p.value)
+                if actual is not s.payload:
+                    raise SessionTypeError("payload", f"{p.chan} expects a {s.payload} payload, got {actual}")
+            elif isinstance(p, P.SendVal) and not isinstance(p.value, P.VarRef):
+                raise SessionTypeError(
+                    "payload", f"{p.chan} expects a channel payload, got value {P.format_value(p.value)}"
+                )
+            elif S.is_value_payload(s.payload):
                 raise SessionTypeError(
                     "shape", f"{p.chan} delegates a channel but its type is {S.format_session_type(s)}"
                 )
-            sent_type = delta.pop(p.sent, None)
-            if sent_type is None:
-                raise SessionTypeError("unbound", f"delegated endpoint {p.sent} is not available here")
-            if not S.type_equal(sent_type, s.payload):
-                raise SessionTypeError(
-                    "payload",
-                    f"delegated endpoint {p.sent} has type {S.format_session_type(sent_type)}, "
-                    f"expected {S.format_session_type(s.payload)}",
-                )
+            else:  # a bare name the parser left as a value is the delegated endpoint
+                sent = p.sent if isinstance(p, P.SendChan) else P.Endpoint(p.value.name)
+                _hand_over(delta, sent, s.payload, "delegated endpoint")
             delta[p.chan] = s.cont
-            scopes.append(((p.chan,), {}, "its prefix"))
-            p = p.cont
-
+            _scope(todo, delta, (p.chan,), "its prefix")
+            todo.append((_CHECK, p.cont, delta))
         elif isinstance(p, P.Select):
             s = _take(delta, p, S.Select, "selects")
             cont_type = s.get(p.label)
@@ -185,69 +226,40 @@ def _check(env: ProcEnv, gamma: dict, delta: SessionEnv, p: P.Process, width: fr
                     f"applies at restriction and shared-channel introduction",
                 )
             delta[p.chan] = cont_type
-            scopes.append(((p.chan,), {}, "its prefix"))
-            p = p.cont
-
+            _scope(todo, delta, (p.chan,), "its prefix")
+            todo.append((_CHECK, p.cont, delta))
         elif isinstance(p, P.New):
-            eps = _bind(delta, scopes, p.name, f"the scope of new {p.name}")
-            if p.annotation is not None:
-                s_plain: S.SessionType | None = p.annotation
-                s_dual: S.SessionType | None = S.dual(p.annotation)
+            eps, saved = _bind(todo, delta, p.name, f"the scope of new {p.name}")
+            if p.annotation is None:
+                delta[eps[0]], delta[eps[1]] = _synthesize(defs, gamma, delta, eps, p.body)
             else:
-                s_plain, s_dual = _synthesize(env, gamma, delta, eps, p.body)
-                if s_plain is None and s_dual is None:
-                    raise SessionTypeError(
-                        "annotation",
-                        f"cannot synthesize a session type for restricted channel {p.name}; annotate it",
-                    )
-                if s_plain is None:
-                    s_plain = S.dual(s_dual)
-                elif s_dual is None:
-                    s_dual = S.dual(s_plain)
-                elif not S.dual_compatible(s_plain, s_dual):
-                    raise SessionTypeError(
-                        "duality",
-                        f"restricted channel {p.name} has incompatible endpoint types "
-                        f"{S.format_session_type(s_plain)} and {S.format_session_type(s_dual)}",
-                    )
-            delta[eps[0]], delta[eps[1]] = s_plain, s_dual
-            width = width | {p.name}
-            p = p.body
-
+                delta[eps[0]], delta[eps[1]] = p.annotation, S.dual(p.annotation)
+            _shadow(saved, width, p.name, True)
+            todo.append((_CHECK, p.body, delta))
         elif isinstance(p, (P.Accept, P.Request)):
             if p.shared not in env.shared:
                 raise SessionTypeError("unbound", f"unknown shared channel {p.shared!r}")
             side = env.shared[p.shared]
-            eps = _bind(delta, scopes, p.binder, f"the scope of {p.binder}")
+            eps, saved = _bind(todo, delta, p.binder, f"the scope of {p.binder}")
             delta[eps[0]] = side if isinstance(p, P.Accept) else S.dual(side)
-            width = width | {p.binder}
-            p = p.cont
-
+            _shadow(saved, width, p.binder, True)
+            todo.append((_CHECK, p.cont, delta))
         elif isinstance(p, P.Def):
             sig = _signature(p)
             if sig is None:
                 raise SessionTypeError(
                     "annotation", f"definition {p.name} needs parameter type annotations to be checked"
                 )
-            env = replace(env, defs={**env.defs, p.name: sig})
-            body_delta = {P.Endpoint(name): t for name, t in p.chan_params}
-            body = _check(env, {**gamma, **dict(p.val_params)}, body_delta, p.body, width)
-            _close(body, list(body), f"the body of {p.name}")
-            p = p.scope
-
+            # the signature holds in the body and the scope, value parameters only in the body
+            _shadow(_scope(todo, delta, (), "its scope"), defs, p.name, sig)
+            todo.append((_CHECK, p.scope, delta))
+            body = {P.Endpoint(name): t for name, t in p.chan_params}
+            saved = _scope(todo, body, None, f"the body of {p.name}")
+            for name, t in dict(p.val_params).items():
+                _shadow(saved, gamma, name, t)
+            todo.append((_CHECK, p.body, body))
         elif isinstance(p, P.Par):
-            try:
-                delta = _check(env, gamma, _check(env, gamma, delta, p.left, width), p.right, width)
-            except SessionTypeError:
-                shared = P.free_endpoints(p.left) & P.free_endpoints(p.right)
-                if not shared:
-                    raise
-                name = sorted(str(e) for e in shared)[0]
-                raise SessionTypeError(
-                    "linearity", f"endpoint {name} is used by both sides of a parallel composition"
-                ) from None
-            break
-
+            todo += [(_PAR, p), (_CHECK, p.right, delta), (_CHECK, p.left, delta)]
         elif isinstance(p, P.Branch):
             s = _take(delta, p, S.Branch, "offers branches")
             offered = tuple(sorted(label for label, _ in p.branches))
@@ -256,21 +268,15 @@ def _check(env: ProcEnv, gamma: dict, delta: SessionEnv, p: P.Process, width: fr
                     "label",
                     f"{p.chan} offers {{{', '.join(offered)}}} but its type offers {{{', '.join(s.labels())}}}",
                 )
-            arms = []
-            for label, cont in p.branches:
-                arm = _check(env, gamma, {**delta, p.chan: s.get(label)}, cont, width)
-                _close(arm, (p.chan,), "its prefix")
-                arms.append(arm)
-            # what one arm uses, every arm must use up
-            delta = {e: t for e, t in delta.items() if all(e in arm for arm in arms)}
-            for arm in arms:
-                _close(arm, [e for e in arm if e not in delta], f"a branch on {p.chan}")
-            break
-
+            arms = [{**delta, p.chan: s.get(label)} for label, _ in p.branches]
+            todo.append((_JOIN, p, delta, arms))
+            for (_, cont), arm in zip(reversed(p.branches), reversed(arms)):
+                _scope(todo, arm, (p.chan,), "its prefix")
+                todo.append((_CHECK, cont, arm))
         elif isinstance(p, P.Call):
-            if p.name not in env.defs:
+            if p.name not in defs:
                 raise SessionTypeError("unbound", f"call to unknown definition {p.name!r}")
-            val_sig, chan_sig = env.defs[p.name]
+            val_sig, chan_sig = defs[p.name]
             if len(val_sig) != len(p.val_args) or len(chan_sig) != len(p.chan_args):
                 raise SessionTypeError("arity", f"call to {p.name} has the wrong number of arguments")
             for v, expected in zip(p.val_args, val_sig):
@@ -280,27 +286,9 @@ def _check(env: ProcEnv, gamma: dict, delta: SessionEnv, p: P.Process, width: fr
                         "payload", f"call to {p.name}: argument {P.format_value(v)} is {actual}, expected {expected}"
                     )
             for ep, expected in zip(p.chan_args, chan_sig):
-                actual_type = delta.pop(ep, None)
-                if actual_type is None:
-                    raise SessionTypeError("unbound", f"call to {p.name}: endpoint {ep} is not available here")
-                if not S.type_equal(actual_type, expected):
-                    raise SessionTypeError(
-                        "payload",
-                        f"call to {p.name}: endpoint {ep} has type {S.format_session_type(actual_type)}, "
-                        f"expected {S.format_session_type(expected)}",
-                    )
-            break
-
-        elif isinstance(p, P.Nil):
-            break
-
-        else:
+                _hand_over(delta, ep, expected, f"call to {p.name}: endpoint")
+        elif not isinstance(p, P.Nil):
             raise TypeError(f"not a process: {p!r}")
-
-    for eps, saved, where in reversed(scopes):
-        _close(delta, eps, where)
-        delta.update(saved)
-    return delta
 
 
 # ------------------------------------------------------------- synthesis
@@ -308,13 +296,12 @@ def _check(env: ProcEnv, gamma: dict, delta: SessionEnv, p: P.Process, width: fr
 _UNUSED = object()
 
 
-def _synthesize(env: ProcEnv, gamma: dict, delta: SessionEnv, eps: tuple[P.Endpoint, ...], p: P.Process) -> list:
-    """Best-effort session types of the endpoints ``eps`` (the two ends of
-    one channel) from their usage, in one `process.fold`; None for an
-    endpoint whose usage involves information only the other side can
-    provide."""
-
-    defs = dict(env.defs)
+def _synthesize(defs: dict, gamma: dict, delta: SessionEnv, eps: tuple[P.Endpoint, ...], p: P.Process) -> tuple:
+    """The session types of ``eps``, the two ends of a restricted channel,
+    from their usage in ``p``, in one `process.fold`.  An endpoint whose
+    usage involves information only the other side can provide gets the
+    other's dual; the two must be dual when both are known."""
+    defs = dict(defs)
     unused = [_UNUSED] * len(eps)
 
     def end(r):
@@ -391,4 +378,17 @@ def _synthesize(env: ProcEnv, gamma: dict, delta: SessionEnv, eps: tuple[P.Endpo
             out.append(r)
         return out
 
-    return [end(r) for r in P.fold(p, gamma, enter, leave)]
+    s_plain, s_dual = map(end, P.fold(p, gamma, enter, leave))
+    if s_plain is None and s_dual is None:
+        raise SessionTypeError(
+            "annotation", f"cannot synthesize a session type for restricted channel {eps[0].name}; annotate it"
+        )
+    if s_plain is None or s_dual is None:
+        return (S.dual(s_dual), s_dual) if s_plain is None else (s_plain, S.dual(s_plain))
+    if not S.dual_compatible(s_plain, s_dual):
+        raise SessionTypeError(
+            "duality",
+            f"restricted channel {eps[0].name} has incompatible endpoint types "
+            f"{S.format_session_type(s_plain)} and {S.format_session_type(s_dual)}",
+        )
+    return s_plain, s_dual

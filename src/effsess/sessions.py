@@ -15,11 +15,16 @@ types in the pi calculus*, 2005):
 
 Payloads are always compared for equality, by the same walk.  Every
 relation is a conjunction of pair obligations, so the walk is a worklist
-loop that never backtracks or recurses on type depth.  A pair is recorded
-as an assumption only when a mu is unfolded (a `Mu` on either side): a walk
-can meet a pair again only through an unfolding, so a mu-free type hashes
-nothing.  Assumptions are keyed by structure, since unfolding builds new
-objects.
+loop that never backtracks or recurses on type depth.  Without ``flip``, a
+pair of one object with itself holds at once, since a type is equal to and
+a subtype of itself: consecutive annotations of a `let` chain share their
+tail, so comparing them walks only where they differ.  Duality still walks
+such a pair.  A pair is recorded as an assumption only when a mu is
+unfolded (a `Mu` on either side): a walk can meet a pair again only through
+an unfolding, so a mu-free type hashes nothing.  Assumptions are keyed by
+structure, since unfolding builds new objects; session types compare and
+hash without recursing (`_same`, and the printed type), as `unfold` and
+`dual` rebuild them with explicit stacks.
 
 Duality is complete duality (Bernardi, Dardha, Gay & Kouzapas, *On duality
 relations for session types*, 2014): constructors flip along
@@ -35,14 +40,29 @@ from dataclasses import dataclass
 
 from .terms import ParseError, ValueType, _Lexer, parse_value_type
 
-@dataclass(frozen=True)
-class Send:
+
+class _Type:
+    """Base of the session-type constructors.  Equality is structural and
+    the hash is that of the printed type; neither recurses, so deep types
+    can key a dict, as `process._Node` does for processes."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _same(self, other)
+
+    def __hash__(self):
+        return hash(format_session_type(self))
+
+
+@dataclass(frozen=True, eq=False)
+class Send(_Type):
     payload: object
     cont: "SessionType"
 
 
-@dataclass(frozen=True)
-class Recv:
+@dataclass(frozen=True, eq=False)
+class Recv(_Type):
     payload: object
     cont: "SessionType"
 
@@ -57,8 +77,8 @@ def _norm_choices(choices) -> tuple[tuple[str, "SessionType"], ...]:
     return tuple(sorted(pairs))
 
 
-@dataclass(frozen=True)
-class _Choice:
+@dataclass(frozen=True, eq=False)
+class _Choice(_Type):
     """A select or a branch: its labelled continuations, sorted by label."""
 
     choices: tuple[tuple[str, "SessionType"], ...]
@@ -81,19 +101,19 @@ class Branch(_Choice):
     """External choice: this side offers every label."""
 
 
-@dataclass(frozen=True)
-class Mu:
+@dataclass(frozen=True, eq=False)
+class Mu(_Type):
     var: str
     body: "SessionType"
 
 
-@dataclass(frozen=True)
-class TVar:
+@dataclass(frozen=True, eq=False)
+class TVar(_Type):
     name: str
 
 
-@dataclass(frozen=True)
-class End:
+@dataclass(frozen=True, eq=False)
+class End(_Type):
     pass
 
 
@@ -103,6 +123,26 @@ END = End()
 
 def is_value_payload(payload) -> bool:
     return isinstance(payload, ValueType)
+
+
+def _same(s: SessionType, t: SessionType) -> bool:
+    """Structural equality (mu variables by name), walked with an explicit
+    stack; a select never equals a branch."""
+    todo = [(s, t)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if (
+            type(a) is not type(b)
+            or isinstance(a, ValueType)
+            or isinstance(a, _Choice) and a.labels() != b.labels()
+            or isinstance(a, Mu) and a.var != b.var
+            or isinstance(a, TVar) and a.name != b.name
+        ):
+            return False
+        todo += zip(_kids(a), _kids(b))
+    return True
 
 
 def assert_wellformed(s: SessionType, bound: frozenset[str] = frozenset()) -> None:
@@ -140,6 +180,11 @@ def _conts(s: SessionType) -> tuple[SessionType, ...]:
     return ()
 
 
+def _kids(s: SessionType) -> tuple:
+    """The subterms of ``s``: its payload, for a prefix, then its continuations."""
+    return (s.payload, s.cont) if isinstance(s, (Send, Recv)) else _conts(s)
+
+
 def dual(s: SessionType) -> SessionType:
     """Complete duality: flip every constructor along the continuations, and
     close each session payload over the mu-types whose variables it names."""
@@ -169,19 +214,33 @@ def dual(s: SessionType) -> SessionType:
 
 
 def _subst(s: SessionType, env: dict[str, SessionType]) -> SessionType:
-    """Replace the free type variables of ``s`` that ``env`` names."""
-    if not env:
-        return s
-    if isinstance(s, TVar):
-        return env.get(s.name, s)
-    if isinstance(s, Mu):
-        return Mu(s.var, _subst(s.body, {k: v for k, v in env.items() if k != s.var}))
-    if isinstance(s, (Send, Recv)):
-        payload = s.payload if is_value_payload(s.payload) else _subst(s.payload, env)
-        return type(s)(payload, _subst(s.cont, env))
-    if isinstance(s, (Select, Branch)):
-        return type(s)(tuple((label, _subst(cont, env)) for label, cont in s.choices))
-    return s
+    """Replace the free type variables of ``s`` that ``env`` names.  Walked
+    with an explicit stack, as `dual` is; a session payload is one more
+    subterm, and a subterm that no name of ``env`` reaches is kept as is."""
+    built: list[SessionType] = []
+    todo: list[tuple[SessionType, dict, bool]] = [(s, env, False)]
+    while todo:
+        t, env, ready = todo.pop()
+        kids = _kids(t)
+        if ready:
+            made = built[len(built) - len(kids):]
+            del built[len(built) - len(kids):]
+            if isinstance(t, Mu):
+                built.append(Mu(t.var, made[0]))
+            elif isinstance(t, (Send, Recv)):
+                built.append(type(t)(*made))
+            else:
+                built.append(type(t)(tuple(zip(t.labels(), made))))
+        elif isinstance(t, TVar):
+            built.append(env.get(t.name, t))
+        elif not env or not kids:
+            built.append(t)  # a value payload, end, or no name left to replace
+        else:
+            todo.append((t, env, True))
+            if isinstance(t, Mu):
+                env = {k: v for k, v in env.items() if k != t.var}
+            todo.extend((kid, env, False) for kid in reversed(kids))
+    return built[0]
 
 
 def unfold(s: SessionType) -> SessionType:
@@ -199,6 +258,8 @@ def _related(s: SessionType, t: SessionType, flip: bool, width: bool) -> bool:
     todo = [(s, t, flip, width)]
     while todo:
         a, b, flip, width = todo.pop()
+        if a is b and not flip:
+            continue  # a type equals itself, so it is also its own subtype
         if isinstance(a, Mu) or isinstance(b, Mu):
             key = (a, b, flip, width)
             if key in assumed:

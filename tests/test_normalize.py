@@ -226,3 +226,16 @@ def test_substitution_memo_declines_where_names_order_components():
             assert table.subst(t, mapping) == table.term(t, mapping)
     assert table.memo_hits == 0
 
+
+def test_term_of_a_process_with_a_mapping_is_its_substitution():
+    # a restriction of the spine neither takes the mapping nor captures a
+    # name the mapping puts in
+    cases = [
+        ("new a. (a!<0> | ~a?(y))", {"a": Endpoint("b")}),
+        ("new a. (a!<x> | ~a?(y))", {"x": Endpoint("a")}),
+        ("new a. (a!<x> | ~a?(y). b!<y>)", {"x": NatLit(1), "b": Endpoint("a")}),
+    ]
+    for text, mapping in cases:
+        p, table = parse_process(text), InternTable()
+        expected = format_process(normalize(substitute(p, mapping)))
+        assert format_process(table.process(table.term(p, mapping))) == expected

@@ -59,6 +59,19 @@ def test_par_linearity_violation_names_endpoint():
     assert "eff" in str(exc.value)
 
 
+def test_nested_par_linearity_names_the_outermost_sharing_composition():
+    # the error arises in the inner composition, whose sides share c; the
+    # outermost enclosing composition whose sides share an endpoint names it
+    a, b, c = Endpoint("a"), Endpoint("b"), Endpoint("c")
+    inner = Par(SendVal(c, NatLit(0), NIL), SendVal(c, NatLit(1), NIL))
+    delta = {e: Send(NAT, END) for e in (a, b, c)}
+    for right, named in ((SendVal(b, NatLit(1), NIL), "b"), (SendVal(a, NatLit(1), NIL), "c")):
+        with pytest.raises(SessionTypeError) as exc:
+            session_check(ProcEnv(), dict(delta), Par(SendVal(b, NatLit(0), inner), right))
+        assert exc.value.kind == "linearity"
+        assert str(exc.value) == f"endpoint {named} is used by both sides of a parallel composition"
+
+
 def test_get_put_derived_judgements():
     # get(eff)(x).P checks at ~eff : +{get: ?[tau].S} whenever P checks at
     # ~eff : S with x added; same shape for put
@@ -274,8 +287,9 @@ def test_well_typed_chain_computes_no_free_names(monkeypatch):
 
 
 def test_chain_checks_at_default_recursion_limit():
-    # the default limit of 1,000 frames, counted from this test's frame
-    result = _chain(120)
+    # the default limit of 1,000 frames, counted from this test's frame; the
+    # chain nests about a thousand parallel compositions
+    result = _chain(1000)
     depth = len(inspect.stack(0))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 1000)
@@ -283,3 +297,38 @@ def test_chain_checks_at_default_recursion_limit():
         session_check(ProcEnv(), result.delta, result.process)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_chain_compares_its_annotations_in_linear_time(monkeypatch):
+    # consecutive annotations share their tail, so each delegation compares
+    # a type with itself, which the relation walker answers at once
+    from effsess import sessions
+
+    calls = []
+    real = sessions.is_value_payload
+    monkeypatch.setattr(sessions, "is_value_payload", lambda payload: calls.append(None) or real(payload))
+    counts = []
+    for n in (100, 200):
+        result = _chain(n)
+        calls.clear()
+        session_check(ProcEnv(), result.delta, result.process)
+        counts.append(len(calls))
+    assert counts[1] <= 2.2 * counts[0]
+
+
+def test_deep_recursive_type_checks_at_default_recursion_limit():
+    # mu a. ![nat]. ... a with 1,500 sends: after them c owes the mu again
+    c = Endpoint("c")
+    t = parse_session_type("mu a. " + "![nat]. " * 1500 + "a")
+    p = NIL
+    for i in range(1500):
+        p = SendVal(c, NatLit(i), p)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(SessionTypeError) as exc:
+            session_check(ProcEnv(), {c: t}, p)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert exc.value.kind == "leftover"
+    assert str(exc.value).startswith("endpoint c still owes mu a. ![nat]. ")

@@ -220,8 +220,30 @@ def test_long_prefix_chain_parses_at_default_recursion_limit():
         printed = format_session_type(parse_session_type(text))
     finally:
         sys.setrecursionlimit(limit)
-    # session-type == still recurses, so compare the text
     assert printed == text
+
+
+def test_deep_recursive_type_at_default_recursion_limit():
+    # unfolding, ==, hash and type_equal walk with explicit stacks
+    text = "mu a. " + "![nat]. " * 1500 + "a"
+    s, t = parse_session_type(text), parse_session_type(text)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        unfolded = unfold(s)
+        verdicts = (s == t, hash(s) == hash(t), type_equal(s, t), type_equal(unfolded, t), s == unfolded)
+        printed = format_session_type(unfolded)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdicts == (True, True, True, True, False)
+    assert printed == "![nat]. " * 1500 + text
+
+
+def test_select_never_equals_branch():
+    choices = (("a", END), ("b", Send(NAT, END)))
+    assert Select(choices) != Branch(choices)
+    assert Select(choices) == Select(tuple(reversed(choices)))
+    assert len({Select(choices), Branch(choices), Select(choices)}) == 2
 
 
 def test_store_type_matches_display():
