@@ -75,6 +75,7 @@ from math import factorial, prod
 from typing import NamedTuple
 
 from . import process as P
+from .terms import fold
 
 _MAX_TIE_ARRANGEMENTS = 720
 # The length past which a shape's prefix is cut, at the next space.
@@ -304,7 +305,7 @@ class InternTable:
 
     def term(self, root, mapping: dict[str, P.Replacement] | None = None) -> Term:
         """The normal form of ``root``, a process or a term, with free names
-        replaced through ``mapping``: a `process.fold` whose context is the
+        replaced through ``mapping``: a `terms.fold` whose context is the
         substitution in scope.  A term it leaves alone is kept whole.  A
         `Par`/`New`/`Nil` spine is one node over its components, left as a
         normal form.  Any other node, viewed if it is a term, is renamed by
@@ -344,7 +345,7 @@ class InternTable:
                 return self.normal(restricted, [self.subst(c, env) if env else c for c, env in zip(kids, envs)])
             return self.node(P.with_subterms(note, kids))
 
-        return P.fold(root, P.substitution(mapping or {}, {}), enter, leave)
+        return fold(root, P.substitution(mapping or {}, {}), enter, leave)
 
     # ----------------------------------------------------- normal forms
 
@@ -505,7 +506,7 @@ class InternTable:
             view = self.view(u, names if names is not None else (f"%{k}" for k in count(u.shape.base)))
             return view, [(kid, None) for kid in P.subterms(view)]
 
-        return P.fold(t, None, enter, lambda u, view, kids: P.with_subterms(view, kids))
+        return fold(t, None, enter, lambda u, view, kids: P.with_subterms(view, kids))
 
 
 def normalize(p: P.Process) -> P.Process:

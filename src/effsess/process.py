@@ -33,9 +33,9 @@ a process (a prefix's continuation, the body of `new`, the scope of `def`)
 leaves that process to a loop, so a chain of prefixes costs no recursion.
 Three cases are special: `Par` is n-ary, `(P | Q | R)`; `new a, b. P`
 restricts a list of names; and a `~` payload makes a send a `SendChan`.
-Every rebuild of a process is one `fold`, walked with an explicit stack:
-substitution, kind resolution, interning (`normalize`) and type synthesis
-(`session_check`).
+Every rebuild of a process is one `terms.fold`, the package's one
+explicit-stack walk, which session types share: substitution, kind
+resolution, interning (`normalize`) and type synthesis (`session_check`).
 
 The surface syntax cannot distinguish a received value from a received
 channel (`c?(x).P` covers both), so the parser reads every receive as a
@@ -52,7 +52,7 @@ from functools import reduce
 from typing import Iterator, NamedTuple
 
 from .sessions import SessionType, _TypeParser, format_session_type
-from .terms import ParseError, ValueType, _Lexer, fresh_name, parse_value_type
+from .terms import ParseError, ValueType, _Lexer, fold, fresh_name, parse_value_type
 
 
 @dataclass(frozen=True)
@@ -394,31 +394,6 @@ def free_endpoints(p: Process) -> frozenset[Endpoint]:
     return frozenset(free_names(p).endpoints)
 
 
-# ------------------------------------------------------------------- fold
-
-def fold(root, ctx, enter, leave):
-    """The traversal behind every rebuild of a process: a bottom-up fold of
-    ``root``, walked with an explicit stack.  ``enter(node, ctx)`` gives a
-    note and the node's subterms, each with its context; ``leave(node,
-    note, results)`` gives the node's result from its subterms' results, in
-    order.  Nodes are entered in pre-order, left to right, and each is left
-    once its subterms are."""
-    out: list = []
-    stack: list = [(root, ctx)]
-    while stack:
-        frame = stack.pop()
-        if len(frame) == 2:  # a node to enter, and its context
-            note, kids = enter(*frame)
-            stack.append((frame[0], note, len(kids)))
-            stack.extend(reversed(kids))
-            continue
-        node, note, n = frame
-        results = out[len(out) - n:]
-        del out[len(out) - n:]
-        out.append(leave(node, note, results))
-    return out[0]
-
-
 # ------------------------------------------------------------ substitution
 
 Replacement = Endpoint | Value
@@ -541,17 +516,21 @@ def subterms(p: Process) -> list[Process]:
 
 def with_subterms(p: Process, kids: list) -> Process:
     """``p`` with its immediate subprocesses replaced, listed as
-    ``subterms`` lists them."""
+    ``subterms`` lists them; ``p`` itself when each is the one it had."""
     kids_left = iter(kids)
-    out = []
+    out, changed = [], False
     for field, role in FORMS[type(p)].fields:
         x = getattr(p, field)
         if role is SCOPED or role is OPEN:
-            x = next(kids_left)
+            y = next(kids_left)
+            changed = changed or y is not x
+            x = y
         elif role is ARMS:
-            x = tuple([(label, next(kids_left)) for label, _ in x])
+            y = tuple([(label, next(kids_left)) for label, _ in x])
+            changed = changed or any(a is not b for (_, a), (_, b) in zip(x, y))
+            x = y
         out.append(x)
-    return type(p)(*out) if kids else p
+    return type(p)(*out) if changed else p
 
 
 def serial_pieces(p, free, expand=None) -> Iterator[str]:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 from . import process as P
 from . import sessions as S
-from .terms import ValueType
+from .terms import ValueType, fold
 
 
 class SessionTypeError(Exception):
@@ -59,22 +59,25 @@ SessionEnv = dict[P.Endpoint, S.SessionType]
 
 
 def value_type(gamma: dict[str, ValueType], v: P.Value) -> ValueType:
+    """The type of ``v``; a chain of `suc`s is peeled in a loop."""
+    whole = v
+    while isinstance(v, P.SucOf):
+        v = v.arg
     if isinstance(v, P.NatLit):
-        return ValueType.NAT
-    if isinstance(v, P.UnitLit):
-        return ValueType.UNIT
-    if isinstance(v, P.VarRef):
+        inner = ValueType.NAT
+    elif isinstance(v, P.UnitLit):
+        inner = ValueType.UNIT
+    elif isinstance(v, P.VarRef):
         if v.name not in gamma:
             raise SessionTypeError("unbound", f"unbound variable {v.name!r}")
-        return gamma[v.name]
-    if isinstance(v, P.SucOf):
-        inner = value_type(gamma, v.arg)
-        if inner is not ValueType.NAT:
-            raise SessionTypeError("payload", f"suc applied to a {inner} value")
-        return ValueType.NAT
-    if isinstance(v, P.Pair):
+        inner = gamma[v.name]
+    elif isinstance(v, P.Pair):
         raise SessionTypeError("payload", "pair values have no sendable type")
-    raise TypeError(f"not a value: {v!r}")
+    else:
+        raise TypeError(f"not a value: {v!r}")
+    if whole is not v and inner is not ValueType.NAT:
+        raise SessionTypeError("payload", f"suc applied to a {inner} value")
+    return inner
 
 
 def session_check(env: ProcEnv, delta: SessionEnv, p: P.Process) -> None:
@@ -298,7 +301,7 @@ _UNUSED = object()
 
 def _synthesize(defs: dict, gamma: dict, delta: SessionEnv, eps: tuple[P.Endpoint, ...], p: P.Process) -> tuple:
     """The session types of ``eps``, the two ends of a restricted channel,
-    from their usage in ``p``, in one `process.fold`.  An endpoint whose
+    from their usage in ``p``, in one `terms.fold`.  An endpoint whose
     usage involves information only the other side can provide gets the
     other's dual; the two must be dual when both are known."""
     defs = dict(defs)
@@ -378,7 +381,7 @@ def _synthesize(defs: dict, gamma: dict, delta: SessionEnv, eps: tuple[P.Endpoin
             out.append(r)
         return out
 
-    s_plain, s_dual = map(end, P.fold(p, gamma, enter, leave))
+    s_plain, s_dual = map(end, fold(p, gamma, enter, leave))
     if s_plain is None and s_dual is None:
         raise SessionTypeError(
             "annotation", f"cannot synthesize a session type for restricted channel {eps[0].name}; annotate it"

@@ -22,9 +22,11 @@ tail, so comparing them walks only where they differ.  Duality still walks
 such a pair.  A pair is recorded as an assumption only when a mu is
 unfolded (a `Mu` on either side): a walk can meet a pair again only through
 an unfolding, so a mu-free type hashes nothing.  Assumptions are keyed by
-structure, since unfolding builds new objects; session types compare and
-hash without recursing (`_same`, and the printed type), as `unfold` and
-`dual` rebuild them with explicit stacks.
+structure, since unfolding builds new objects.  A session type compares by
+`_same`, a stack walk, and hashes its printed text, which each node builds
+once from its subterms' texts and keeps.  Printing, `dual`, substitution
+and the well-formedness check are each one `terms.fold`, so no walk
+recurses on type depth.
 
 Duality is complete duality (Bernardi, Dardha, Gay & Kouzapas, *On duality
 relations for session types*, 2014): constructors flip along
@@ -37,14 +39,18 @@ names the dual type instead of the original one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 
-from .terms import ParseError, ValueType, _Lexer, parse_value_type
+from .terms import ParseError, ValueType, _Lexer, fold, parse_value_type
 
 
 class _Type:
-    """Base of the session-type constructors.  Equality is structural and
-    the hash is that of the printed type; neither recurses, so deep types
+    """Base of the session-type constructors.  Equality is structural
+    (`_same`), and the hash is that of the printed text, which a node keeps
+    once `format_session_type` has built it; neither recurses, so deep types
     can key a dict, as `process._Node` does for processes."""
+
+    _text: str | None = None
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -52,7 +58,7 @@ class _Type:
         return _same(self, other)
 
     def __hash__(self):
-        return hash(format_session_type(self))
+        return hash(self._text or format_session_type(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +131,18 @@ def is_value_payload(payload) -> bool:
     return isinstance(payload, ValueType)
 
 
+def subterms(s) -> tuple:
+    """The subterms of ``s``: its payload, for a prefix, then its
+    continuations in label order.  A value type has none."""
+    if isinstance(s, (Send, Recv)):
+        return (s.payload, s.cont)
+    if isinstance(s, Mu):
+        return (s.body,)
+    if isinstance(s, _Choice):
+        return tuple(cont for _, cont in s.choices)
+    return ()
+
+
 def _same(s: SessionType, t: SessionType) -> bool:
     """Structural equality (mu variables by name), walked with an explicit
     stack; a select never equals a branch."""
@@ -141,16 +159,16 @@ def _same(s: SessionType, t: SessionType) -> bool:
             or isinstance(a, TVar) and a.name != b.name
         ):
             return False
-        todo += zip(_kids(a), _kids(b))
+        todo += zip(subterms(a), subterms(b))
     return True
 
 
 def assert_wellformed(s: SessionType, bound: frozenset[str] = frozenset()) -> None:
     """Closedness and contractivity: TVar under a binding Mu, Mu bodies
-    not immediately a type variable."""
-    todo = [(s, bound)]
-    while todo:
-        t, bound = todo.pop()
+    not immediately a type variable.  The first fault in pre-order is
+    raised."""
+
+    def enter(t, bound):
         if isinstance(t, TVar):
             if t.name not in bound:
                 raise ValueError(f"unbound session variable {t.name!r}")
@@ -160,87 +178,57 @@ def assert_wellformed(s: SessionType, bound: frozenset[str] = frozenset()) -> No
             bound = bound | {t.var}
         elif not isinstance(t, (Send, Recv, Select, Branch, End)):
             raise TypeError(f"not a session type: {t!r}")
-        todo.extend((cont, bound) for cont in reversed(_conts(t)))
-        if isinstance(t, (Send, Recv)) and not is_value_payload(t.payload):
-            todo.append((t.payload, bound))
+        kids = subterms(t)
+        if isinstance(t, (Send, Recv)) and is_value_payload(t.payload):
+            kids = kids[1:]
+        return None, [(kid, bound) for kid in kids]
+
+    fold(s, bound, enter, lambda t, note, results: None)
 
 
 # Each constructor and the one its dual pairs with.
 _FLIP = {Send: Recv, Recv: Send, Select: Branch, Branch: Select, End: End}
 
 
-def _conts(s: SessionType) -> tuple[SessionType, ...]:
-    """The continuations of ``s``, in label order; payloads are not among them."""
-    if isinstance(s, Mu):
-        return (s.body,)
-    if isinstance(s, (Send, Recv)):
-        return (s.cont,)
-    if isinstance(s, (Select, Branch)):
-        return tuple(cont for _, cont in s.choices)
-    return ()
-
-
-def _kids(s: SessionType) -> tuple:
-    """The subterms of ``s``: its payload, for a prefix, then its continuations."""
-    return (s.payload, s.cont) if isinstance(s, (Send, Recv)) else _conts(s)
-
-
 def dual(s: SessionType) -> SessionType:
     """Complete duality: flip every constructor along the continuations, and
     close each session payload over the mu-types whose variables it names."""
-    built: list[SessionType] = []
-    todo: list[tuple[SessionType, dict, bool]] = [(s, {}, False)]
-    while todo:
-        t, env, ready = todo.pop()
-        if isinstance(t, (TVar, End)):
-            built.append(t)
-        elif not ready:
-            todo.append((t, env, True))
-            if isinstance(t, Mu):
-                env = {**env, t.var: _subst(t, env)}
-            todo.extend((cont, env, False) for cont in reversed(_conts(t)))
-        else:
-            n = len(_conts(t))
-            conts = built[-n:]
-            del built[-n:]
-            if isinstance(t, Mu):
-                built.append(Mu(t.var, conts[0]))
-            elif isinstance(t, (Send, Recv)):
-                payload = t.payload if is_value_payload(t.payload) else _subst(t.payload, env)
-                built.append(_FLIP[type(t)](payload, conts[0]))
-            else:
-                built.append(_FLIP[type(t)](tuple(zip(t.labels(), conts))))
-    return built[0]
+    return fold(s, ({}, True), _enter_map, _leave_map)
 
 
 def _subst(s: SessionType, env: dict[str, SessionType]) -> SessionType:
-    """Replace the free type variables of ``s`` that ``env`` names.  Walked
-    with an explicit stack, as `dual` is; a session payload is one more
-    subterm, and a subterm that no name of ``env`` reaches is kept as is."""
-    built: list[SessionType] = []
-    todo: list[tuple[SessionType, dict, bool]] = [(s, env, False)]
-    while todo:
-        t, env, ready = todo.pop()
-        kids = _kids(t)
-        if ready:
-            made = built[len(built) - len(kids):]
-            del built[len(built) - len(kids):]
-            if isinstance(t, Mu):
-                built.append(Mu(t.var, made[0]))
-            elif isinstance(t, (Send, Recv)):
-                built.append(type(t)(*made))
-            else:
-                built.append(type(t)(tuple(zip(t.labels(), made))))
-        elif isinstance(t, TVar):
-            built.append(env.get(t.name, t))
-        elif not env or not kids:
-            built.append(t)  # a value payload, end, or no name left to replace
-        else:
-            todo.append((t, env, True))
-            if isinstance(t, Mu):
-                env = {k: v for k, v in env.items() if k != t.var}
-            todo.extend((kid, env, False) for kid in reversed(kids))
-    return built[0]
+    """Replace the free type variables of ``s`` that ``env`` names; a
+    subterm that no name of ``env`` reaches is kept as is."""
+    return fold(s, (env, False), _enter_map, _leave_map)
+
+
+def _enter_map(t, ctx):
+    """The step of `dual` and `_subst` into ``t``, under a context of type
+    variables and whether to flip.  A payload is only substituted.  Under a
+    mu, `dual` binds its variable to the mu-type it stands for, closed, and
+    `_subst` lets the mu shadow it."""
+    env, flip = ctx
+    if not (env or flip):
+        return ctx, ()
+    if isinstance(t, Mu):
+        env = {**env, t.var: _subst(t, env)} if flip else {k: v for k, v in env.items() if k != t.var}
+        ctx = env, flip
+    kids = [(kid, ctx) for kid in subterms(t)]
+    if isinstance(t, (Send, Recv)):
+        kids[0] = (t.payload, (env, False))
+    return ctx, kids
+
+
+def _leave_map(t, ctx, kids):
+    env, flip = ctx
+    if isinstance(t, TVar):
+        return t if flip else env.get(t.name, t)
+    if not kids or not flip and all(map(is_, kids, subterms(t))):
+        return t  # end, a value payload, or nothing replaced
+    if isinstance(t, Mu):
+        return Mu(t.var, kids[0])
+    head = _FLIP[type(t)] if flip else type(t)
+    return head(tuple(zip(t.labels(), kids))) if isinstance(t, _Choice) else head(*kids)
 
 
 def unfold(s: SessionType) -> SessionType:
@@ -311,29 +299,33 @@ def dual_compatible(s: SessionType, t: SessionType) -> bool:
 
 
 def format_session_type(s: SessionType) -> str:
-    out: list[str] = []
-    todo: list = [s]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, str):
-            out.append(t)
-        elif isinstance(t, End):
-            out.append("end")
-        elif isinstance(t, TVar):
-            out.append(t.name)
+    """The concrete syntax of ``s``.  A node's text is built once, from its
+    subterms' texts, and kept on the node: type variables are spelled by
+    name, so a node prints the same wherever it occurs."""
+    return fold(s, None, _enter_print, _leave_print)
+
+
+def _enter_print(t, _):
+    return None, () if getattr(t, "_text", None) else [(kid, None) for kid in subterms(t)]
+
+
+def _leave_print(t, _, texts):
+    if is_value_payload(t):
+        return str(t)
+    if not isinstance(t, _Type):
+        raise TypeError(f"not a session type: {t!r}")
+    if t._text is None:
+        if isinstance(t, (Send, Recv)):
+            text = f"{'![' if isinstance(t, Send) else '?['}{texts[0]}]. {texts[1]}"
+        elif isinstance(t, _Choice):
+            arms = ", ".join(f"{label}: {text}" for label, text in zip(t.labels(), texts))
+            text = f"{'+{' if isinstance(t, Select) else '&{'}{arms}}}"
         elif isinstance(t, Mu):
-            todo += [t.body, f"mu {t.var}. "]
-        elif isinstance(t, (Send, Recv)):
-            payload = str(t.payload) if is_value_payload(t.payload) else t.payload
-            todo += [t.cont, "]. ", payload, "![" if isinstance(t, Send) else "?["]
-        elif isinstance(t, (Select, Branch)):
-            todo.append("}")
-            for i, (label, cont) in reversed(list(enumerate(t.choices))):
-                todo += [cont, f"{', ' if i else ''}{label}: "]
-            todo.append("+{" if isinstance(t, Select) else "&{")
+            text = f"mu {t.var}. {texts[0]}"
         else:
-            raise TypeError(f"not a session type: {t!r}")
-    return "".join(out)
+            text = t.name if isinstance(t, TVar) else "end"
+        object.__setattr__(t, "_text", text)
+    return t._text
 
 
 _TYPE_PUNCT = ("![", "?[", "]", "+{", "&{", "}", ":", ",", ".", "(", ")")

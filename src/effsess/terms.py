@@ -85,6 +85,29 @@ def with_subterms(t: Term, kids) -> Term:
     return replace(t, **dict(zip(_SUBTERM_FIELDS[type(t)], kids)))
 
 
+def fold(root, ctx, enter, leave):
+    """The package's traversal, for processes and session types alike: a
+    bottom-up fold of ``root``, walked with an explicit stack.
+    ``enter(node, ctx)`` gives a note and the node's subterms, each with its
+    context; ``leave(node, note, results)`` gives the node's result from its
+    subterms' results, in order.  Nodes are entered in pre-order, left to
+    right, and each is left once its subterms are."""
+    out: list = []
+    stack: list = [(root, ctx)]
+    while stack:
+        frame = stack.pop()
+        if len(frame) == 2:  # a node to enter, and its context
+            note, kids = enter(*frame)
+            stack.append((frame[0], note, len(kids)))
+            stack.extend(reversed(kids))
+            continue
+        node, note, n = frame
+        results = out[len(out) - n:]
+        del out[len(out) - n:]
+        out.append(leave(node, note, results))
+    return out[0]
+
+
 def free_vars(t: Term) -> frozenset[str]:
     free: set[str] = set()
     bound: set[str] = set()

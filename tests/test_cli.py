@@ -1,10 +1,12 @@
+import hashlib
 import json
 import sys
 
 import pytest
 
-from effsess import cli, semantics
-from effsess.cli import main
+from effsess import cli, embedding, semantics
+from effsess.cli import main, render_translation
+from effsess.terms import parse_program
 
 SAMPLE = "store nat init 0\nlet x = get in put (suc x)\n"
 
@@ -190,6 +192,10 @@ def test_nonpositive_fuel_is_a_usage_error(sample, capsys, command):
     assert "fuel must be positive" in capsys.readouterr().err
 
 
+# sha256 of `effsess translate` on the `deep` program
+DEEP_TRANSLATION_DIGEST = "928e57c5cc95221977a8ec43d4a5e7bb2db571e8ab2448511c19db87c31c37d3"
+
+
 @pytest.fixture
 def deep(tmp_path):
     path = tmp_path / "deep.eff"
@@ -211,8 +217,29 @@ def test_deep_program_translates_at_default_recursion_limit(deep, capsys):
     finally:
         sys.setrecursionlimit(limit)
     assert code == 0
-    (eff,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("-- delta eff : ")]
+    out = capsys.readouterr().out
+    (eff,) = [line for line in out.splitlines() if line.startswith("-- delta eff : ")]
     assert eff == "-- delta eff : " + "+{get: ?[nat]. " * 2001 + "end" + "}" * 2001
+    # the whole translation, byte for byte (32,357,980 bytes)
+    assert hashlib.sha256(out.encode()).hexdigest() == DEEP_TRANSLATION_DIGEST
+
+
+def test_chain_prints_each_annotation_node_once(monkeypatch):
+    # consecutive annotations share their tail, and a node keeps its text once
+    # printed, so printing the translation visits each node about once
+    from effsess import sessions
+
+    calls = []
+    real = sessions.is_value_payload
+    monkeypatch.setattr(sessions, "is_value_payload", lambda payload: calls.append(None) or real(payload))
+    counts = []
+    for n in (100, 200):
+        lets = " ".join(f"let x{i} = get in let u{i} = put (suc x{i}) in" for i in range(n))
+        result = embedding.embed_top(parse_program(f"store nat init 0\n{lets} get"))
+        calls.clear()
+        render_translation(result)
+        counts.append(len(calls))
+    assert counts[1] <= 2.2 * counts[0]
 
 
 def _nested_too_deeply(*args, **kwargs):

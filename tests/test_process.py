@@ -158,6 +158,13 @@ def test_subst_endpoint_respects_binders():
     assert out == p  # binder shadows
 
 
+def test_subst_keeps_what_it_does_not_touch():
+    p = resolve_kinds(parse_process("new c. (c!<zero>. ~c?(y). a >> {l: 0, m: r!<y>. 0} | b!<zero>. 0)"))
+    assert substitute(p, {"z": Endpoint("b")}) is p
+    out = substitute(p, {"b": Endpoint("d")})
+    assert out is not p and out.body.left is p.body.left
+
+
 def test_subst_value():
     p = parse_process("r!<suc x>. 0")
     out = substitute(p, {"x": NatLit(1)})

@@ -15,6 +15,8 @@ from effsess.process import (
     Select as PSelect,
     SendChan,
     SendVal,
+    SucOf,
+    UnitLit,
     parse_process,
 )
 from effsess.sessions import (
@@ -314,6 +316,27 @@ def test_chain_compares_its_annotations_in_linear_time(monkeypatch):
         session_check(ProcEnv(), result.delta, result.process)
         counts.append(len(calls))
     assert counts[1] <= 2.2 * counts[0]
+
+
+def _sucs(v, n):
+    for _ in range(n):
+        v = SucOf(v)
+    return v
+
+
+def test_deep_suc_payload_at_default_recursion_limit():
+    # c!<suc(...suc(v)...)> with 1,500 sucs: well typed on 0, a payload error on unit
+    c = Endpoint("c")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        session_check(ProcEnv(), {c: Send(NAT, END)}, SendVal(c, _sucs(NatLit(0), 1500), NIL))
+        with pytest.raises(SessionTypeError) as exc:
+            session_check(ProcEnv(), {c: Send(NAT, END)}, SendVal(c, _sucs(UnitLit(), 1500), NIL))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert exc.value.kind == "payload"
+    assert str(exc.value) == "suc applied to a unit value"
 
 
 def test_deep_recursive_type_checks_at_default_recursion_limit():
