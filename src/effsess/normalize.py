@@ -22,14 +22,18 @@ unless it merges two names.
 
 Components sort by serialization (`process.serial_pieces`): binders as
 levels, the normal form's restrictions as `<nu>`, other free names alike
-whatever their polarity.
-So that most comparisons read no further, a shape keeps the start of its
-serialization, holes marked (``Shape.prefix``), composed when first read
-from its own fields, spelled by `process.node_pieces`, and its children's
-prefixes, their holes rewired to the parent's holes and binder levels.  A
-text is cut at the first space at or past ``_PREFIX``, and ends where a
-child's was cut.  Invariant: a prefix, names filled in, is a prefix of the
-full serialization, and is marked whole only when it is all of it.
+whatever their polarity.  A comparison reads only as much of the two
+serializations as decides.  A shape keeps the start of its serialization,
+holes marked (``Shape.prefix``), composed when a comparison first reads it:
+its own pieces, spelled by `process.node_pieces`, and, where the text
+reaches them, its children's prefixes, their holes rewired to the parent's
+holes and binder levels.  A first cut ends at the first space at or past
+``_FIRST_CUT``, or where a child's was cut.  Where two first cuts do not
+decide, each one cut short grows, from the pieces its shape kept, to the
+first space at or past ``_PREFIX``; where those do not, the two
+serializations are read in step, up to their first difference.
+Invariant: a prefix, names filled in, is a prefix of the full
+serialization, and is marked whole only when it is all of it.
 Components that tie sort again with free names spelled, and any that still
 tie are arranged every way (up to 720 arrangements) for the least result.
 A shape whose order names decided is marked ``symmetric``: renaming a free
@@ -69,8 +73,8 @@ count the heads found and the ones viewed.  One-shot views (`term`,
 from __future__ import annotations
 
 import re
-from functools import cmp_to_key
-from itertools import count, permutations, product
+from functools import cache, cmp_to_key
+from itertools import chain, count, permutations, product, zip_longest
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -78,7 +82,9 @@ from . import process as P
 from .terms import fold
 
 _MAX_TIE_ARRANGEMENTS = 720
-# The length past which a shape's prefix is cut, at the next space.
+# The lengths past which a shape's prefix is cut, at the next space: first
+# for a comparison, then, when two first cuts do not decide, once more.
+_FIRST_CUT = 32
 _PREFIX = 256
 _HOLE = re.compile("\x01([0-9]+)\x02")
 _LEVEL_OR_HOLE = re.compile("<([0-9]+)(~?)>|\x01([0-9]+)\x02")
@@ -95,11 +101,13 @@ class Shape:
     ``arity`` its number of holes and ``id`` its order of creation in the
     table.  ``base`` is the largest ``height`` of its subterms, and
     ``height`` adds the names the node binds.  ``symmetric`` marks a normal
-    form, or a node above one, whose component order names decided;
-    ``prefix`` is the start of its serialization and whether that is all
-    of it, or None until it is first read."""
+    form, or a node above one, whose component order names decided.
+    ``prefix`` is the start of its serialization, holes marked, and whether
+    that is all of it; None until a comparison first reads it.  ``pieces``
+    are the node's own pieces while its prefix is a first cut that can
+    still grow, so that growing it views no node again; else None."""
 
-    __slots__ = ("key", "arity", "id", "base", "height", "symmetric", "prefix")
+    __slots__ = ("key", "arity", "id", "base", "height", "symmetric", "prefix", "pieces")
 
 
 class Term(NamedTuple):
@@ -116,6 +124,13 @@ def _vars(v: P.Value, f) -> P.Value:
     if isinstance(v, P.Pair):
         return P.Pair(_vars(v.fst, f), _vars(v.snd, f))
     return v
+
+
+@cache
+def _hole(h: int) -> tuple[str, int]:
+    """Hole ``h`` of a shape viewed for its prefix: one object per number,
+    which the pieces a shape keeps share."""
+    return f"\x01{h}\x02", 0
 
 
 def _rewired(kid: Term, env: dict[str, int], depth: int) -> str:
@@ -213,7 +228,7 @@ class InternTable:
             shape.base = max((k.height for k in kids), default=0)
             shape.height = shape.base + binders
             shape.symmetric = any(k.symmetric for k in kids)
-            shape.prefix = None
+            shape.prefix = shape.pieces = None
         else:
             self.hits += 1
         return Term(shape, tuple(holes))
@@ -438,7 +453,7 @@ class InternTable:
         starts = {id(c): self._start(c, free) for c in comps}
 
         def compare(a: Term, b: Term) -> int:
-            return self.compare(a, b, free, (starts[id(a)], starts[id(b)]))
+            return self.compare(a, b, free, starts)
 
         groups: list[list[Term]] = []
         for c in sorted(comps, key=cmp_to_key(compare)):
@@ -450,48 +465,81 @@ class InternTable:
 
     def compare(self, a: Term, b: Term, free, starts=None) -> int:
         """Order two terms by their serializations, ``free(name, mark)``
-        spelling their free names; ``starts`` holds their `_start`s."""
-        (names_a, x, x_whole), (names_b, y, y_whole) = starts or (self._start(a, free), self._start(b, free))
+        spelling their free names.  ``starts`` maps the id of a term to its
+        `_start`.  Where two starts do not decide, each cut short grows, and
+        its new start replaces the old; where they still do not, the two
+        serializations are read in step up to their first difference."""
+        if starts is None:
+            starts = {id(a): self._start(a, free), id(b): self._start(b, free)}
+        names_a, x, prefix_a = starts[id(a)]
+        names_b, y, prefix_b = starts[id(b)]
         if a.shape is b.shape and names_a == names_b:
             return 0
-        n = min(len(x), len(y))
-        known = x[:n] != y[:n] or (x_whole and (y_whole or len(x) < len(y))) or (y_whole and len(y) < len(x))
-        if not known:
-            x, y = ("".join(P.serial_pieces(t, free, self.view)) for t in (a, b))
-        return (x > y) - (x < y)
+        for grown in (False, True):
+            # decided where the texts differ within the shorter (nearly every
+            # call), or where one is whole and the other as long or longer
+            if x[:len(y)] != y[:len(x)]:
+                return (x > y) - (x < y)
+            whole_a, whole_b = prefix_a[1], prefix_b[1]
+            if (whole_a and (whole_b or len(x) < len(y))) or (whole_b and len(y) < len(x)):
+                return (x > y) - (x < y)
+            if grown:
+                break
+            for t in (a, b):
+                prefix = starts[id(t)][2]
+                if not prefix[1] and (t.shape.pieces is not None or prefix is not t.shape.prefix):
+                    self._prefix(t.shape, True)
+                    starts[id(t)] = self._start(t, free)
+            (_, x, prefix_a), (_, y, prefix_b) = starts[id(a)], starts[id(b)]
+        texts = (chain.from_iterable(P.serial_pieces(t, free, self.view)) for t in (a, b))
+        for x, y in zip_longest(*texts, fillvalue=""):
+            if x != y:
+                return (x > y) - (x < y)
+        return 0
 
-    def _start(self, t: Term, free) -> tuple[list[str], str, bool]:
+    def _start(self, t: Term, free) -> tuple[list[str], str, tuple[str, bool]]:
         """The spelled free names of ``t``, its serialization as far as its
-        shape keeps it, and whether that is all of it."""
-        text, whole = t.shape.prefix or self._prefix(t.shape)
+        shape's prefix keeps it, and that prefix; the first cut is composed
+        if the shape has none."""
+        prefix = t.shape.prefix or self._prefix(t.shape)
         names = [free(n, "~" if k == 2 else "") for n, k in t.args]
-        return names, (_HOLE.sub(lambda m: names[int(m[1])], text) if names else text), whole
+        return names, (_HOLE.sub(lambda m: names[int(m[1])], prefix[0]) if names else prefix[0]), prefix
 
-    def _prefix(self, shape: Shape) -> tuple[str, bool]:
-        """``shape.prefix``, composed (see the module docstring); children
-        that have none yet are composed first, with an explicit stack."""
-        stack: list[tuple[Shape, list | None]] = [(shape, None)]
+    def _prefix(self, shape: Shape, grow: bool = False) -> tuple[str, bool]:
+        """``shape.prefix``, composed to its first cut, or grown to ``_PREFIX``
+        if ``grow`` (see the module docstring).  A child is composed, or
+        grown, only when the text reaches it, with an explicit stack."""
+        limit = _PREFIX if grow else _FIRST_CUT
+        stack: list[list] = [[shape, None, 0, ""]]
         while stack:
-            s, parts = stack.pop()
-            if s.prefix is not None:
-                continue
+            top = stack[-1]
+            s, parts, i, text = top
             if parts is None:
-                node = self.view(Term(s, tuple((f"\x01{i}\x02", 0) for i in range(s.arity))))
-                parts = P.node_pieces(node, {}, 0, lambda name, mark: name)
-                kids = [part[0].shape for part in parts if type(part) is not str and part[0].shape.prefix is None]
-                if kids:
-                    stack.append((s, parts))
-                    stack.extend((kid, None) for kid in kids)
+                if s.prefix is not None and not (grow and s.pieces is not None):
+                    stack.pop()
                     continue
-            text, whole = "", True
-            for part in parts:
+                if s.pieces is None:
+                    node = self.view(Term(s, tuple(map(_hole, range(s.arity)))))
+                    parts = P.node_pieces(node, {}, 0, lambda name, mark: name)
+                else:
+                    parts = s.pieces
+            whole = True
+            while i < len(parts) and whole and text.find(" ", limit) < 0:
+                part = parts[i]
                 if type(part) is not str:
-                    whole, part = part[0].shape.prefix[1], _rewired(*part)
+                    kid = part[0].shape
+                    if kid.prefix is None or (grow and kid.pieces is not None):
+                        top[1:] = parts, i, text
+                        stack.append([kid, None, 0, ""])
+                        break
+                    whole, part = kid.prefix[1], _rewired(*part)
                 text += part
-                if not whole or text.find(" ", _PREFIX) >= 0:
-                    break
-            cut = text.find(" ", _PREFIX)
-            s.prefix = (text[:cut], False) if cut >= 0 else (text, whole)
+                i += 1
+            else:
+                cut = text.find(" ", limit)
+                s.prefix = (text[:cut], False) if cut >= 0 else (text, whole)
+                s.pieces = None if grow or s.prefix[1] else parts
+                stack.pop()
         return shape.prefix
 
     # ------------------------------------------------------- processes

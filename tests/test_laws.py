@@ -8,7 +8,7 @@ spellings of one shape are alpha-equivalent.
 """
 
 from importlib import import_module
-from itertools import count
+from itertools import count, product
 from unittest.mock import patch
 
 from hypothesis import assume, given, settings, strategies as st
@@ -161,19 +161,52 @@ def test_composed_prefixes_are_prefixes_of_the_serialization(shape):
         return mark + name
 
     printed = set()
-    # at the real cut, and at one short enough to cut most texts
-    for cut in (N._PREFIX, 12):
-        with patch.object(N, "_PREFIX", cut):
+    # at the real cuts, and at ones short enough to cut most texts
+    for first, cut in ((N._FIRST_CUT, N._PREFIX), (6, 12)):
+        with patch.object(N, "_FIRST_CUT", first), patch.object(N, "_PREFIX", cut):
             table, made = InternTable(), []
             node = table.node
             table.node = lambda q: made.append(node(q)) or made[-1]
             printed.add(P.format_process(table.process(table.term(p))))
-            for t in made:
-                _, text, whole = table._start(t, spell)
-                full = "".join(P.serial_pieces(t, spell, table.view))
-                assert full.startswith(text) and (text == full) == whole
-    # where the cut falls decides no order
+            # every prefix the comparisons left, some of them grown, and the
+            # first cuts composed here; then every prefix grown
+            for grow in (False, True):
+                for t in made:
+                    if grow:
+                        table._prefix(t.shape, True)
+                    _, text, (_, whole) = table._start(t, spell)
+                    full = "".join(P.serial_pieces(t, spell, table.view))
+                    assert full.startswith(text) and (text == full) == whole
+    # where the cuts fall decides no order
     assert len(printed) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes, shapes, st.booleans())
+def test_compare_orders_as_the_full_serializations(shape, other, short):
+    p = P.Par(build(shape, plain), build(other, plain))
+    cuts = (6, 12) if short else (N._FIRST_CUT, N._PREFIX)
+    with patch.object(N, "_FIRST_CUT", cuts[0]), patch.object(N, "_PREFIX", cuts[1]):
+        # the components of a normal form, interned again so that no
+        # comparison has read their shapes yet
+        fresh, normal, restricted = InternTable(), normalize(p), set()
+        comps = [fresh.term(c) for c in _components(normal)]
+        while isinstance(normal, P.New):
+            restricted.add(normal.name)
+            normal = normal.body
+        nested = [lambda n, mark: f"<nu{mark}>" if n in restricted else "#", N._spelled]
+        for grown in (False, True):
+            if grown:
+                for c in comps:
+                    fresh._prefix(c.shape, True)
+            for free in nested:
+                texts = {id(c): "".join(P.serial_pieces(c, free, fresh.view)) for c in comps}
+                for a, b in product(comps, repeat=2):
+                    x, y = texts[id(a)], texts[id(b)]
+                    assert fresh.compare(a, b, free) == (x > y) - (x < y)
+                runs = fresh._tied(comps, free)
+                assert [texts[id(c)] for run in runs for c in run] == sorted(texts.values())
+                assert all(len({texts[id(c)] for c in run}) == 1 for run in runs)
 
 
 def _components(p: P.Process) -> list[P.Process]:
