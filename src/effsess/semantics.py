@@ -8,9 +8,12 @@ free observables appear as visible labels, with inputs enumerated over a
 finite value domain and channel inputs drawn from a canonical fresh-name
 supply.
 
-Components are terms of one `normalize.InternTable` per exploration, which
+Components are terms of one `normalize.InternTable` per system, which
 `make_configuration` creates, walking the spine of the process (no normal
-form of the whole is built), and every derived configuration carries.  A
+form of the whole is built), and every derived configuration carries.
+`run` keeps that first configuration on the process object, so later runs
+of the same object share its table rather than build one per exploration;
+`make_configuration` and `equivalence.build_lts` build a fresh one.  A
 head is viewed one node deep once per table (`InternTable.head`, counted by
 the table's ``view_hits`` and ``view_misses``), so a step views only the
 components it creates.  Their continuations are terms already, so filling
@@ -642,10 +645,21 @@ def run(
     (exhaustive over internal nondeterminism, deduplicated by canonical
     configuration).  Both fold eligible chains (see the module docstring),
     and ``steps`` and ``fuel`` count the folded steps.
+
+    The first configuration of ``p``, before its chain is folded, is kept
+    on ``p`` per ``observables`` set, and with it its `InternTable`; it
+    lives as long as ``p`` does.  A later call on the same object starts
+    from it, and from the table that earlier calls filled.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    initial, start = fold_chain(make_configuration(p, observables=observables), 0, fuel)
+    if mode not in ("one", "all"):
+        raise ValueError(f"unknown mode {mode!r}")
+    observables = frozenset(observables)
+    kept = p.__dict__.setdefault("_configurations", {})
+    if observables not in kept:
+        kept[observables] = make_configuration(p, observables=observables)
+    initial, start = fold_chain(kept[observables], 0, fuel)
 
     def outcome(cfg: Configuration, emitted: tuple[P.Value, ...], steps: int) -> Outcome:
         store = store_reader(cfg) if store_reader is not None else None
@@ -673,9 +687,6 @@ def run(
             if isinstance(label, OutVal):
                 emitted = emitted + (label.value,)
             cfg, steps = fold_chain(cfg, steps + 1, fuel)
-
-    if mode != "all":
-        raise ValueError(f"unknown mode {mode!r}")
 
     outcomes: set[Outcome] = set()
     seen: set[tuple[tuple, tuple[P.Value, ...]]] = set()

@@ -1,4 +1,5 @@
 import sys
+from functools import partial
 
 import pytest
 
@@ -37,7 +38,7 @@ from effsess.semantics import (
 )
 from effsess.terms import ValueType, parse_program
 
-from oracle import embedded_corpus, full_lts, full_run, reference_configuration
+from oracle import corpus, embedded_corpus, full_lts, full_run, reference_configuration
 
 NAT = ValueType.NAT
 
@@ -461,3 +462,119 @@ def test_no_stand_in_binder_reaches_a_configuration(monkeypatch):
     outcomes = full_run(par(store, *clients), observables=frozenset(), store_reader=find_store_value)
     assert sorted({o.store.n for o in outcomes}) == [1, 2, 3]
     assert len(built) > 1000
+
+
+# ------------------------------------------------------- one table per system
+
+SCHEDULES = (0, 7, 99)
+
+
+def _compose(prog):
+    """``prog`` composed with its store: a new object, equal to every other
+    composition of ``prog``."""
+    result = embedding.embed_top(prog)
+    return embedding.compose_with_store(result, embedding.initial_store_value(prog), prog.store_type)
+
+
+def _composers(seeds=range(4), count: int = 10, depth: int = 6):
+    """For each `corpus` program, a function that composes it anew."""
+    return [partial(_compose, prog) for seed in seeds for prog in corpus(seed, count, depth)]
+
+
+def test_later_runs_on_one_system_match_a_fresh_system():
+    # run keeps a system's first configuration and table for later calls;
+    # each answer must be the one a fresh system gives, steps included
+    kw = {"store_reader": find_store_value}
+    for compose in _composers():
+        every = run(compose(), "all", **kw)
+        one = {s: run(compose(), "one", seed=s, **kw) for s in SCHEDULES}
+        silent = run(compose(), "all", observables=frozenset(), **kw)
+        p = compose()
+        assert run(p, "all", **kw) == every
+        for s in SCHEDULES:  # one after all
+            assert run(p, "one", seed=s, **kw) == one[s]
+        assert run(p, "all", **kw) == every  # a second all
+        assert run(p, "all", observables=frozenset(), **kw) == silent  # other observables
+        q = compose()
+        assert run(q, "all", observables=frozenset(), **kw) == silent
+        assert run(q, "one", seed=SCHEDULES[1], **kw) == one[SCHEDULES[1]]  # the default set after another
+        assert run(q, "all", **kw) == every  # all after one
+
+
+def _exhausted(p, mode: str, fuel: int, **kw) -> M.Outcome:
+    with pytest.raises(FuelExhausted) as info:
+        run(p, mode, fuel=fuel, **kw)
+    return info.value.partial
+
+
+def test_fuel_is_counted_afresh_on_one_system():
+    # the kept configuration is the one before its chain is folded, so a
+    # run at another fuel folds it again
+    kw = {"store_reader": find_store_value}
+    tried = 0
+    for compose in _composers():
+        every = run(compose(), "all", **kw)
+        if min(o.steps for o in every) <= 2:
+            continue
+        short = {mode: _exhausted(compose(), mode, 2, **kw) for mode in ("all", "one")}
+        p = compose()
+        for mode in ("all", "one"):
+            assert _exhausted(p, mode, 2, **kw) == short[mode]
+        assert run(p, "all", **kw) == every
+        assert run(p, "one", seed=7, **kw) == run(compose(), "one", seed=7, **kw)
+        q = compose()
+        assert run(q, "all", **kw) == every
+        for mode in ("all", "one"):  # a small fuel after the default
+            assert _exhausted(q, mode, 2, **kw) == short[mode]
+        tried += 1
+    assert tried > 10
+
+
+def test_one_configuration_per_system(monkeypatch):
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(args[0])
+        return make_configuration(*args, **kwargs)
+
+    monkeypatch.setattr(M, "make_configuration", counted)
+    compose = _composers(seeds=[0], count=1)[0]
+    p = compose()
+    run(p, "one", seed=3)
+    every = run(p, "all")
+    assert run(p, "all", observables={"r"}) == every  # any collection of names, as build_lts takes
+    assert len(made) == 1
+    made.clear()
+    a, b = compose(), compose()
+    assert a == b and a is not b
+    run(a, "all")
+    run(b, "all")
+    assert len(made) == 2
+
+
+def test_unknown_mode_is_refused_before_any_work(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a configuration was built")
+
+    monkeypatch.setattr(M, "make_configuration", refused)
+    p = _store_and_client()
+    before = dict(vars(p))
+    with pytest.raises(ValueError, match="unknown mode"):
+        run(p, "bogus")
+    assert vars(p) == before
+
+
+def test_build_lts_after_run_matches_a_fresh_system():
+    # LTS keys hold shape ids, which a table shared with earlier runs would
+    # hand out in another order: build_lts keeps a table of its own
+    def race():
+        store = embedding.shared_store_agent(NatLit(0), "k", NAT)
+        incs = (SucOf(VarRef("x")), SucOf(SucOf(VarRef("x"))), SucOf(VarRef("x")))
+        return par(store, *(embedding.shared_get("k", "x", embedding.shared_put("k", v, NIL)) for v in incs))
+
+    cases = [(race, frozenset())] + [(compose, frozenset({"r"})) for compose in _composers(seeds=[0], count=6)]
+    for compose, observables in cases:
+        p = compose()
+        run(p, "all", observables=observables)
+        warm, fresh = build_lts(p, observables), build_lts(compose(), observables)
+        assert (warm.keys, warm.edges, warm.n_states) == (fresh.keys, fresh.edges, fresh.n_states)
