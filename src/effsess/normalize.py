@@ -117,13 +117,7 @@ class Term(NamedTuple):
 
 def _vars(v: P.Value, f) -> P.Value:
     """``v`` with each variable ``x`` replaced by ``VarRef(f(x))``."""
-    if isinstance(v, P.VarRef):
-        return P.VarRef(f(v.name))
-    if isinstance(v, P.SucOf):
-        return P.SucOf(_vars(v.arg, f))
-    if isinstance(v, P.Pair):
-        return P.Pair(_vars(v.fst, f), _vars(v.snd, f))
-    return v
+    return P.fold_value(v, lambda u: P.VarRef(f(u.name)) if type(u) is P.VarRef else u)
 
 
 @cache

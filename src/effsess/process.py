@@ -30,12 +30,13 @@ is a template of literal text and field names, which the printer fills
 and the parser reads field by field, by role.  The parser picks a form by
 its first token, or by the token after its subject.  A form that ends in
 a process (a prefix's continuation, the body of `new`, the scope of `def`)
-leaves that process to a loop, so a chain of prefixes costs no recursion.
-Three cases are special: `Par` is n-ary, `(P | Q | R)`; `new a, b. P`
-restricts a list of names; and a `~` payload makes a send a `SendChan`.
-Every rebuild of a process is one `terms.fold`, the package's one
-explicit-stack walk, which session types share: substitution, kind
-resolution, interning (`normalize`) and type synthesis (`session_check`).
+leaves that process to a loop, so a chain of prefixes costs no recursion,
+nor does a chain of `suc`s.  Three cases are special: `Par` is n-ary,
+`(P | Q | R)`; `new a, b. P` restricts a list of names; and a `~` payload
+makes a send a `SendChan`.  Every rebuild of a process is one
+`terms.fold`, the package's one explicit-stack walk, which session types,
+terms and values (`fold_value`) share: substitution, kind resolution,
+interning (`normalize`) and type synthesis (`session_check`).
 
 The surface syntax cannot distinguish a received value from a received
 channel (`c?(x).P` covers both), so the parser reads every receive as a
@@ -84,13 +85,28 @@ class VarRef:
     name: str
 
 
-@dataclass(frozen=True)
-class SucOf:
+class _Compound:
+    """Base of the values with subvalues.  They compare and hash as their
+    constructors in pre-order, each leaf as itself (its own equality tells
+    ``VarRef(3)`` from ``NatLit(3)``), so that neither recurses."""
+
+    def _key(self) -> tuple:
+        return fold_value(self, lambda u: (u,), lambda a: (SucOf, *a), lambda a, b: (Pair, *a, *b))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class SucOf(_Compound):
     arg: "Value"
 
 
-@dataclass(frozen=True)
-class Pair:
+@dataclass(frozen=True, eq=False)
+class Pair(_Compound):
     fst: "Value"
     snd: "Value"
 
@@ -99,42 +115,44 @@ Value = NatLit | UnitLit | VarRef | SucOf | Pair
 UNIT_VALUE = UnitLit()
 
 
+# The fields of each value constructor that hold subvalues.
+_SUBVALUES = {SucOf: ("arg",), Pair: ("fst", "snd")}
+
+
+def fold_value(v: Value, leaf, suc=SucOf, pair=Pair):
+    """``v`` folded bottom-up: ``leaf(u)`` for a literal or a variable, and
+    ``suc(r)`` and ``pair(r1, r2)`` from the subvalues' results; the
+    defaults rebuild.  A chain of `suc`s is peeled in a loop, so nearly
+    every value takes no stack; a pair takes one `terms.fold`."""
+    sucs = 0
+    while type(v) is SucOf:
+        v, sucs = v.arg, sucs + 1
+    if type(v) is Pair:
+        r = fold(v, None, lambda u, _: (None, [(getattr(u, f), None) for f in _SUBVALUES.get(type(u), ())]),
+                 lambda u, _, kids: pair(*kids) if type(u) is Pair else suc(*kids) if kids else leaf(u))
+    else:
+        r = leaf(v)
+    for _ in range(sucs):
+        r = suc(r)
+    return r
+
+
 def eval_value(v: Value) -> Value:
     """Collapse successor applications over closed naturals; symbolic
     values (free variables) stay symbolic."""
-    if isinstance(v, SucOf):
-        inner = eval_value(v.arg)
-        if isinstance(inner, NatLit):
-            return NatLit(inner.n + 1)
-        return SucOf(inner)
-    if isinstance(v, Pair):
-        return Pair(eval_value(v.fst), eval_value(v.snd))
-    return v
+    return fold_value(v, lambda u: u, lambda a: NatLit(a.n + 1) if type(a) is NatLit else SucOf(a))
 
 
 def value_var_names(v: Value) -> tuple[str, ...]:
     """The variables of ``v``, left to right."""
-    if isinstance(v, VarRef):
-        return (v.name,)
-    if isinstance(v, SucOf):
-        return value_var_names(v.arg)
-    if isinstance(v, Pair):
-        return value_var_names(v.fst) + value_var_names(v.snd)
-    return ()
+    return fold_value(v, lambda u: (u.name,) if type(u) is VarRef else (), lambda a: a, lambda a, b: a + b)
 
 
-def format_value(v: Value) -> str:
-    if isinstance(v, NatLit):
-        return str(v.n)
-    if isinstance(v, UnitLit):
-        return "unit"
-    if isinstance(v, VarRef):
-        return v.name
-    if isinstance(v, SucOf):
-        return f"suc {format_value(v.arg)}"
-    if isinstance(v, Pair):
-        return f"({format_value(v.fst)}, {format_value(v.snd)})"
-    raise TypeError(f"not a value: {v!r}")
+def format_value(v: Value, name=str, sep: str = ", ") -> str:
+    """The concrete syntax of ``v``: ``name`` spells a variable, and ``sep``
+    parts a pair."""
+    leaf = lambda u: name(u.name) if type(u) is VarRef else "unit" if type(u) is UnitLit else str(u.n)
+    return fold_value(v, leaf, lambda a: f"suc {a}", lambda a, b: f"({a}{sep}{b})")
 
 
 # -------------------------------------------------------------- processes
@@ -491,14 +509,11 @@ def _endpoint(e: Endpoint, m: dict) -> Endpoint:
 
 
 def _value(v: Value, m: dict) -> Value:
-    if isinstance(v, VarRef):
-        r = m.get(v.name, v)
+    def leaf(u: Value) -> Value:
+        r = m.get(u.name, u) if type(u) is VarRef else u
         return VarRef(r.name) if isinstance(r, Endpoint) else r
-    if isinstance(v, SucOf):
-        return SucOf(_value(v.arg, m))
-    if isinstance(v, Pair):
-        return Pair(_value(v.fst, m), _value(v.snd, m))
-    return v
+
+    return fold_value(v, leaf)
 
 
 # --------------------------------------------- subterms, key and equality
@@ -560,13 +575,7 @@ def node_pieces(q: Process, env: dict[str, int], depth: int, free) -> list:
         return f" <{env[n]}{mark}>" if n in env else " " + free(n, mark)
 
     def value(v: Value) -> str:
-        if isinstance(v, VarRef):
-            return name(v.name)[1:]
-        if isinstance(v, SucOf):
-            return f"suc {value(v.arg)}"
-        if isinstance(v, Pair):
-            return f"({value(v.fst)},{value(v.snd)})"
-        return format_value(v)
+        return format_value(v, lambda n: name(n)[1:], ",")
 
     form = FORMS[type(q)]
     parts, group = ["(" + form.tag], []
@@ -729,23 +738,25 @@ class _ProcParser:
         return tok[1]
 
     def value(self) -> Value:
-        tok = self.lex.next()
+        """A value; a chain of `suc`s is read in a loop."""
+        tok, sucs = self.lex.next(), 0
+        while tok[1] == "suc":
+            tok, sucs = self.lex.next(), sucs + 1
         if tok[0] == "num":
-            return NatLit(int(tok[1]))
-        if tok[1] == "zero" or tok[1] == "unit":
-            return NatLit(0) if tok[1] == "zero" else UNIT_VALUE
-        if tok[1] == "suc":
-            return SucOf(self.value())
-        if tok[0] == "punct" and tok[1] == "(":
+            v = NatLit(int(tok[1]))
+        elif tok[1] == "zero" or tok[1] == "unit":
+            v = NatLit(0) if tok[1] == "zero" else UNIT_VALUE
+        elif tok[0] == "punct" and tok[1] == "(":
             fst = self.value()
             self.lex.expect(",")
-            snd = self.value()
+            v = Pair(fst, self.value())
             self.lex.expect(")")
-            return Pair(fst, snd)
-        if tok[0] != "word" or tok[1] in _PROC_KEYWORDS:
+        elif tok[0] != "word" or tok[1] in _PROC_KEYWORDS:
             # a dual endpoint is a channel payload, which a send reads itself
             raise ParseError(f"unexpected token {tok[1]!r} in value", tok[2], tok[3])
-        return VarRef(tok[1])
+        else:
+            v = VarRef(tok[1])
+        return reduce(lambda inner, _: SucOf(inner), range(sucs), v)
 
     def param(self, role: str) -> tuple[str, ValueType | SessionType | None]:
         """A parameter and its annotation, if any."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import reduce
 
 
 class ValueType(Enum):
@@ -86,12 +87,12 @@ def with_subterms(t: Term, kids) -> Term:
 
 
 def fold(root, ctx, enter, leave):
-    """The package's traversal, for processes and session types alike: a
-    bottom-up fold of ``root``, walked with an explicit stack.
-    ``enter(node, ctx)`` gives a note and the node's subterms, each with its
-    context; ``leave(node, note, results)`` gives the node's result from its
-    subterms' results, in order.  Nodes are entered in pre-order, left to
-    right, and each is left once its subterms are."""
+    """The package's traversal, for processes, session types, terms and
+    values alike: a bottom-up fold of ``root``, walked with an explicit
+    stack.  ``enter(node, ctx)`` gives a note and the node's subterms, each
+    with its context; ``leave(node, note, results)`` gives the node's result
+    from its subterms' results, in order.  Nodes are entered in pre-order,
+    left to right, and each is left once its subterms are."""
     out: list = []
     stack: list = [(root, ctx)]
     while stack:
@@ -109,17 +110,14 @@ def fold(root, ctx, enter, leave):
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    free: set[str] = set()
-    bound: set[str] = set()
-    while isinstance(t, Let):
-        free |= free_vars(t.bound) - bound
-        bound.add(t.name)
-        t = t.body
-    if isinstance(t, Var):
-        free |= {t.name} - bound
-    elif isinstance(t, OpApp):
-        free |= free_vars(t.arg) - bound
-    return frozenset(free)
+    """The free variables of ``t``, from its subterms' by one `fold`."""
+
+    def leave(u: Term, _, kids: list[frozenset[str]]) -> frozenset[str]:
+        if type(u) is Let:
+            return kids[0] | (kids[1] - {u.name})
+        return frozenset((u.name,)) if type(u) is Var else frozenset().union(*kids)
+
+    return fold(t, None, lambda u, _: (None, [(kid, None) for kid in subterms(u)]), leave)
 
 
 def all_names(t: Term) -> frozenset[str]:
@@ -145,53 +143,45 @@ def fresh_name(base: str, avoid) -> str:
 
 
 def substitute(t: Term, name: str, replacement: Term) -> Term:
-    """Capture-avoiding substitution ``t[replacement/name]``.  It follows
-    ``let`` bodies in a loop, carrying one simultaneous mapping: a binder
-    that shadows an entry removes the entry, and one that would capture a
-    free name of a replacement adds ``binder ↦ fresh`` to it."""
-    return _substitute(t, {name: (replacement, free_vars(replacement))})
+    """Capture-avoiding substitution ``t[replacement/name]``: one `fold`
+    whose context maps names to replacements and their free names.  A
+    binder that shadows an entry removes it, one that would capture a free
+    name of a replacement adds ``binder ↦ fresh``, and a subterm that no
+    entry reaches is kept whole."""
 
+    def enter(u: Term, m: dict) -> tuple:
+        if type(u) is not Let or not m:
+            kids = [(kid, m) for kid in subterms(u)] if m else []
+            return (m[u.name][0] if type(u) is Var and u.name in m else u), kids
+        binder, inner = u.name, {k: r for k, r in m.items() if k != u.name}
+        captured = [k for k, (_, names) in inner.items() if binder in names]
+        if captured and not free_vars(u.body).isdisjoint(captured):
+            binder = fresh_name(binder, all_names(u.body).union(*(names for _, names in inner.values())))
+            inner[u.name] = (Var(binder), frozenset({binder}))
+        return binder, [(u.bound, m), (u.body, inner)]
 
-def _substitute(t: Term, mapping: dict[str, tuple[Term, frozenset[str]]]) -> Term:
-    """``t`` under ``mapping``, of names to replacements and their free names."""
-    lets = []
-    while isinstance(t, Let) and mapping:
-        name, bound = t.name, _substitute(t.bound, mapping)
-        if name in mapping:
-            mapping = {k: v for k, v in mapping.items() if k != name}
-        captured = [k for k, (_, names) in mapping.items() if name in names]
-        if captured and not free_vars(t.body).isdisjoint(captured):
-            fresh = fresh_name(name, all_names(t.body).union(*(names for _, names in mapping.values())))
-            mapping = {**mapping, name: (Var(fresh), frozenset({fresh}))}
-            name = fresh
-        lets.append((name, bound))
-        t = t.body
-    if isinstance(t, Var):
-        t = mapping[t.name][0] if t.name in mapping else t
-    elif isinstance(t, OpApp) and mapping:
-        t = OpApp(t.op, _substitute(t.arg, mapping))
-    elif not isinstance(t, (Let, Const, OpApp)):
-        raise TypeError(f"not a term: {t!r}")
-    for name, bound in reversed(lets):
-        t = Let(name, bound, t)
-    return t
+    return fold(t, {name: (replacement, free_vars(replacement))}, enter,
+                lambda u, note, kids: note if not kids else Let(note, *kids) if type(u) is Let else OpApp(u.op, *kids))
 
 
 def format_term(t: Term) -> str:
-    lets = []
-    while isinstance(t, Let):
-        lets.append(f"let {t.name} = {format_term(t.bound)} in ")
-        t = t.body
-    if isinstance(t, Var):
-        last = t.name
-    elif isinstance(t, Const):
-        last = t.const
-    elif isinstance(t, OpApp):
-        arg = format_term(t.arg)
-        last = f"{t.op} ({arg})" if isinstance(t.arg, Let) else f"{t.op} {arg}"
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    return "".join(lets) + last
+    """The concrete syntax of ``t``, emitted in pre-order by one `fold`: the
+    text between two subterms is a subterm of its own, a string, so a deep
+    term prints in time linear in its text."""
+    out: list[str] = []
+
+    def enter(u, _) -> tuple[None, list]:
+        if type(u) is Let:
+            parts = [f"let {u.name} = ", u.bound, " in ", u.body]
+        elif type(u) is OpApp:
+            parts = [f"{u.op} (", u.arg, ")"] if type(u.arg) is Let else [f"{u.op} ", u.arg]
+        else:
+            parts = [u if type(u) is str else u.name if type(u) is Var else u.const]
+        out.append(parts[0])
+        return None, [(part, None) for part in parts[1:]]
+
+    fold(t, None, enter, lambda *_: None)
+    return "".join(out)
 
 
 class ParseError(Exception):
@@ -339,14 +329,17 @@ class _TermParser:
         return t
 
     def app(self) -> Term:
+        """An atom under a chain of operations, read in a loop."""
+        ops = []
         tok = self.lex.peek()
-        if tok is not None and tok[0] == "word" and tok[1] in OP_NAMES:
+        while tok is not None and tok[0] == "word" and tok[1] in OP_NAMES:
             self.lex.next()
             nxt = self.lex.peek()
             if nxt is None or (nxt[0] == "word" and nxt[1] in ("in",)) or (nxt[0] == "punct" and nxt[1] == ")"):
                 raise ParseError(f"{tok[1]} requires an argument", tok[2], tok[3])
-            return OpApp(tok[1], self.app())
-        return self.atom()
+            ops.append(tok[1])
+            tok = nxt
+        return reduce(lambda t, op: OpApp(op, t), reversed(ops), self.atom())
 
     def atom(self) -> Term:
         tok = self.lex.next()

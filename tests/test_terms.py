@@ -74,6 +74,11 @@ def test_substitute_shadowed():
     t = Let("x", Var("x"), Var("x"))
     out = substitute(t, "x", Const("zero"))
     assert out == Let("x", Const("zero"), Var("x"))
+    # a `let` under the shadowing binder is kept whole
+    t = parse_term("let x = x in let y = x in suc (let z = y in x)")
+    out = substitute(t, "x", Const("zero"))
+    assert format_term(out) == "let x = zero in let y = x in suc (let z = y in x)"
+    assert out.body is t.body
 
 
 def test_parse_program_header():
