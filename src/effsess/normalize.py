@@ -20,22 +20,16 @@ form reappears unchanged in any process that contains it, and renaming free
 names (nearly every execution step) rewrites a term's arguments only,
 unless it merges two names.
 
-Components sort by serialization (`process.serial_pieces`): binders as
-levels, the normal form's restrictions as `<nu>`, other free names alike
-whatever their polarity.  A comparison reads only as much of the two
-serializations as decides.  A shape keeps the start of its serialization,
-holes marked (``Shape.prefix``), composed when a comparison first reads it:
-its own pieces, spelled by `process.node_pieces`, and, where the text
-reaches them, its children's prefixes, their holes rewired to the parent's
-holes and binder levels.  A first cut ends at the first space at or past
-``_FIRST_CUT``, or where a child's was cut.  Where two first cuts do not
-decide, each one cut short grows, from the pieces its shape kept, to the
-first space at or past ``_PREFIX``; where those do not, the two
-serializations are read in step, up to their first difference.
-Invariant: a prefix, names filled in, is a prefix of the full
-serialization, and is marked whole only when it is all of it.
-Components that tie sort again with free names spelled, and any that still
-tie are arranged every way (up to 720 arrangements) for the least result.
+Each shape carries a digest: 16 bytes of BLAKE2b over its key, the form
+spelled by its `FORMS` tag, a child by its digest and wiring, a value by
+`format_value` with holes written ``$i``.  A digest depends on structure
+alone, not on the table, and distinct shapes are assumed to have distinct
+digests (a 128-bit collision is not detected).  Components sort by digest,
+then by their free names as spelled: the normal form's restrictions as
+`<nu>`, other free names alike whatever their polarity.  That order is
+canonical, but it is not the order of the serializations.  Components that
+tie sort again with free names spelled, and any that still tie are
+arranged every way (up to 720 arrangements) for the least result.
 A shape whose order names decided is marked ``symmetric``: renaming a free
 name of a symmetric term rebuilds it, a binder above it hides its names
 (spelled by position at the binder, sorting before every visible name),
@@ -67,14 +61,13 @@ Invariant: a kept head's stand-in binders may be shared by every use of it,
 so each one is filled (by a receive, an accept or a request) before its
 continuation enters a configuration.  ``view_hits`` and ``view_misses``
 count the heads found and the ones viewed.  One-shot views (`term`,
-`_prefix`, `open`, `process`) are not kept.
+`open`, `process`) are not kept.
 """
 
 from __future__ import annotations
 
-import re
-from functools import cache, cmp_to_key
-from itertools import chain, count, permutations, product, zip_longest
+from hashlib import blake2b
+from itertools import count, groupby, permutations, product
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -82,12 +75,6 @@ from . import process as P
 from .terms import fold
 
 _MAX_TIE_ARRANGEMENTS = 720
-# The lengths past which a shape's prefix is cut, at the next space: first
-# for a comparison, then, when two first cuts do not decide, once more.
-_FIRST_CUT = 32
-_PREFIX = 256
-_HOLE = re.compile("\x01([0-9]+)\x02")
-_LEVEL_OR_HOLE = re.compile("<([0-9]+)(~?)>|\x01([0-9]+)\x02")
 # Names that stand in for bound names start with this character, which no
 # parsed or generated name contains: "\0<j>:<k>" for the binder in position
 # j of its node, "\0:<k>" for a restriction; k is a serial number of the
@@ -98,16 +85,13 @@ _SPINE = (P.Par, P.New, P.Nil)
 
 class Shape:
     """An interned node.  ``key`` is its constructor and encoded fields,
-    ``arity`` its number of holes and ``id`` its order of creation in the
-    table.  ``base`` is the largest ``height`` of its subterms, and
+    ``arity`` its number of holes, and ``digest`` the 16 bytes that order
+    it among components, a function of its structure alone (see the module
+    docstring).  ``base`` is the largest ``height`` of its subterms, and
     ``height`` adds the names the node binds.  ``symmetric`` marks a normal
-    form, or a node above one, whose component order names decided.
-    ``prefix`` is the start of its serialization, holes marked, and whether
-    that is all of it; None until a comparison first reads it.  ``pieces``
-    are the node's own pieces while its prefix is a first cut that can
-    still grow, so that growing it views no node again; else None."""
+    form, or a node above one, whose component order names decided."""
 
-    __slots__ = ("key", "arity", "id", "base", "height", "symmetric", "prefix", "pieces")
+    __slots__ = ("key", "arity", "digest", "base", "height", "symmetric")
 
 
 class Term(NamedTuple):
@@ -120,24 +104,49 @@ def _vars(v: P.Value, f) -> P.Value:
     return P.fold_value(v, lambda u: P.VarRef(f(u.name)) if type(u) is P.VarRef else u)
 
 
-@cache
-def _hole(h: int) -> tuple[str, int]:
-    """Hole ``h`` of a shape viewed for its prefix: one object per number,
-    which the pieces a shape keeps share."""
-    return f"\x01{h}\x02", 0
+def _digest(key: tuple) -> bytes:
+    """The digest of a shape's key: its form by tag, a child by digest and
+    wiring, a value by its text with holes written ``$i``."""
+    form, *fields = key
+    spelled: list = [P.FORMS[form].tag]
+    for (_, role), x in zip(P.FORMS[form].fields, fields):
+        if role is P.VALUE:
+            x = P.format_value(x, "${}".format)
+        elif role is P.VALUES:
+            x = tuple(P.format_value(v, "${}".format) for v in x)
+        elif role is P.SCOPED or role is P.OPEN:
+            x = x[0].digest, x[1]
+        elif role is P.ARMS:
+            x = tuple((label, (kid.digest, wiring)) for label, (kid, wiring) in x)
+        spelled.append(x)
+    return blake2b(repr(tuple(spelled)).encode(), digest_size=16).digest()
 
 
-def _rewired(kid: Term, env: dict[str, int], depth: int) -> str:
-    """The prefix of ``kid``'s shape inside its parent's: holes rewired to
-    the parent's markers and binder levels, its own levels ``depth`` on."""
+def _ordered(t: Term, free) -> tuple[bytes, tuple[str, ...]]:
+    """The sort key of a component: its shape's digest, then its free names
+    as ``free(name, mark)`` spells them."""
+    return t.shape.digest, tuple([free(n, "~" if k == 2 else "") for n, k in t.args])
 
-    def rewire(m: re.Match) -> str:
-        if m[1] is not None:
-            return f"<{int(m[1]) + depth}{m[2]}>"
-        name, kind = kid.args[int(m[3])]
-        return f"<{env[name]}{'~' if kind == 2 else ''}>" if name in env else name
 
-    return _LEVEL_OR_HOLE.sub(rewire, kid.shape.prefix[0])
+def _tied(comps: list[Term], free) -> list[list[Term]]:
+    """``comps`` sorted by `_ordered` under ``free``, in runs that tie."""
+    key = lambda t: _ordered(t, free)
+    return [list(run) for _, run in groupby(sorted(comps, key=key), key)]
+
+
+def arrangements(comps: list[Term], free, names=None) -> tuple[list[list[Term]], bool]:
+    """``comps`` sorted by `_ordered` under ``free``, runs that tie sorted
+    again under ``names`` if given; then every arrangement of what still
+    ties, or the sorted order past the bound, and whether ``names`` ordered."""
+    groups = _tied(comps, free)
+    named = names is not None and any(len(set(g)) > 1 for g in groups)
+    if named:
+        groups = [sub for g in groups for sub in (_tied(g, names) if len(set(g)) > 1 else [g])]
+    tied = [g for g in groups if len(set(g)) > 1]
+    if not tied or prod(factorial(len(g)) for g in tied) > _MAX_TIE_ARRANGEMENTS:
+        return [[c for g in groups for c in g]], named
+    orders = (permutations(g) if len(set(g)) > 1 else (g,) for g in groups)
+    return [[c for g in combo for c in g] for combo in product(*orders)], named
 
 
 def _spelled(name: str, mark: str) -> str:
@@ -218,11 +227,10 @@ class InternTable:
         if shape is None:
             self.misses += 1
             shape = self._shapes[key] = Shape()
-            shape.key, shape.arity, shape.id = key, len(holes), len(self._shapes) - 1
+            shape.key, shape.arity, shape.digest = key, len(holes), _digest(key)
             shape.base = max((k.height for k in kids), default=0)
             shape.height = shape.base + binders
             shape.symmetric = any(k.symmetric for k in kids)
-            shape.prefix = shape.pieces = None
         else:
             self.hits += 1
         return Term(shape, tuple(holes))
@@ -407,11 +415,11 @@ class InternTable:
             spelled = {n: P.Endpoint(f"{_HIDDEN}{j}:{next(self._serial)}") for n, j in zip(tied, order)}
             inner = (restricted - set(tied)) | {e.name for e in spelled.values()}
             forms.append(self._nest(inner, [self.subst(c, spelled) for c in comps]))
-        return min(forms, key=cmp_to_key(lambda a, b: self.compare(a, b, _spelled)))
+        return min(forms, key=lambda t: _ordered(t, _spelled))
 
     def _nest(self, restricted: set[str], comps: list[Term]) -> Term:
         """`normal` once the order of the restrictions cannot matter."""
-        orders, named = self.arrangements(comps, lambda n, mark: f"<nu{mark}>" if n in restricted else "#", _spelled)
+        orders, named = arrangements(comps, lambda n, mark: f"<nu{mark}>" if n in restricted else "#", _spelled)
         forms = []
         for arranged in orders:
             body = arranged[-1]
@@ -420,121 +428,10 @@ class InternTable:
             for name in reversed(list(dict.fromkeys(n for n, _ in body.args if n in restricted))):
                 body = self.node(P.New(name, None, body))
             forms.append(body)
-        best = forms[0] if len(set(forms)) == 1 else min(forms, key=cmp_to_key(lambda a, b: self.compare(a, b, _spelled)))
+        best = min(forms, key=lambda t: _ordered(t, _spelled))
         if named or len(set(forms)) > 1:
             best.shape.symmetric = True
         return best
-
-    def arrangements(self, comps: list[Term], free, names=None) -> tuple[list[list[Term]], bool]:
-        """``comps`` sorted by `compare` under ``free``, and groups that tie
-        sorted again under ``names``, if given; then every arrangement of
-        the groups that still tie, or the sorted order alone past the
-        bound.  Also whether ``names`` ordered any components."""
-        groups = self._tied(comps, free)
-        named = names is not None and any(len(set(g)) > 1 for g in groups)
-        if named:
-            groups = [sub for g in groups for sub in (self._tied(g, names) if len(set(g)) > 1 else [g])]
-        tied = [g for g in groups if len(set(g)) > 1]
-        if not tied or prod(factorial(len(g)) for g in tied) > _MAX_TIE_ARRANGEMENTS:
-            return [[c for g in groups for c in g]], named
-        orders = (permutations(g) if len(set(g)) > 1 else (g,) for g in groups)
-        return [[c for g in combo for c in g] for combo in product(*orders)], named
-
-    def _tied(self, comps: list[Term], free) -> list[list[Term]]:
-        """``comps`` sorted by `compare` under ``free``, in runs that tie."""
-        if len(comps) == 1:
-            return [list(comps)]
-        starts = {id(c): self._start(c, free) for c in comps}
-
-        def compare(a: Term, b: Term) -> int:
-            return self.compare(a, b, free, starts)
-
-        groups: list[list[Term]] = []
-        for c in sorted(comps, key=cmp_to_key(compare)):
-            if groups and compare(groups[-1][0], c) == 0:
-                groups[-1].append(c)
-            else:
-                groups.append([c])
-        return groups
-
-    def compare(self, a: Term, b: Term, free, starts=None) -> int:
-        """Order two terms by their serializations, ``free(name, mark)``
-        spelling their free names.  ``starts`` maps the id of a term to its
-        `_start`.  Where two starts do not decide, each cut short grows, and
-        its new start replaces the old; where they still do not, the two
-        serializations are read in step up to their first difference."""
-        if starts is None:
-            starts = {id(a): self._start(a, free), id(b): self._start(b, free)}
-        names_a, x, prefix_a = starts[id(a)]
-        names_b, y, prefix_b = starts[id(b)]
-        if a.shape is b.shape and names_a == names_b:
-            return 0
-        for grown in (False, True):
-            # decided where the texts differ within the shorter (nearly every
-            # call), or where one is whole and the other as long or longer
-            if x[:len(y)] != y[:len(x)]:
-                return (x > y) - (x < y)
-            whole_a, whole_b = prefix_a[1], prefix_b[1]
-            if (whole_a and (whole_b or len(x) < len(y))) or (whole_b and len(y) < len(x)):
-                return (x > y) - (x < y)
-            if grown:
-                break
-            for t in (a, b):
-                prefix = starts[id(t)][2]
-                if not prefix[1] and (t.shape.pieces is not None or prefix is not t.shape.prefix):
-                    self._prefix(t.shape, True)
-                    starts[id(t)] = self._start(t, free)
-            (_, x, prefix_a), (_, y, prefix_b) = starts[id(a)], starts[id(b)]
-        texts = (chain.from_iterable(P.serial_pieces(t, free, self.view)) for t in (a, b))
-        for x, y in zip_longest(*texts, fillvalue=""):
-            if x != y:
-                return (x > y) - (x < y)
-        return 0
-
-    def _start(self, t: Term, free) -> tuple[list[str], str, tuple[str, bool]]:
-        """The spelled free names of ``t``, its serialization as far as its
-        shape's prefix keeps it, and that prefix; the first cut is composed
-        if the shape has none."""
-        prefix = t.shape.prefix or self._prefix(t.shape)
-        names = [free(n, "~" if k == 2 else "") for n, k in t.args]
-        return names, (_HOLE.sub(lambda m: names[int(m[1])], prefix[0]) if names else prefix[0]), prefix
-
-    def _prefix(self, shape: Shape, grow: bool = False) -> tuple[str, bool]:
-        """``shape.prefix``, composed to its first cut, or grown to ``_PREFIX``
-        if ``grow`` (see the module docstring).  A child is composed, or
-        grown, only when the text reaches it, with an explicit stack."""
-        limit = _PREFIX if grow else _FIRST_CUT
-        stack: list[list] = [[shape, None, 0, ""]]
-        while stack:
-            top = stack[-1]
-            s, parts, i, text = top
-            if parts is None:
-                if s.prefix is not None and not (grow and s.pieces is not None):
-                    stack.pop()
-                    continue
-                if s.pieces is None:
-                    node = self.view(Term(s, tuple(map(_hole, range(s.arity)))))
-                    parts = P.node_pieces(node, {}, 0, lambda name, mark: name)
-                else:
-                    parts = s.pieces
-            whole = True
-            while i < len(parts) and whole and text.find(" ", limit) < 0:
-                part = parts[i]
-                if type(part) is not str:
-                    kid = part[0].shape
-                    if kid.prefix is None or (grow and kid.pieces is not None):
-                        top[1:] = parts, i, text
-                        stack.append([kid, None, 0, ""])
-                        break
-                    whole, part = kid.prefix[1], _rewired(*part)
-                text += part
-                i += 1
-            else:
-                cut = text.find(" ", limit)
-                s.prefix = (text[:cut], False) if cut >= 0 else (text, whole)
-                s.pieces = None if grow or s.prefix[1] else parts
-                stack.pop()
-        return shape.prefix
 
     # ------------------------------------------------------- processes
 

@@ -548,14 +548,11 @@ def with_subterms(p: Process, kids: list) -> Process:
     return type(p)(*out) if changed else p
 
 
-def serial_pieces(p, free, expand=None) -> Iterator[str]:
+def serial_pieces(p: Process, free) -> Iterator[str]:
     """The alpha-invariant serialization of ``p``, piece by piece, walked
     with an explicit stack.  Binders are de-Bruijn levels, so it never
     depends on bound-name spelling; ``free(name, mark)`` spells a free name
-    (``mark`` is "~" on a dual endpoint).  ``expand`` turns a subterm into a
-    node first: a caller whose subterms are not `Process` nodes walks them
-    lazily, and a comparison of two serializations stops at the first
-    piece that differs."""
+    (``mark`` is "~" on a dual endpoint)."""
     stack: list = [(p, {}, 0)]
     while stack:
         item = stack.pop()
@@ -563,7 +560,7 @@ def serial_pieces(p, free, expand=None) -> Iterator[str]:
             yield item
             continue
         q, env, depth = item
-        stack.extend(reversed(node_pieces(expand(q) if expand is not None else q, env, depth, free)))
+        stack.extend(reversed(node_pieces(q, env, depth, free)))
 
 
 def node_pieces(q: Process, env: dict[str, int], depth: int, free) -> list:

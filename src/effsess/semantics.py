@@ -25,20 +25,20 @@ untouched components as they are and opens only the new continuations
 restricted names are never renamed.  Only the state key abstracts them: it
 sorts the components as `normalize` does (unrestricted names spelled),
 numbers the restrictions by first occurrence, and lists each component's
-shape id and wiring (a restricted hole's number, an unrestricted hole's
+shape digest and wiring (a restricted hole's number, an unrestricted hole's
 name and kind), then the definitions' names.  So exploration is finite
-whenever the process is.  The table's ``hits`` and ``misses`` count the
-nodes steps looked up and the ones they interned; an untouched component
-costs neither, and nor does a value put in where the same value went
-before: `InternTable.subst` finds the result in the table's memo
-(``memo_hits``, ``memo_misses``).
+whenever the process is, and a key does not depend on the table.  The
+table's ``hits`` and ``misses`` count the nodes steps looked up and the
+ones they interned; an untouched component costs neither, and nor does a
+value put in where the same value went before: `InternTable.subst` finds
+the result in the table's memo (``memo_hits``, ``memo_misses``).
 
 Keys are computed for kept states only.  A configuration computes its key
 on first read and keeps it (`Configuration.ordered`), and its
 ``components`` keep the order they were assembled in, read or not; the
 links of a chain are never keyed, and a target of `transitions` only if
-it is read.  `transitions`, `Configuration.residual_process` and
-`find_store_value` take the components in key order.
+it is read.  `transitions` and `Configuration.residual_process` take the
+components in key order; `find_store_value` takes them in any.
 
 Exploration folds eligible chains.  A tau step is *eligible* when it
 synchronizes a send or select with its matching receive or branch on a
@@ -74,7 +74,7 @@ from itertools import count
 from typing import Iterator
 
 from . import process as P
-from .normalize import InternTable, Term
+from .normalize import InternTable, Term, arrangements
 
 
 class RuntimeSafetyViolation(Exception):
@@ -183,7 +183,7 @@ class Configuration:
     def ordered(self) -> tuple[tuple, tuple[Term, ...], tuple[str, ...]]:
         """The state key, and the components and live restrictions in its
         order; computed on first read, and kept."""
-        key, comps, live = _key(self.table, set(self.restricted), self.components, self.defs)
+        key, comps, live = _key(set(self.restricted), self.components, self.defs)
         return key, tuple(comps), tuple(live)
 
     @property
@@ -292,21 +292,23 @@ def _without(comps: tuple[Term, ...], *drop: int) -> tuple[Term, ...]:
     return out + comps[start:]
 
 
-def _key(table: InternTable, restricted: set[str], comps: tuple[Term, ...], defs) -> tuple:
+def _key(restricted: set[str], comps: tuple[Term, ...], defs) -> tuple:
     """The state key, and the components and live restrictions in its order.
-    Of the arrangements of components that tie, the least key wins.  Tied
-    components serialize alike with free names spelled, so arrangements
-    differ only where a restricted hole's number stands."""
+    A component is listed by its shape's digest and its wiring, so the key
+    does not depend on the table.  Of the arrangements of components that
+    tie, the least key wins.  Tied components have one shape and spell
+    their free names alike, so arrangements differ only where a restricted
+    hole's number stands."""
 
     def free(name: str, mark: str) -> str:
         return f"<nu{mark}>" if name in restricted else mark + name
 
     best = None
-    for arranged in table.arrangements(comps, free)[0] if comps else [[]]:
+    for arranged in arrangements(comps, free)[0] if comps else [[]]:
         numbers: dict[str, int] = {}
         key = [len(arranged)]
         for comp in arranged:
-            key.append(comp.shape.id)
+            key.append(comp.shape.digest)
             for name, kind in comp.args:
                 if name in restricted:
                     key.append(-1 - 3 * numbers.setdefault(name, len(numbers)) - kind)
@@ -594,9 +596,10 @@ class Outcome:
 
 
 def find_store_value(cfg: Configuration) -> P.Value | None:
-    """Read the current store contents out of a waiting store agent: the
+    """Read the current store contents out of the waiting store agents: the
     payload of the get branch of a {get, put, stop} offer (possibly behind
-    an accept)."""
+    an accept).  Of several, the least by `format_value`, so the answer
+    does not depend on the order of the components."""
 
     table = cfg.table
 
@@ -609,14 +612,15 @@ def find_store_value(cfg: Configuration) -> P.Value | None:
 
     # only the components' own heads are kept; the views behind them are
     # one-shot
-    for comp in cfg.ordered[1]:
+    stores = []
+    for comp in cfg.components:
         head = table.head(comp)
         found = from_branch(head)
         if found is None and isinstance(head, P.Accept):
             found = from_branch(table.view(head.cont))
         if found is not None:
-            return found
-    return None
+            stores.append(found)
+    return min(stores, key=P.format_value, default=None)
 
 
 def _executable(label: TransitionLabel, observables: frozenset[str]) -> bool:

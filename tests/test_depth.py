@@ -94,7 +94,7 @@ def received_send() -> P.Process:
 
 def test_a_deep_send_over_a_received_variable_runs():
     p = received_send()
-    assert P.format_process(normalize(p)) == "new %1. (~%1?(%0). r!<" + "suc " * N + "%0> | %1!<0>)"
+    assert P.format_process(normalize(p)) == "new %1. (%1!<0> | ~%1?(%0). r!<" + "suc " * N + "%0>)"
     cfg = M.make_configuration(p, frozenset({"r"}))
     assert len(cfg.components) == 2 and {cfg.key: 1}[cfg.key] == 1
     text = P.format_process(p)

@@ -10,8 +10,16 @@ keys began to spell free names instead of numbering them, and again when
 the first configuration came to be built from the spine of the process
 (which creates its shapes in another order); each time the old and new key
 lists matched position by position under one bijection per case, of names
-to numbers the first time and of shape ids the second.  `GOLDEN_REDUCED` pins the same three for
-``build_lts``, which folds eligible chains into their ends.
+to numbers the first time and of shape ids the second.  They were frozen a
+third time, with the residual hashes of `comm-lhs`, `comm-rhs` and
+`private-worlds`, when components came to be ordered by their shapes'
+structural digests rather than by their serializations, and keys came to
+list a digest where they had listed a shape id.  That time every emitted
+tuple, store and step count and every state and transition count stayed;
+each full and reduced LTS was strongly bisimilar to the one it replaced;
+and each moved residual normalized to one text with the residual before
+it, under the old order and under the new.  `GOLDEN_REDUCED` pins the same
+three for ``build_lts``, which folds eligible chains into their ends.
 The cases: corpus programs up to depth 6, the introduction's shared-store
 race, two private shared-store worlds side by side, and two criterion-3
 equation pairs.
@@ -95,36 +103,36 @@ CASES = {
 }
 
 GOLDEN = {
-    "comm-lhs": ([((), None, "ce5144517a0a", 3)], (14, 14, "f514888a3cf2")),
-    "comm-rhs": ([((), None, "74424759d883", 1)], (14, 14, "664c1c2f20b7")),
-    "corpus-0": ([(("1",), "0", "94bc2154a61e", 11)], (19, 25, "4a870bf1f218")),
-    "corpus-1": ([(("unit",), "0", "94bc2154a61e", 9)], (17, 24, "e180c40b7644")),
-    "corpus-10": ([(("unit",), "3", "7787c9317b21", 13)], (33, 56, "01fdc4bd97eb")),
-    "corpus-4": ([(("unit",), "1", "3425f5ea34ec", 42)], (70, 98, "37627ffc1c9f")),
-    "corpus-7": ([(("unit",), "1", "3425f5ea34ec", 14)], (37, 64, "9104eb1d1c8b")),
-    "corpus-9": ([(("1",), "3", "7787c9317b21", 31)], (56, 82, "f44da4fe49c8")),
+    "comm-lhs": ([((), None, "799fb7fa0a58", 3)], (14, 14, "b14cd1de88d4")),
+    "comm-rhs": ([((), None, "fdc14a857848", 1)], (14, 14, "06428136dc9c")),
+    "corpus-0": ([(("1",), "0", "94bc2154a61e", 11)], (19, 25, "de219e424182")),
+    "corpus-1": ([(("unit",), "0", "94bc2154a61e", 9)], (17, 24, "4d59974c7dbf")),
+    "corpus-10": ([(("unit",), "3", "7787c9317b21", 13)], (33, 56, "26cdd3b9d7a1")),
+    "corpus-4": ([(("unit",), "1", "3425f5ea34ec", 42)], (70, 98, "7c5fa11a5dcb")),
+    "corpus-7": ([(("unit",), "1", "3425f5ea34ec", 14)], (37, 64, "b8d9f456bcd5")),
+    "corpus-9": ([(("1",), "3", "7787c9317b21", 31)], (56, 82, "ffa4550443e3")),
     "intro-race": ([((), "1", "79cf8a29f91f", 17), ((), "2", "93fa725feee4", 17), ((), "3", "566f232be8c2", 17)],
-                   (54, 55, "ff8314f5380c")),
-    "private-worlds": ([(("0", "5"), "0", "2f6529ae4af6", 12), (("5", "0"), "0", "2f6529ae4af6", 12)],
-                       (64, 128, "b9cb25eafb85")),
-    "unitR-lhs": ([((), None, "bc793545a39c", 1)], (11, 11, "b48ed10d5544")),
-    "unitR-rhs": ([((), None, "fb3597f2911a", 1)], (7, 7, "d1c8fea54d62")),
+                   (54, 55, "ad6d26437f8d")),
+    "private-worlds": ([(("0", "5"), "0", "21150beb2d56", 12), (("5", "0"), "0", "21150beb2d56", 12)],
+                       (64, 128, "f5b2333ff693")),
+    "unitR-lhs": ([((), None, "bc793545a39c", 1)], (11, 11, "fb7108a78c64")),
+    "unitR-rhs": ([((), None, "fb3597f2911a", 1)], (7, 7, "43c063d16f9c")),
 }
 
 # build_lts folds eligible chains; frozen when the folding was introduced
 GOLDEN_REDUCED = {
-    "comm-lhs": (6, 6, "1bca00647f59"),
-    "comm-rhs": (6, 6, "4e8b668d4773"),
-    "corpus-0": (5, 5, "2c0eb4895cf5"),
-    "corpus-1": (5, 5, "d50fb33afe32"),
-    "corpus-10": (5, 5, "566e0e7ce45f"),
-    "corpus-4": (10, 10, "393875317f39"),
-    "corpus-7": (5, 5, "836670e6fa89"),
-    "corpus-9": (8, 8, "8412da8295d4"),
-    "intro-race": (26, 27, "ac8bbe8f1904"),
-    "private-worlds": (36, 72, "265067ac0a6d"),
-    "unitR-lhs": (5, 5, "d3ff87f4c25d"),
-    "unitR-rhs": (5, 5, "d44269a8572e"),
+    "comm-lhs": (6, 6, "2fe1e30e97f2"),
+    "comm-rhs": (6, 6, "8c51843bfa4e"),
+    "corpus-0": (5, 5, "245b95f4aa63"),
+    "corpus-1": (5, 5, "42d212c8fa72"),
+    "corpus-10": (5, 5, "51d43b594ede"),
+    "corpus-4": (10, 10, "43f7a80df8e2"),
+    "corpus-7": (5, 5, "03cabdfba85e"),
+    "corpus-9": (8, 8, "0c6dc3606e01"),
+    "intro-race": (26, 27, "56f19edd7bd4"),
+    "private-worlds": (36, 72, "dc69b88e7930"),
+    "unitR-lhs": (5, 5, "1ba9492b725a"),
+    "unitR-rhs": (5, 5, "4e62cf011df8"),
 }
 
 
