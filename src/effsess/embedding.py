@@ -403,16 +403,8 @@ def embed_term_top(
     return EmbeddingResult(process, delta, dict(env), tau, f_eff)
 
 
-def embed_top(
-    prog: Program,
-    eff: P.Endpoint = P.Endpoint(RESERVED_EFFECT),
-    r: P.Endpoint = P.Endpoint(RESERVED_RESULT),
-    optimize: bool = False,
-    send_stop: bool = False,
-) -> EmbeddingResult:
-    return embed_term_top(
-        prog.root, {}, prog.store_type, eff, r, optimize=optimize, send_stop=send_stop
-    )
+def embed_top(prog: Program, optimize: bool = False, send_stop: bool = False) -> EmbeddingResult:
+    return embed_term_top(prog.root, {}, prog.store_type, optimize=optimize, send_stop=send_stop)
 
 
 def initial_store_value(prog: Program) -> P.Value:
@@ -421,12 +413,11 @@ def initial_store_value(prog: Program) -> P.Value:
     return P.UNIT_VALUE
 
 
-def compose_with_store(result: EmbeddingResult, init: P.Value, store_type: ValueType,
-                       eff: P.Endpoint = P.Endpoint(RESERVED_EFFECT)) -> P.Process:
+def compose_with_store(result: EmbeddingResult, init: P.Value, store_type: ValueType) -> P.Process:
     """The runnable system: the translated program in parallel with the
     store agent holding ``init``, with the effect channel restricted."""
-    agent = store_agent(init, eff.flip(), store_type)
-    return P.New(eff.name, None, P.par(agent, result.process))
+    agent = store_agent(init, P.Endpoint(RESERVED_EFFECT, True), store_type)
+    return P.New(RESERVED_EFFECT, None, P.par(agent, result.process))
 
 
 # ----------------------------------------------------- concurrent variants

@@ -27,9 +27,9 @@ alone, not on the table, and distinct shapes are assumed to have distinct
 digests (a 128-bit collision is not detected).  Components sort by digest,
 then by their free names as spelled: the normal form's restrictions as
 `<nu>`, other free names alike whatever their polarity.  That order is
-canonical, but it is not the order of the serializations.  Components that
-tie sort again with free names spelled, and any that still tie are
-arranged every way (up to 720 arrangements) for the least result.
+canonical.  Components that tie sort again with free names spelled, and
+any that still tie are arranged every way (up to 720 arrangements) for the
+least result.
 A shape whose order names decided is marked ``symmetric``: renaming a free
 name of a symmetric term rebuilds it, a binder above it hides its names
 (spelled by position at the binder, sorting before every visible name),
@@ -85,13 +85,13 @@ _SPINE = (P.Par, P.New, P.Nil)
 
 class Shape:
     """An interned node.  ``key`` is its constructor and encoded fields,
-    ``arity`` its number of holes, and ``digest`` the 16 bytes that order
-    it among components, a function of its structure alone (see the module
-    docstring).  ``base`` is the largest ``height`` of its subterms, and
-    ``height`` adds the names the node binds.  ``symmetric`` marks a normal
-    form, or a node above one, whose component order names decided."""
+    and ``digest`` the 16 bytes that order it among components, a function
+    of its structure alone (see the module docstring).  ``base`` is the
+    largest ``height`` of its subterms, and ``height`` adds the names the
+    node binds.  ``symmetric`` marks a normal form, or a node above one,
+    whose component order names decided."""
 
-    __slots__ = ("key", "arity", "digest", "base", "height", "symmetric")
+    __slots__ = ("key", "digest", "base", "height", "symmetric")
 
 
 class Term(NamedTuple):
@@ -177,8 +177,10 @@ class InternTable:
     # ------------------------------------------------------------ nodes
 
     def node(self, q) -> Term:
-        """The term of ``q``: a process node whose subterms are terms (each
-        a normal form) and whose other fields are spelled with names."""
+        """The term of ``q``: a process node whose subterms are terms and
+        whose other fields are spelled with names.  A subterm may be any
+        term, a normal form or not: interning a process node by node, with
+        no spine normalized, gives its alpha-invariant encoding."""
         holes: dict[tuple[str, int], int] = {}
 
         def hole(atom: tuple[str, int]) -> int:
@@ -227,7 +229,7 @@ class InternTable:
         if shape is None:
             self.misses += 1
             shape = self._shapes[key] = Shape()
-            shape.key, shape.arity, shape.digest = key, len(holes), _digest(key)
+            shape.key, shape.digest = key, _digest(key)
             shape.base = max((k.height for k in kids), default=0)
             shape.height = shape.base + binders
             shape.symmetric = any(k.symmetric for k in kids)
@@ -354,10 +356,10 @@ class InternTable:
             if note is None:
                 return u
             if type(note) is set:
-                return self._nest(note, kids)
-            if type(note) is tuple:
                 # formed anew after a substitution, a term's normal form keeps
                 # the order its restrictions were given (see `normal`)
+                return self._nest(note, kids)
+            if type(note) is tuple:
                 restricted, envs = note
                 return self.normal(restricted, [self.subst(c, env) if env else c for c, env in zip(kids, envs)])
             return self.node(P.with_subterms(note, kids))

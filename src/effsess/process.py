@@ -23,20 +23,21 @@ each constructor binds:
 - sends, select, branch, calls, parallel composition and `0` bind nothing.
 
 Every name-aware operation walks this table: free names, simultaneous
-capture-avoiding substitution, the alpha-invariant serialization,
-structural equality, kind resolution, and the interned shapes of
-`normalize`.  So do `format_process` and `parse_process`: a row's syntax
-is a template of literal text and field names, which the printer fills
-and the parser reads field by field, by role.  The parser picks a form by
-its first token, or by the token after its subject.  A form that ends in
-a process (a prefix's continuation, the body of `new`, the scope of `def`)
-leaves that process to a loop, so a chain of prefixes costs no recursion,
-nor does a chain of `suc`s.  Three cases are special: `Par` is n-ary,
-`(P | Q | R)`; `new a, b. P` restricts a list of names; and a `~` payload
-makes a send a `SendChan`.  Every rebuild of a process is one
-`terms.fold`, the package's one explicit-stack walk, which session types,
-terms and values (`fold_value`) share: substitution, kind resolution,
-interning (`normalize`) and type synthesis (`session_check`).
+capture-avoiding substitution, structural equality, kind resolution, and
+the interned shapes of `normalize`, which are the package's one
+alpha-invariant encoding of a process.  So do `format_process` and
+`parse_process`: a row's syntax is a template of literal text and field
+names, which the printer fills and the parser reads field by field, by
+role.  The parser picks a form by its first token, or by the token after
+its subject.  A form that ends in a process (a prefix's continuation, the
+body of `new`, the scope of `def`) leaves that process to a loop, so a
+chain of prefixes costs no recursion, nor does a chain of `suc`s.  Three
+cases are special: `Par` is n-ary, `(P | Q | R)`; `new a, b. P` restricts
+a list of names; and a `~` payload makes a send a `SendChan`.  Every
+rebuild of a process is one `terms.fold`, the package's one explicit-stack
+walk, which session types, terms and values (`fold_value`) share:
+substitution, kind resolution, interning (`normalize`) and type synthesis
+(`session_check`).
 
 The surface syntax cannot distinguish a received value from a received
 channel (`c?(x).P` covers both), so the parser reads every receive as a
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .sessions import SessionType, _TypeParser, format_session_type
 from .terms import ParseError, ValueType, _Lexer, fold, fresh_name, parse_value_type
@@ -148,19 +149,19 @@ def value_var_names(v: Value) -> tuple[str, ...]:
     return fold_value(v, lambda u: (u.name,) if type(u) is VarRef else (), lambda a: a, lambda a, b: a + b)
 
 
-def format_value(v: Value, name=str, sep: str = ", ") -> str:
-    """The concrete syntax of ``v``: ``name`` spells a variable, and ``sep``
-    parts a pair."""
+def format_value(v: Value, name=str) -> str:
+    """The concrete syntax of ``v``: ``name`` spells a variable."""
     leaf = lambda u: name(u.name) if type(u) is VarRef else "unit" if type(u) is UnitLit else str(u.n)
-    return fold_value(v, leaf, lambda a: f"suc {a}", lambda a, b: f"({a}{sep}{b})")
+    return fold_value(v, leaf, lambda a: f"suc {a}", lambda a, b: f"({a}, {b})")
 
 
 # -------------------------------------------------------------- processes
 
 class _Node:
     """Base of the process constructors.  Equality is structural, through
-    `process_equal`, and the hash is that of the serialization; neither
-    recurses, so deep processes can key a dict."""
+    `process_equal`, and the hash is that of the printed text, a function
+    of every field that equality compares; neither recurses, so deep
+    processes can key a dict."""
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -168,7 +169,7 @@ class _Node:
         return process_equal(self, other)
 
     def __hash__(self):
-        return hash(serialize_process(self))
+        return hash(format_process(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,14 +316,14 @@ LABEL, ANNOTATION = "label", "annotation"
 
 _PARAMS = (CHANNEL_PARAMS, VALUE_PARAMS)
 _BINDERS = (CHANNEL_BINDER, VALUE_BINDER) + _PARAMS
-# Consecutive fields of these roles serialize as one group "(a;b)".
+# Fields of these roles hold lists, which the parser reads as sequences.
 _SEQUENCES = (ENDPOINTS, VALUES) + _PARAMS
 
 
 class Form(NamedTuple):
-    """A row of the binder table: the constructor's serialization tag, its
-    fields in declaration order with their roles, and its concrete syntax:
-    literal text and field names, in field order."""
+    """A row of the binder table: the tag that spells the constructor in a
+    shape's digest, its fields in declaration order with their roles, and
+    its concrete syntax: literal text and field names, in field order."""
 
     tag: str
     fields: tuple[tuple[str, str], ...]
@@ -546,75 +547,6 @@ def with_subterms(p: Process, kids: list) -> Process:
             x = y
         out.append(x)
     return type(p)(*out) if changed else p
-
-
-def serial_pieces(p: Process, free) -> Iterator[str]:
-    """The alpha-invariant serialization of ``p``, piece by piece, walked
-    with an explicit stack.  Binders are de-Bruijn levels, so it never
-    depends on bound-name spelling; ``free(name, mark)`` spells a free name
-    (``mark`` is "~" on a dual endpoint)."""
-    stack: list = [(p, {}, 0)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            yield item
-            continue
-        q, env, depth = item
-        stack.extend(reversed(node_pieces(q, env, depth, free)))
-
-
-def node_pieces(q: Process, env: dict[str, int], depth: int, free) -> list:
-    """The serialization of the node ``q`` alone: strings, and in place of
-    each subterm ``(subterm, env, depth)``, the levels of the names bound
-    over it and the next level."""
-
-    def name(n: str, mark: str = "") -> str:
-        return f" <{env[n]}{mark}>" if n in env else " " + free(n, mark)
-
-    def value(v: Value) -> str:
-        return format_value(v, lambda n: name(n)[1:], ",")
-
-    form = FORMS[type(q)]
-    parts, group = ["(" + form.tag], []
-    inner, inner_depth = env, depth
-    for field, role in form.fields:
-        x = getattr(q, field)
-        if group and role not in _SEQUENCES:
-            parts.append(f" ({';'.join(group)})")
-            group = []
-        if role is ENDPOINT:
-            parts.append(name(x.name, "~" if x.dual else ""))
-        elif role is SCOPED or role is OPEN:
-            parts += [" ", (x, inner, inner_depth) if role is SCOPED else (x, env, depth)]
-        elif role is VALUE:
-            parts.append(" " + value(x))
-        elif role is SHARED:
-            parts.append(name(x))
-        elif role in _BINDERS:
-            inner = dict(inner)
-            for bound in _binders(role, x):
-                inner[bound] = inner_depth
-                inner_depth += 1
-            if role in _PARAMS:
-                group.append(str(len(x)))
-        elif role is ARMS:
-            for label, cont in x:
-                parts += [" " + label, " ", (cont, env, depth)]
-        elif role is ENDPOINTS:
-            group.append(" ".join([name(e.name, "~" if e.dual else "")[1:] for e in x]))
-        elif role is VALUES:
-            group.append(" ".join([value(v) for v in x]))
-        elif role is not ANNOTATION:
-            parts.append(" " + x)
-    if group:
-        parts.append(f" ({';'.join(group)})")
-    parts.append(")")
-    return parts
-
-
-def serialize_process(p: Process) -> str:
-    """A total, alpha-invariant textual key; free names print concretely."""
-    return "".join(serial_pieces(p, lambda n, mark: mark + n))
 
 
 def process_equal(p: Process, q: Process) -> bool:

@@ -398,7 +398,19 @@ def _exchange(table: InternTable, a: P.Process, b: P.Process) -> tuple[Term, Ter
     if isinstance(a, P.Select):
         return a.cont, b.get(a.label)
     payload = P.eval_value(a.value) if isinstance(a, P.SendVal) else a.sent
-    return a.cont, table.subst(b.cont, {b.binder: payload})
+    return a.cont, _receive(table, b, payload)
+
+
+def _receive(table: InternTable, head: P.Process, payload: P.Replacement) -> Term:
+    """The continuation of a receiving head, the payload in its binder.  A
+    value other than a variable leaves endpoint occurrences alone (see
+    `process.substitute`), so it may not fill a binder that the
+    continuation uses as an endpoint."""
+    args, x = head.cont.args, head.binder
+    if ((x, 1) in args or (x, 2) in args) and not isinstance(payload, (P.Endpoint, P.VarRef)):
+        raise RuntimeSafetyViolation(
+            f"receive on {head.chan} gets the value {P.format_value(payload)} for a name used as an endpoint")
+    return table.subst(head.cont, {x: payload})
 
 
 def transitions(
@@ -422,10 +434,6 @@ def transitions(
             cfg.observables,
             table,
         )
-
-    def receive(head: P.Process, payload) -> Term:
-        """The continuation of a receiving head, the payload in its binder."""
-        return table.subst(head.cont, {head.binder: payload})
 
     taken: set[str] = set()
 
@@ -478,8 +486,8 @@ def transitions(
             if b.shared != a.shared:
                 continue
             session = fresh("s{}'")
-            acc = receive(a, P.Endpoint(session, False))
-            req = receive(b, P.Endpoint(session, True))
+            acc = _receive(table, a, P.Endpoint(session, False))
+            req = _receive(table, b, P.Endpoint(session, True))
             target = rebuild(_without(comps, i, j), acc, req, new_restricted=list(live) + [session])
             label: TransitionLabel = (
                 SharedInit(a.shared) if a.shared in cfg.observables else TAU
@@ -524,10 +532,11 @@ def transitions(
                 out.append((OutChan(subj, str(sent)), rebuild(_without(comps, i), a.cont)))
         elif isinstance(a, P.RecvVal):
             for v in value_domain:
-                out.append((InVal(subj, v), rebuild(_without(comps, i), receive(a, v))))
+                out.append((InVal(subj, v), rebuild(_without(comps, i), _receive(table, a, v))))
         elif isinstance(a, P.RecvChan):
             supply = fresh("@{}")
-            out.append((InChan(subj, supply), rebuild(_without(comps, i), receive(a, P.Endpoint(supply, False)))))
+            received = _receive(table, a, P.Endpoint(supply, False))
+            out.append((InChan(subj, supply), rebuild(_without(comps, i), received)))
         elif isinstance(a, P.Select):
             out.append((SelectL(subj, a.label), rebuild(_without(comps, i), a.cont)))
         elif isinstance(a, P.Branch):

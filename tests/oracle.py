@@ -9,7 +9,8 @@ interleaving of `semantics.transitions`, folding no eligible chain, so they
 are the reference that `semantics.run` and `equivalence.build_lts` reduce.
 `reference_configuration` builds a first configuration from the normal
 form of the whole process, the route that `semantics.make_configuration`
-shortcuts by walking the spine.
+shortcuts by walking the spine.  `alpha_key` reads alpha-equivalence from
+an intern table, normalizing nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from effsess import process as P
 from effsess import semantics as M
 from effsess.equivalence import LTS
 from effsess.normalize import InternTable
-from effsess.terms import Const, Let, OpApp, Program, Term, ValueType, Var
+from effsess.terms import Const, Let, OpApp, Program, Term, ValueType, Var, fold
 
 
 def evaluate(t: Term, env: dict, store):
@@ -179,3 +180,15 @@ def reference_configuration(p: P.Process, observables=frozenset()) -> M.Configur
     of ``p``: its restrictions are named by the sorted order."""
     table = InternTable()
     return M._assemble([], (), [table.term(p)], (), frozenset(observables), table)
+
+
+def alpha_key(p: P.Process, table: InternTable, hidden: str | None = None) -> tuple:
+    """``p`` up to alpha-equivalence: its root shape, interned node by node
+    in ``table`` with no spine normalized, and its free names, the name
+    ``hidden`` spelled as one marker.  Two processes get equal keys from
+    one table exactly when they are alpha-equivalent, up to type
+    annotations and the order of branch arms; definition names count as
+    spelled, as they do in `normalize`."""
+    t = fold(p, None, lambda q, _: (None, [(kid, None) for kid in P.subterms(q)]),
+             lambda q, _, kids: table.node(P.with_subterms(q, kids)))
+    return t.shape, tuple((None if n == hidden else n, k) for n, k in t.args)

@@ -77,12 +77,13 @@ def test_values_compare_and_hash_without_recursion():
 
 
 def test_values_substitute_serialize_and_normalize():
+    again = values()
     for name, (v, text, _) in values().items():
         send = P.RecvVal(C, "x", P.SendVal(D, v, P.NIL))
         out = P.substitute(P.SendVal(D, v, P.NIL), {"x": P.VarRef("y")})
         assert P.format_process(out) == "d!<" + text.replace("x", "y") + ">", name
-        level = text.replace("x", "<0>").replace(", ", ",")
-        assert P.serialize_process(send) == f"(rv c (sv d {level} (nil)))", name
+        same = P.RecvVal(C, "x", P.SendVal(D, again[name][0], P.NIL))
+        assert send == same and hash(send) == hash(same) and {send: name}[same] == name, name
         assert P.format_process(normalize(send)) == "c?(%0). d!<" + text.replace("x", "%0") + ">", name
 
 

@@ -18,6 +18,8 @@ from effsess.equivalence import build_lts, weak_bisimilar
 from effsess.normalize import InternTable, normalize
 from effsess.semantics import RuntimeSafetyViolation, StateCapExceeded
 
+from oracle import alpha_key
+
 N = import_module("effsess.normalize")  # the package exports its function `normalize`
 FREE = ("a", "b")
 
@@ -94,14 +96,9 @@ def _check_substitution(p: P.Process, x: str, y: str, as_endpoint: bool) -> None
     q = P.substitute(p, {x: replacement})
     # x is gone, y comes in where x was, and nothing else changes
     assert set(P.free_names(q).terms) == (set(free) - {x}) | ({y} if x in free else set())
-    # nothing is captured: with x and y hidden, the two have one skeleton
-    assert _skeleton(q, y) == _skeleton(p, x)
-
-
-def _skeleton(p: P.Process, hidden: str) -> str:
-    """The serialization of ``p`` with the free name ``hidden`` spelled
-    alike wherever it occurs (polarity kept)."""
-    return "".join(P.serial_pieces(p, lambda n, mark: f"<nu{mark}>" if n == hidden else mark + n))
+    # nothing is captured: with x and y hidden, the two are alpha-equivalent
+    table = InternTable()
+    assert alpha_key(q, table, y) == alpha_key(p, table, x)
 
 
 @settings(max_examples=150, deadline=None)
@@ -122,7 +119,32 @@ def test_substitution_is_not_captured_by_binders_spelled_like_fresh_names(shape,
 def test_simultaneous_swap_is_an_involution(shape):
     p = build(shape, plain)
     swap = {"a": P.Endpoint("b"), "b": P.Endpoint("a")}
-    assert P.serialize_process(P.substitute(P.substitute(p, swap), swap)) == P.serialize_process(p)
+    table = InternTable()
+    assert alpha_key(P.substitute(P.substitute(p, swap), swap), table) == alpha_key(p, table)
+
+
+def _one_changed(s: tuple):
+    """Each copy of the shape ``s`` with one occurrence changed: a free one
+    to the other free name, or a bound one made free."""
+    for k, x in enumerate(s):
+        if type(x) is tuple:
+            changed = [("free", x[1] + (x[0] == "free"))] if x[0] in ("free", "bound") else _one_changed(x)
+            yield from (s[:k] + (y,) + s[k + 1:] for y in changed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes)
+def test_alpha_key_tells_exactly_the_alpha_variants(shape):
+    # the key the substitution laws compare is not vacuous: two spellings
+    # of a shape get one key, and changing one occurrence changes it
+    table = InternTable()
+    p = build(shape, plain)
+    assert alpha_key(build(shape, tricky), table) == alpha_key(p, table)
+    for other in _one_changed(shape):
+        q = build(other, plain)
+        # a bound occurrence with no binder over it is free already
+        if P.format_process(q) != P.format_process(p):
+            assert alpha_key(q, table) != alpha_key(p, table)
 
 
 @settings(max_examples=150, deadline=None)

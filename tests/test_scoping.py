@@ -4,7 +4,7 @@ channels, and normalization of deep processes."""
 import sys
 
 from effsess import embedding
-from effsess.normalize import normalize
+from effsess.normalize import InternTable, normalize
 from effsess.process import (
     Accept,
     Call,
@@ -19,11 +19,12 @@ from effsess.process import (
     VarRef,
     format_process,
     par,
-    serialize_process,
     substitute,
 )
 from effsess.semantics import run
 from effsess.terms import ValueType, parse_program
+
+from oracle import alpha_key
 
 NAT = ValueType.NAT
 
@@ -60,7 +61,8 @@ def test_renamed_binder_is_not_captured_by_a_nested_binder():
     out = substitute(p, {"x": Endpoint("y")})
     renamed_inner = New("w", None, SendVal(Endpoint("z"), UNIT_VALUE, NIL))
     expected = New("z", None, Par(SendVal(Endpoint("a"), VarRef("y"), NIL), renamed_inner))
-    assert serialize_process(out) == serialize_process(expected)
+    table = InternTable()
+    assert alpha_key(out, table) == alpha_key(expected, table)
 
 
 def test_renamed_definition_is_not_captured_by_a_nested_definition():

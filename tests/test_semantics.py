@@ -16,6 +16,7 @@ from effsess.process import (
     NIL,
     Par,
     RecvVal,
+    SendChan,
     SendVal,
     SucOf,
     VarRef,
@@ -418,6 +419,24 @@ def test_mismatch_survives_folding(text):
             run(p, mode, observables=frozenset())
     with pytest.raises(RuntimeSafetyViolation):
         build_lts(p, frozenset())
+
+
+def test_a_value_cannot_fill_a_binder_used_as_an_endpoint():
+    # a literal leaves endpoint occurrences alone, so filling such a binder
+    # would leave its hidden stand-in in a residual, a label or a state key
+    parsed = parse_process("new c. (c!<0> | ~c?(x). x!<1>)")  # a channel receive
+    for mode in ("one", "all"):
+        with pytest.raises(RuntimeSafetyViolation, match="receive on"):
+            run(parsed, mode, observables=frozenset())
+    # a?(v0). a!<~v0>. new v1. 0, built with its kinds unresolved
+    built = RecvVal(Endpoint("a"), "v0", SendChan(Endpoint("a"), Endpoint("v0", True), New("v1", None, NIL)))
+    with pytest.raises(RuntimeSafetyViolation, match="receive on a"):
+        labels_of(built, {"a"})
+    with pytest.raises(RuntimeSafetyViolation, match="receive on a"):
+        build_lts(built, frozenset({"a"}))
+    # a variable still renames the binder, endpoint occurrences included
+    (outcome,) = run(parse_process("new c. (c!<y> | ~c?(x). x!<1>)"), "all", observables=frozenset({"y"}))
+    assert outcome.emitted == (NatLit(1),) and _HIDDEN not in outcome.residual
 
 
 def test_fuel_counts_folded_steps():
