@@ -50,9 +50,9 @@ the result depends on the pattern alone.  Outside symmetric shapes the
 rebuild is name-blind: `_nest` spells free names ``#``, and marks every
 tie that names decide.  So the memo declines where names may decide: a
 symmetric term, and a result that is symmetric or has been marked so
-since, are rebuilt as if there were no memo.  A miss forms the result with
-`InternTable.term` on the real names, so the table gains the shapes, in the
-order, that the rebuild gives.
+since, are rebuilt as if there were no memo.  A miss rebuilds from shape
+keys and builds no process: a hole takes its new name or value, a binder
+stays a position, and a spine is formed again by `_nest`.
 
 `view` spells a node afresh on every call, with fresh stand-ins for its
 binders.  `InternTable.head` views a term once per table and keeps the
@@ -60,10 +60,8 @@ node: execution looks at the heads of the same components step after step.
 Invariant: a kept head's stand-in binders may be shared by every use of it,
 so each one is filled (by a receive, an accept or a request) before its
 continuation enters a configuration.  ``view_hits`` and ``view_misses``
-count the heads found and the ones viewed.  One-shot views (`term`,
-`open`, `process`) are not kept.
+count the heads found and the ones viewed.
 """
-
 from __future__ import annotations
 
 from hashlib import blake2b
@@ -81,17 +79,45 @@ _MAX_TIE_ARRANGEMENTS = 720
 # table, so no two stand-ins are spelled alike.
 _HIDDEN = "\x00"
 _SPINE = (P.Par, P.New, P.Nil)
+_PAR = P.Par(P.NIL, P.NIL)  # `InternTable.node` reads no subterm of it
 
 
 class Shape:
-    """An interned node.  ``key`` is its constructor and encoded fields,
-    and ``digest`` the 16 bytes that order it among components, a function
-    of its structure alone (see the module docstring).  ``base`` is the
-    largest ``height`` of its subterms, and ``height`` adds the names the
-    node binds.  ``symmetric`` marks a normal form, or a node above one,
-    whose component order names decided."""
+    """An interned node, made from its ``key``: its constructor and encoded
+    fields; ``digest`` orders it (see the module docstring).  ``height`` is
+    ``base``, the largest height of its subterms, plus the names it binds.
+    ``symmetric`` marks a normal form, or a node above one, whose component
+    order names decided.  ``shared`` lists the holes with a shared occurrence
+    in or under the node, ``children`` its subterms' shapes and wirings."""
 
-    __slots__ = ("key", "digest", "base", "height", "symmetric")
+    __slots__ = ("key", "digest", "base", "height", "symmetric", "shared", "children")
+
+    def __init__(self, key: tuple):
+        form, *fields = key
+        spelled, kids, binders, shared, base, symmetric = [P.FORMS[form].tag], [], 0, set(), 0, False
+        for (_, role), x in zip(P.FORMS[form].fields, fields):
+            if role is P.VALUE:
+                x = P.format_value(x, "${}".format)
+            elif role is P.VALUES:
+                x = tuple(P.format_value(v, "${}".format) for v in x)
+            elif role is P.SCOPED or role is P.OPEN:
+                kids.append(x)
+                x = x[0].digest, x[1]
+            elif role is P.ARMS:
+                kids += [c for _, c in x]
+                x = tuple((label, (kid.digest, wiring)) for label, (kid, wiring) in x)
+            elif role is P.SHARED:
+                shared.add(x)
+            elif role in P._BINDERS:
+                binders += x if role in P._PARAMS else 1
+            spelled.append(x)
+        for kid, wiring in kids:
+            base, symmetric = max(base, kid.height), symmetric or kid.symmetric
+            if kid.shared:
+                shared.update([wiring[i] for i in kid.shared if wiring[i] >= 0])
+        self.key, self.digest = key, blake2b(repr(tuple(spelled)).encode(), digest_size=16).digest()
+        self.base, self.height, self.symmetric = base, base + binders, symmetric
+        self.shared, self.children = tuple(shared), tuple(kids)
 
 
 class Term(NamedTuple):
@@ -100,26 +126,46 @@ class Term(NamedTuple):
 
 
 def _vars(v: P.Value, f) -> P.Value:
-    """``v`` with each variable ``x`` replaced by ``VarRef(f(x))``."""
-    return P.fold_value(v, lambda u: P.VarRef(f(u.name)) if type(u) is P.VarRef else u)
+    """``v`` with each variable ``x`` replaced by the value ``f(x)``."""
+    if type(v) is P.VarRef:
+        return f(v.name)
+    return v if type(v) is P.NatLit else P.fold_value(v, lambda u: f(u.name) if type(u) is P.VarRef else u)
 
 
-def _digest(key: tuple) -> bytes:
-    """The digest of a shape's key: its form by tag, a child by digest and
-    wiring, a value by its text with holes written ``$i``."""
-    form, *fields = key
-    spelled: list = [P.FORMS[form].tag]
-    for (_, role), x in zip(P.FORMS[form].fields, fields):
-        if role is P.VALUE:
-            x = P.format_value(x, "${}".format)
-        elif role is P.VALUES:
-            x = tuple(P.format_value(v, "${}".format) for v in x)
-        elif role is P.SCOPED or role is P.OPEN:
-            x = x[0].digest, x[1]
-        elif role is P.ARMS:
-            x = tuple((label, (kid.digest, wiring)) for label, (kid, wiring) in x)
-        spelled.append(x)
-    return blake2b(repr(tuple(spelled)).encode(), digest_size=16).digest()
+def _wired(t, holes: dict, bound: dict, args=()) -> tuple[Shape, tuple[int, ...]]:
+    """The term ``t`` as a child: a name ``bound`` holds by its binder's
+    position, any other argument by its hole, which ``holes`` numbers on
+    first occurrence; or a kept child, a shape and wiring over ``args``."""
+    if type(t) is not Term:
+        return t[0], tuple([w if w < 0 else holes.setdefault(args[w], len(holes)) for w in t[1]])
+    wiring = []
+    for atom in t.args:
+        j = bound.get(atom[0])
+        wiring.append(holes.setdefault(atom, len(holes)) if j is None else -1 - 3 * j - atom[1])
+    return t.shape, tuple(wiring)
+
+
+def _moved(args: tuple, mapping: dict[str, P.Replacement]) -> tuple[list, list[P.Value]]:
+    """``args`` with ``mapping`` applied as `process.substitute` applies it, each
+    a name and kind, or the old name and the value that fills it; and those values."""
+    out, filled = [], []
+    for name, kind in args:
+        r = mapping.get(name)
+        if type(r) is P.Endpoint:
+            out.append((r.name, 3 - kind if kind and r.dual else kind))
+        elif type(r) is P.VarRef:
+            out.append((r.name, kind))
+        elif r is None or kind:  # other values leave endpoint occurrences alone
+            out.append((name, kind))
+        else:
+            out.append((name, r))
+            filled.append(r)
+    return out, filled
+
+
+def _spelled_child(c: tuple[Shape, tuple[int, ...]], args: tuple, bound: list[str]) -> Term:
+    """The child ``c`` of a node over ``args`` as a term, binders spelled by ``bound``."""
+    return Term(c[0], tuple([args[w] if w >= 0 else (bound[(-1 - w) // 3], (-1 - w) % 3) for w in c[1]]))
 
 
 def _ordered(t: Term, free) -> tuple[bytes, tuple[str, ...]]:
@@ -166,8 +212,7 @@ class InternTable:
     def __init__(self):
         self._shapes: dict[tuple, Shape] = {}
         self._serial = count()
-        # (shape, pattern) -> (result shape, wiring), or None where the
-        # result is symmetric; see the module docstring
+        # (shape, pattern) -> (result shape, wiring), or None: see the module docstring
         self._memo: dict[tuple, tuple[Shape, tuple[tuple[int, int], ...]] | None] = {}
         self._heads: dict[Term, P.Process] = {}
         self.hits = self.misses = 0
@@ -176,102 +221,87 @@ class InternTable:
 
     # ------------------------------------------------------------ nodes
 
-    def node(self, q) -> Term:
-        """The term of ``q``: a process node whose subterms are terms and
-        whose other fields are spelled with names.  A subterm may be any
-        term, a normal form or not: interning a process node by node, with
-        no spine normalized, gives its alpha-invariant encoding."""
+    def _intern(self, key: tuple) -> Shape:
+        shape = self._shapes.get(key)
+        self.hits += shape is not None
+        if shape is None:
+            self.misses += 1
+            shape = self._shapes[key] = Shape(key)
+        return shape
+
+    def node(self, q: P.Process, kids: list[Term]) -> Term:
+        """The term of the process node ``q`` over ``kids``, its subterms'
+        terms as `process.subterms` lists them.  A subterm may be any term,
+        a normal form or not: interning a process node by node, with no spine
+        normalized, gives its alpha-invariant encoding."""
         holes: dict[tuple[str, int], int] = {}
-
-        def hole(atom: tuple[str, int]) -> int:
-            return holes.setdefault(atom, len(holes))
-
-        def wire(t: Term, scope: dict[str, int]) -> tuple[Shape, tuple[int, ...]]:
-            kids.append(t.shape)
-            return t.shape, tuple(-1 - 3 * scope[n] - k if n in scope else hole((n, k)) for n, k in t.args)
-
-        key: list = [type(q)]
-        kids: list[Shape] = []
-        bound: dict[str, int] = {}
-        binders = 0
+        key, bound, binders, kids = [type(q)], {}, 0, iter(kids)
         for field, role in P.FORMS[type(q)].fields:
             x = getattr(q, field)
             if role is P.ENDPOINT or role is P.ENDPOINTS:
-                x = tuple(hole((e.name, 2 if e.dual else 1)) for e in ((x,) if role is P.ENDPOINT else x))
-            elif role is P.VALUE:
-                x = _vars(x, lambda n: hole((n, 0)))
-            elif role is P.VALUES:
-                x = tuple(_vars(v, lambda n: hole((n, 0))) for v in x)
-            elif role is P.SHARED:
-                x = hole((x, 0))
-            elif role in P._BINDERS:
-                for name in P._binders(role, x):
-                    bound[name] = binders
-                    binders += 1
-                x = len(x) if role in P._PARAMS else None
+                x = (x,) if role is P.ENDPOINT else x
+                x = tuple([holes.setdefault((e.name, 2 if e.dual else 1), len(holes)) for e in x])
             elif role is P.SCOPED:
-                if x.shape.symmetric and not all(n.startswith(_HIDDEN) for n in bound):
+                t = next(kids)
+                if t.shape.symmetric and not all(n.startswith(_HIDDEN) for n in bound):
                     # names ordered components under here: hide the bound
                     # ones, which every spelling of them orders alike
                     hidden = {n: f"{_HIDDEN}{j}:{next(self._serial)}" for n, j in bound.items()}
-                    x = self.subst(x, {n: P.Endpoint(h) for n, h in hidden.items()})
+                    t = self.subst(t, {n: P.Endpoint(h) for n, h in hidden.items()})
                     bound = {hidden[n]: j for n, j in bound.items()}
-                x = wire(x, bound)
+                x = _wired(t, holes, bound)
             elif role is P.OPEN:
-                x = wire(x, {})
+                x = _wired(next(kids), holes, {})
+            elif role is P.VALUE or role is P.VALUES:
+                hole = lambda n: P.VarRef(holes.setdefault((n, 0), len(holes)))
+                x = _vars(x, hole) if role is P.VALUE else tuple([_vars(v, hole) for v in x])
+            elif role is P.SHARED:
+                x = holes.setdefault((x, 0), len(holes))
+            elif role in P._BINDERS:
+                for name in P._binders(role, x):
+                    bound[name], binders = binders, binders + 1
+                x = len(x) if role in P._PARAMS else None
             elif role is P.ARMS:  # arms, and the holes they number, in label order: it carries no meaning
-                x = tuple([(label, wire(t, {})) for label, t in sorted(x, key=lambda arm: arm[0])])
+                arms = sorted(zip([label for label, _ in x], kids), key=lambda arm: arm[0])
+                x = tuple([(label, _wired(t, holes, {})) for label, t in arms])
             elif role is P.ANNOTATION:
                 x = None
             key.append(x)
-        key = tuple(key)
-        shape = self._shapes.get(key)
-        if shape is None:
-            self.misses += 1
-            shape = self._shapes[key] = Shape()
-            shape.key, shape.digest = key, _digest(key)
-            shape.base = max((k.height for k in kids), default=0)
-            shape.height = shape.base + binders
-            shape.symmetric = any(k.symmetric for k in kids)
-        else:
-            self.hits += 1
-        return Term(shape, tuple(holes))
+        return Term(self._intern(tuple(key)), tuple(holes))
 
-    def view(self, t: Term, names=None):
+    def view(self, t: Term, names=None) -> P.Process:
         """The root node of ``t``, spelled: its subterms are terms, and its
         bound names come from the iterator ``names``, or are stand-ins."""
+        return t.shape.key[0](*self._spell(t, names)[0])
+
+    def _spell(self, t: Term, names=None) -> tuple[list, list[Term]]:
+        """The fields of `view`, and the terms among them in order."""
         shape, args = t
         if names is None:
             names = (f"{_HIDDEN}{j}:{next(self._serial)}" for j in count())
-        bound: list[str] = []
-
-        def child(c: tuple[Shape, tuple[int, ...]]) -> Term:
-            return Term(c[0], tuple([args[w] if w >= 0 else (bound[(-1 - w) // 3], (-1 - w) % 3) for w in c[1]]))
-
         form, *fields = shape.key
-        out = []
+        out, bound, kids = [], [], []
         for (_, role), x in zip(P.FORMS[form].fields, fields):
             if role is P.ENDPOINT or role is P.ENDPOINTS:
                 x = tuple([P.Endpoint(args[i][0], args[i][1] == 2) for i in x])
                 x = x[0] if role is P.ENDPOINT else x
-            elif role is P.VALUE:
-                x = _vars(x, lambda i: args[i][0])
-            elif role is P.VALUES:
-                x = tuple(_vars(v, lambda i: args[i][0]) for v in x)
+            elif role is P.VALUE or role is P.VALUES:
+                var = lambda i: P.VarRef(args[i][0])
+                x = _vars(x, var) if role is P.VALUE else tuple(_vars(v, var) for v in x)
             elif role is P.SHARED:
                 x = args[x][0]
-            elif role is P.CHANNEL_BINDER or role is P.VALUE_BINDER:
-                x = next(names)
-                bound.append(x)
-            elif role in P._PARAMS:
-                x = tuple((next(names), None) for _ in range(x))
-                bound.extend(name for name, _ in x)
+            elif role in P._BINDERS:
+                spelled = [next(names) for _ in range(x if role in P._PARAMS else 1)]
+                bound += spelled
+                x = tuple((name, None) for name in spelled) if role in P._PARAMS else spelled[0]
             elif role is P.SCOPED or role is P.OPEN:
-                x = child(x)
+                x = _spelled_child(x, args, bound)
+                kids.append(x)
             elif role is P.ARMS:
-                x = tuple((label, child(c)) for label, c in x)
+                x = tuple((label, _spelled_child(c, args, bound)) for label, c in x)
+                kids += [t for _, t in x]
             out.append(x)
-        return form(*out)
+        return out, kids
 
     def head(self, t: Term) -> P.Process:
         """`view` of ``t`` with stand-in binders, viewed once per table and
@@ -289,82 +319,90 @@ class InternTable:
         them.  Renaming to names ``t`` does not use rewrites its arguments
         alone; merging names, or putting a value in, forms the result once
         per shape and pattern (see the module docstring)."""
-        args, filled = [], False
-        for name, kind in t.args:
-            r = mapping.get(name)
-            if isinstance(r, P.Endpoint):
-                args.append((r.name, 3 - kind if kind and r.dual else kind))
-            elif isinstance(r, P.VarRef):
-                args.append((r.name, kind))
-            elif r is None or kind:  # other values leave endpoint occurrences alone
-                args.append((name, kind))
-            elif P.value_var_names(r):
-                return self.term(t, mapping)
-            else:  # a value; its hole's name stays in shared occurrences
-                args.append((name, r))
-                filled = True
-        if t.shape.symmetric:
-            return self.term(t, mapping)
+        args, filled = _moved(t.args, mapping)
+        if t.shape.symmetric or filled and any(P.value_var_names(v) for v in filled):
+            return self._rebuild(t, mapping)
         if not filled and len(set(args)) == len(args):
             return Term(t.shape, tuple(args))
         index: dict[str, int] = {}
-        pattern = tuple((index.setdefault(name, len(index)), x) for name, x in args)
-        key = (t.shape, pattern)
+        key = (t.shape, tuple((index.setdefault(name, len(index)), x) for name, x in args))  # the pattern
         if key not in self._memo:
             self.memo_misses += 1
-            out = self.term(t, mapping)
+            out = self._rebuild(t, mapping)
             self._memo[key] = None if out.shape.symmetric else (out.shape, tuple((index[n], k) for n, k in out.args))
             return out
         memo = self._memo[key]
         if memo is None or memo[0].symmetric:  # names may order the result
-            return self.term(t, mapping)
+            return self._rebuild(t, mapping)
         self.memo_hits += 1
         names = list(index)
         return Term(memo[0], tuple((names[i], k) for i, k in memo[1]))
 
-    def term(self, root, mapping: dict[str, P.Replacement] | None = None) -> Term:
-        """The normal form of ``root``, a process or a term, with free names
-        replaced through ``mapping``: a `terms.fold` whose context is the
-        substitution in scope.  A term it leaves alone is kept whole.  A
-        `Par`/`New`/`Nil` spine is one node over its components, left as a
-        normal form.  Any other node, viewed if it is a term, is renamed by
-        `process.renamed`, the step of `substitute`, and interned over its
-        subterms' terms.  A process with a mapping is interned first and
-        then substituted as a term, so its restrictions, hidden, neither
-        take the mapping nor capture what it puts in."""
-        if mapping and type(root) is not Term:
-            return self.subst(self.term(root), mapping)
+    def _rebuild(self, t: Term, mapping: dict[str, P.Replacement]) -> Term:
+        """`subst` formed anew: a `terms.fold` down the terms that hold a
+        mapped name.  A child that holds none is kept whole, as its shape and
+        wiring; one that does is spelled, its parent's binders by stand-ins."""
 
-        def enter(u, ctx):
-            if type(u) is Term:
-                names = {n for n, _ in u.args}
-                m = {n: r for n, r in ctx[0].items() if n in names}
-                if not m:
-                    return None, ()
-                ctx = (m, *ctx[1:])
-                if u.shape.key[0] in _SPINE:
-                    restricted, comps = self.open(u)
-                    return set(restricted), [(c, ctx) for c in comps]
-                u = self.view(u)
-            elif type(u) in _SPINE:  # hide the restrictions once the components are done
+        def enter(u, _):
+            if type(u) is not Term or not any(n in mapping for n, _ in u.args):
+                return None, ()
+            if u.shape.key[0] in _SPINE:
+                restricted, comps = self.open(u)
+                return set(restricted), [(c, None) for c in comps]
+            kids, bound = [], []
+            for c in u.shape.children:
+                if any(w >= 0 and u.args[w][0] in mapping for w in c[1]):
+                    if not bound:
+                        bound = [f"{_HIDDEN}{j}:{next(self._serial)}" for j in range(u.shape.height - u.shape.base)]
+                    c = _spelled_child(c, u.args, bound)
+                kids.append((c, None))
+            return {name: j for j, name in enumerate(bound)}, kids
+
+        def leave(u, bound, kids: list) -> Term:
+            if type(bound) is not dict:  # a term kept whole, or a spine
+                return u if bound is None else self._nest(bound, kids)
+            args, holes, kids = u.args, {}, iter(kids)
+            moved = _moved(args, mapping)[0]
+            # an endpoint or shared occurrence keeps its name where a value comes in
+            hole = lambda i: holes.setdefault(moved[i] if type(moved[i][1]) is int else args[i], len(holes))
+            var = lambda n: P.VarRef(holes.setdefault((n, 0), len(holes)))
+            value = lambda i: _vars(P.VarRef(moved[i][0]) if type(moved[i][1]) is int else moved[i][1], var)
+            form, *fields = u.shape.key
+            key = [form]
+            for (_, role), x in zip(P.FORMS[form].fields, fields):
+                if role is P.ENDPOINT or role is P.ENDPOINTS:
+                    x = tuple([hole(i) for i in x])
+                elif role is P.SHARED:
+                    x = hole(x)
+                elif role is P.VALUE or role is P.VALUES:
+                    x = _vars(x, value) if role is P.VALUE else tuple([_vars(v, value) for v in x])
+                elif role is P.SCOPED or role is P.OPEN:
+                    x = _wired(next(kids), holes, bound, args)
+                elif role is P.ARMS:
+                    x = tuple([(label, _wired(next(kids), holes, bound, args)) for label, _ in x])
+                key.append(x)
+            return Term(self._intern(tuple(key)), tuple(holes))
+
+        return fold(t, None, enter, leave)
+
+    def term(self, root: P.Process) -> Term:
+        """The normal form of the process ``root``: a `terms.fold` that
+        interns it node by node.  A `Par`/`New`/`Nil` spine is one node over
+        its components, its restrictions hidden, left as a normal form."""
+
+        def enter(u: P.Process, _):
+            if type(u) in _SPINE:  # hide the restrictions once the components are done
                 restricted, leaves = self._spine(u)
-                return (restricted, [env for _, env in leaves]), [(q, ctx) for q, _ in leaves]
-            # a view binds only names the mapping does not hold
-            return P.renamed(u, ctx) if ctx[0] else (u, [(kid, ctx) for kid in P.subterms(u)])
+                return (restricted, [env for _, env in leaves]), [(q, None) for q, _ in leaves]
+            return None, [(kid, None) for kid in P.subterms(u)]
 
-        def leave(u, note, kids: list[Term]) -> Term:
+        def leave(u: P.Process, note, kids: list[Term]) -> Term:
             if note is None:
-                return u
-            if type(note) is set:
-                # formed anew after a substitution, a term's normal form keeps
-                # the order its restrictions were given (see `normal`)
-                return self._nest(note, kids)
-            if type(note) is tuple:
-                restricted, envs = note
-                return self.normal(restricted, [self.subst(c, env) if env else c for c, env in zip(kids, envs)])
-            return self.node(P.with_subterms(note, kids))
+                return self.node(u, kids)
+            restricted, envs = note
+            return self.normal(restricted, [self.subst(c, env) if env else c for c, env in zip(kids, envs)])
 
-        return fold(root, P.substitution(mapping or {}, {}), enter, leave)
+        return fold(root, None, enter, leave)
 
     # ----------------------------------------------------- normal forms
 
@@ -385,18 +423,17 @@ class InternTable:
         return restricted, leaves
 
     def open(self, t: Term, names=None) -> tuple[list[str], list[Term]]:
-        """The restricted names and the components of the normal form
-        ``t``; the restrictions are spelled as `view` spells binders."""
+        """The restricted names and the components of the normal form ``t``,
+        read from its keys; the restrictions are spelled as `view` spells binders."""
         restricted, comps, stack = [], [], [t]
         while stack:
             u = stack.pop()
-            v = self.view(u, names) if u.shape.key[0] in _SPINE else None
-            if type(v) is P.Par:
-                stack += [v.right, v.left]
-            elif type(v) is P.New:
-                restricted.append(v.name)
-                stack.append(v.body)
-            elif v is None:
+            form = u.shape.key[0]
+            if form is P.New:
+                restricted.append(next(names) if names is not None else f"{_HIDDEN}0:{next(self._serial)}")
+            if form is P.Par or form is P.New:  # a restriction binds in position 0
+                stack += reversed([_spelled_child(c, u.args, restricted[-1:]) for c in u.shape.children])
+            elif form is not P.Nil:
                 comps.append(u)
         return restricted, comps
 
@@ -407,7 +444,7 @@ class InternTable:
         those names are spelled by position in every order, and the least
         result is kept, so that no spelling of theirs decides."""
         if not comps:
-            return self.node(P.NIL)
+            return self.node(P.NIL, [])
         restricted = set(restricted)
         tied = [n for n in dict.fromkeys(n for c in comps if c.shape.symmetric for n, _ in c.args) if n in restricted]
         if not tied or factorial(len(tied)) > _MAX_TIE_ARRANGEMENTS:
@@ -426,9 +463,9 @@ class InternTable:
         for arranged in orders:
             body = arranged[-1]
             for c in reversed(arranged[:-1]):
-                body = self.node(P.Par(c, body))
+                body = self.node(_PAR, [c, body])
             for name in reversed(list(dict.fromkeys(n for n, _ in body.args if n in restricted))):
-                body = self.node(P.New(name, None, body))
+                body = self.node(P.New(name, None, P.NIL), [body])
             forms.append(body)
         best = min(forms, key=lambda t: _ordered(t, _spelled))
         if named or len(set(forms)) > 1:
@@ -438,16 +475,21 @@ class InternTable:
     # ------------------------------------------------------- processes
 
     def process(self, t: Term, names=None) -> P.Process:
-        """``t`` as a process.  Binders take their names from ``names``, an
-        iterator consumed in pre-order, or else `%h` after their height, so
-        that a subterm is spelled alike wherever it sits; free names that
-        look like `%h` are not avoided."""
+        """``t`` as a process, each node built once.  Binders take their
+        names from ``names``, an iterator consumed in pre-order, or else
+        `%h` after their height, so that a subterm is spelled alike wherever
+        it sits; free names that look like `%h` are not avoided."""
 
-        def enter(u: Term, _) -> tuple[P.Process, list]:
-            view = self.view(u, names if names is not None else (f"%{k}" for k in count(u.shape.base)))
-            return view, [(kid, None) for kid in P.subterms(view)]
+        def enter(u: Term, _) -> tuple[list, list]:
+            fields, kids = self._spell(u, names if names is not None else (f"%{k}" for k in count(u.shape.base)))
+            return fields, [(kid, None) for kid in kids]
 
-        return fold(t, None, enter, lambda u, view, kids: P.with_subterms(view, kids))
+        def leave(u: Term, fields: list, kids: list[P.Process]) -> P.Process:
+            kids, form = iter(kids), u.shape.key[0]
+            return form(*[next(kids) if type(x) is Term else tuple([(label, next(kids)) for label, _ in x])
+                          if role is P.ARMS else x for (_, role), x in zip(P.FORMS[form].fields, fields)])
+
+        return fold(t, None, enter, leave)
 
 
 def normalize(p: P.Process) -> P.Process:

@@ -50,7 +50,7 @@ kind via `known_channels`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 from .sessions import SessionType, _TypeParser, format_session_type
@@ -89,16 +89,17 @@ class VarRef:
 class _Compound:
     """Base of the values with subvalues.  They compare and hash as their
     constructors in pre-order, each leaf as itself (its own equality tells
-    ``VarRef(3)`` from ``NatLit(3)``), so that neither recurses."""
+    ``VarRef(3)`` from ``NatLit(3)``), a key computed once, without recursion."""
 
-    def _key(self) -> tuple:
-        return fold_value(self, lambda u: (u,), lambda a: (SucOf, *a), lambda a, b: (Pair, *a, *b))
+    _key = cached_property(
+        lambda self: fold_value(self, lambda u: (u,), lambda a: (SucOf, *a), lambda a, b: (Pair, *a, *b)))
+    _hash = cached_property(lambda self: hash(self._key))
 
     def __eq__(self, other):
-        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+        return self._key == other._key if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,19 +433,16 @@ def substitute(
     name becomes a call of the partial call's name, its arguments first.
     A binder that would capture a name the substitution brings in is renamed.
     """
-    return fold(p, substitution(mapping or {}, definitions or {}),
-                lambda q, ctx: renamed(q, ctx) if ctx[0] or ctx[1] else (q, ()),
-                lambda q, node, kids: with_subterms(node, kids) if kids else node)
-
-
-def substitution(mapping: dict, definitions: dict) -> tuple:
-    """The context `renamed` takes: the mappings, and the names they may
-    bring in, which a binder of that spelling would capture."""
+    mapping, definitions = mapping or {}, definitions or {}
+    # the context `renamed` takes: the mappings, and the names they may
+    # bring in, which a binder of that spelling would capture
     introduced = set().union(
         *((r.name,) if isinstance(r, Endpoint) else value_var_names(r) for r in mapping.values()),
         *(free_names(call).terms for call in definitions.values()),
     )
-    return mapping, definitions, introduced, {call.name for call in definitions.values()}
+    return fold(p, (mapping, definitions, introduced, {call.name for call in definitions.values()}),
+                lambda q, ctx: renamed(q, ctx) if ctx[0] or ctx[1] else (q, ()),
+                lambda q, node, kids: with_subterms(node, kids) if kids else node)
 
 
 def renamed(q: Process, ctx: tuple) -> tuple[Process, list]:

@@ -403,13 +403,13 @@ def _exchange(table: InternTable, a: P.Process, b: P.Process) -> tuple[Term, Ter
 
 def _receive(table: InternTable, head: P.Process, payload: P.Replacement) -> Term:
     """The continuation of a receiving head, the payload in its binder.  A
-    value other than a variable leaves endpoint occurrences alone (see
-    `process.substitute`), so it may not fill a binder that the
-    continuation uses as an endpoint."""
+    value other than a variable leaves endpoint and shared occurrences alone
+    (see `process.substitute`), so it may not fill a binder used as a channel."""
     args, x = head.cont.args, head.binder
-    if ((x, 1) in args or (x, 2) in args) and not isinstance(payload, (P.Endpoint, P.VarRef)):
+    if ((x, 1) in args or (x, 2) in args or (x, 0) in args and args.index((x, 0)) in head.cont.shape.shared) \
+            and not isinstance(payload, (P.Endpoint, P.VarRef)):
         raise RuntimeSafetyViolation(
-            f"receive on {head.chan} gets the value {P.format_value(payload)} for a name used as an endpoint")
+            f"receive on {head.chan} gets the value {P.format_value(payload)} for a name used as a channel")
     return table.subst(head.cont, {x: payload})
 
 

@@ -190,5 +190,5 @@ def alpha_key(p: P.Process, table: InternTable, hidden: str | None = None) -> tu
     annotations and the order of branch arms; definition names count as
     spelled, as they do in `normalize`."""
     t = fold(p, None, lambda q, _: (None, [(kid, None) for kid in P.subterms(q)]),
-             lambda q, _, kids: table.node(P.with_subterms(q, kids)))
+             lambda q, _, kids: table.node(q, kids))
     return t.shape, tuple((None if n == hidden else n, k) for n, k in t.args)

@@ -10,7 +10,7 @@ import pytest
 from effsess import process as P
 from effsess import semantics as M
 from effsess.cli import main
-from effsess.normalize import normalize
+from effsess.normalize import InternTable, normalize
 from effsess.terms import Const, Let, OpApp, Var, format_term, free_vars, parse_term, substitute
 
 N = 1500
@@ -103,6 +103,22 @@ def test_a_deep_send_over_a_received_variable_runs():
     (outcome,) = M.run(p, "all")
     assert outcome.emitted == (P.NatLit(N),)
     assert M.run(p, "one")[0].emitted == (P.NatLit(N),)
+
+
+def test_a_value_fills_a_binder_under_a_deep_prefix_chain():
+    # the receive's continuation is rebuilt down `N` binding prefixes to
+    # the one occurrence of its binder
+    chain = P.SendVal(R, P.VarRef("x"), P.NIL)
+    for _ in range(N):
+        chain = P.RecvVal(D, "y", P.SendVal(R, P.VarRef("y"), chain))
+    expected = P.format_process(normalize(P.substitute(chain, {"x": P.NatLit(5)})))
+    assert expected.endswith("r!<%0>. r!<5>")
+    table = InternTable()
+    filled = table.subst(table.term(chain), {"x": P.NatLit(5)})
+    assert P.format_process(table.process(filled)) == expected
+    p = P.New("c", None, P.Par(P.SendVal(C, P.NatLit(5), P.NIL), P.RecvVal(C.flip(), "x", chain)))
+    (outcome,) = M.run(p, "all")  # a residual spells binders in pre-order
+    assert outcome.residual.count("d?(") == N and outcome.residual.endswith(f"r!<%{N - 1}>. r!<5>")
 
 
 def test_a_suc_chain_parses_in_a_loop():

@@ -135,6 +135,25 @@ GOLDEN_REDUCED = {
     "unitR-rhs": (5, 5, "4e62cf011df8"),
 }
 
+# the shapes one `run("all")` creates in its table, and the substitutions
+# it forms anew (memo misses); frozen when substitution came to rebuild its
+# results from shape keys instead of from spelled processes, which created
+# these same counts
+SHAPE_COUNTS = {
+    "comm-lhs": (30, 1),
+    "comm-rhs": (23, 0),
+    "corpus-0": (26, 4),
+    "corpus-1": (21, 3),
+    "corpus-10": (30, 8),
+    "corpus-4": (54, 9),
+    "corpus-7": (41, 5),
+    "corpus-9": (85, 10),
+    "intro-race": (46, 11),
+    "private-worlds": (29, 4),
+    "unitR-lhs": (10, 0),
+    "unitR-rhs": (8, 0),
+}
+
 
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_golden_outcomes_and_lts_sizes(label):
@@ -152,3 +171,12 @@ def test_golden_equation_pairs_stay_bisimilar():
     for rule in ("unitR", "comm"):
         sides = [build_lts(CASES[f"{rule}-{side}"][0](), TOP_OBS, DOMAIN) for side in ("lhs", "rhs")]
         assert weak_bisimilar(*sides).equivalent
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_golden_shape_counts(label):
+    build, run_obs, _ = CASES[label]
+    system = build()
+    run(system, "all", observables=run_obs, store_reader=find_store_value)
+    table = system._configurations[run_obs].table
+    assert (table.misses, table.memo_misses) == SHAPE_COUNTS[label]

@@ -254,6 +254,8 @@ def test_memoized_substitution_agrees_with_the_rebuild(shape, beside, data):
         for n, r in mapping.items()
     }
     swapped = {n: P.NatLit(1 - r.n) if isinstance(r, P.NatLit) else r for n, r in mapping.items()}
-    # the first call forms the result, the repeated ones find it
+    # the first call forms the result, the repeated ones find it; each is
+    # checked against the term read back, substituted by the binder table's
+    # capture-avoiding `substitute`, and interned again
     for u, m in ((t, mapping), (t, mapping), (table.subst(t, respell), other), (t, swapped)):
-        assert table.subst(u, m) == table.term(u, m)
+        assert table.subst(u, m) == table.term(P.substitute(table.process(u), m))

@@ -439,6 +439,24 @@ def test_a_value_cannot_fill_a_binder_used_as_an_endpoint():
     assert outcome.emitted == (NatLit(1),) and _HIDDEN not in outcome.residual
 
 
+def test_a_value_cannot_fill_a_binder_used_as_a_shared_name():
+    # nor does a literal rename shared occurrences: the residual would
+    # accept or request on the binder's hidden stand-in
+    for prefix in ("accept", "request"):
+        p = parse_process(f"new c. (c!<0> | ~c?(x). {prefix} x(y). y!<1>)")
+        assert isinstance(p.body.right, RecvVal)
+        for mode in ("one", "all"):
+            with pytest.raises(RuntimeSafetyViolation, match="receive on"):
+                run(p, mode, observables=frozenset())
+        # under another prefix and a binder, as an input from outside
+        q = parse_process(f"c?(x). d!<1>. e?(z). {prefix} x(y). y!<z>")
+        with pytest.raises(RuntimeSafetyViolation, match="receive on c"):
+            build_lts(q, frozenset({"c", "d", "e"}))
+        # a variable still renames the binder
+        (outcome,) = run(parse_process(f"new c. (c!<k> | ~c?(x). {prefix} x(y). 0)"), "all", observables=frozenset())
+        assert outcome.residual == f"{prefix} k(%0)"
+
+
 def test_fuel_counts_folded_steps():
     chain = _idle_and_pair(0, messages=6)  # one eligible chain of six steps
     for mode in ("one", "all"):
