@@ -6,9 +6,11 @@ exhausted, state cap exceeded, runtime safety violation, an LTS left
 partial by its fuel, or a program nested too deeply for Python's recursion
 limit (kinds ``fuel``, ``state-cap``, ``runtime-safety``, ``partial-lts``
 and ``depth``).  ``--json`` switches every subcommand to versioned
-machine-readable records (schema 1); an exit code 3 prints
-``{"schema": 1, "ok": false, "kind": ..., "error": ...}``, and otherwise a
-``no answer (kind): ...`` line on stderr.
+machine-readable records (schema 1), one emitter writing them all: a type
+error prints ``{"schema": 1, "ok": false, "error": ..., "kind": ...}``, and
+an exit code 3 ``{"schema": 1, "ok": false, "kind": ..., "error": ...}``.
+Without it, a type error of `translate`, `run` or `equiv` and a ``no answer
+(kind): ...`` line go to stderr.
 """
 
 from __future__ import annotations
@@ -51,53 +53,43 @@ def _json_value(v: P.Value):
     return P.format_value(v)
 
 
+def _emit(args, record: dict, text: str, err: bool = False) -> None:
+    """Print one result: with ``--json`` the versioned ``record``, or else
+    ``text``, on stderr if ``err``."""
+    if args.json:
+        print(json.dumps({"schema": SCHEMA, **record}))
+    else:
+        print(text, file=sys.stderr if err else sys.stdout)
+
+
 def cmd_check(args) -> int:
     prog = parse_program(_read(args.file))
-    try:
-        tau, eff = infer({}, prog.store_type, prog.root)
-    except EffectTypeError as exc:
-        if args.json:
-            print(json.dumps({"schema": SCHEMA, "ok": False, "error": str(exc), "kind": exc.kind}))
-        else:
-            print(f"type error: {exc}")
-        return 1
-    if args.json:
-        print(json.dumps({"schema": SCHEMA, "ok": True, "type": str(tau), "effect": format_effect(eff)}))
-    else:
-        print(f"{tau}, {format_effect(eff)}")
+    tau, eff = infer({}, prog.store_type, prog.root)
+    _emit(args, {"ok": True, "type": str(tau), "effect": format_effect(eff)}, f"{tau}, {format_effect(eff)}")
     return 0
 
 
-def render_translation(result: embedding.EmbeddingResult) -> str:
-    lines = []
-    for name, tau in sorted(result.gamma.items()):
-        lines.append(f"-- gamma {name} : {tau}")
+def _translation(result: embedding.EmbeddingResult, process: str) -> str:
+    """A translation's `-- gamma` and `-- delta` lines, then ``process``, its text."""
+    lines = [f"-- gamma {name} : {tau}" for name, tau in sorted(result.gamma.items())]
     for ep, session in sorted(result.delta.items(), key=lambda kv: str(kv[0])):
         lines.append(f"-- delta {ep} : {S.format_session_type(session)}")
-    lines.append(P.format_process(result.process))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + [process])
+
+
+def render_translation(result: embedding.EmbeddingResult) -> str:
+    return _translation(result, P.format_process(result.process)) + "\n"
 
 
 def cmd_translate(args) -> int:
-    prog = parse_program(_read(args.file))
-    try:
-        result = embedding.embed_top(prog, optimize=args.optimize)
-    except EffectTypeError as exc:
-        print(f"type error: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "process": P.format_process(result.process),
-                    "delta": {str(ep): S.format_session_type(s) for ep, s in result.delta.items()},
-                    "gamma": {name: str(t) for name, t in result.gamma.items()},
-                }
-            )
-        )
-    else:
-        sys.stdout.write(render_translation(result))
+    result = embedding.embed_top(parse_program(_read(args.file)), optimize=args.optimize)
+    process = P.format_process(result.process)
+    record = {
+        "process": process,
+        "delta": {str(ep): S.format_session_type(s) for ep, s in result.delta.items()},
+        "gamma": {name: str(t) for name, t in result.gamma.items()},
+    }
+    _emit(args, record, _translation(result, process))
     return 0
 
 
@@ -132,29 +124,14 @@ def parse_translation(text: str) -> tuple[ProcEnv, dict[P.Endpoint, S.SessionTyp
 
 
 def cmd_pi_check(args) -> int:
-    env, delta, proc = parse_translation(_read(args.file))
-    try:
-        session_check(env, delta, proc)
-    except SessionTypeError as exc:
-        if args.json:
-            print(json.dumps({"schema": SCHEMA, "ok": False, "kind": exc.kind, "error": str(exc)}))
-        else:
-            print(f"session type error ({exc.kind}): {exc}")
-        return 1
-    if args.json:
-        print(json.dumps({"schema": SCHEMA, "ok": True}))
-    else:
-        print("OK")
+    session_check(*parse_translation(_read(args.file)))
+    _emit(args, {"ok": True}, "OK")
     return 0
 
 
 def cmd_run(args) -> int:
     prog = parse_program(_read(args.file))
-    try:
-        result = embedding.embed_top(prog, optimize=args.optimize, send_stop=args.send_stop)
-    except EffectTypeError as exc:
-        print(f"type error: {exc}", file=sys.stderr)
-        return 1
+    result = embedding.embed_top(prog, optimize=args.optimize, send_stop=args.send_stop)
     system = embedding.compose_with_store(
         result, embedding.initial_store_value(prog), prog.store_type
     )
@@ -174,12 +151,9 @@ def cmd_run(args) -> int:
         }
         if outcome.store is not None:
             record["store"] = _json_value(outcome.store)
-        if args.json:
-            print(json.dumps({"schema": SCHEMA, **record}))
-        else:
-            store = "" if outcome.store is None else f" store={_json_value(outcome.store)}"
-            values = ", ".join(P.format_value(v) for v in outcome.emitted)
-            print(f"result=[{values}]{store} steps={outcome.steps} residual={record['residual_hash']}")
+        store = "" if outcome.store is None else f" store={record['store']}"
+        values = ", ".join(P.format_value(v) for v in outcome.emitted)
+        _emit(args, record, f"result=[{values}]{store} steps={outcome.steps} residual={record['residual_hash']}")
     return 0
 
 
@@ -194,21 +168,9 @@ def cmd_equiv(args) -> int:
             equivalence.build_lts(result.process, observables, domain, fuel=args.fuel)
         )
     verdict = equivalence.weak_bisimilar(ltss[0], ltss[1])
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "bisimilar": verdict.equivalent,
-                    "trace": verdict.formatted_trace() or None,
-                }
-            )
-        )
-    else:
-        print("BISIMILAR" if verdict.equivalent else "NOT BISIMILAR")
-        if not verdict.equivalent:
-            for line in verdict.formatted_trace():
-                print(f"  {line}")
+    trace = verdict.formatted_trace()
+    text = "\n".join(["BISIMILAR" if verdict.equivalent else "NOT BISIMILAR"] + [f"  {line}" for line in trace])
+    _emit(args, {"bisimilar": verdict.equivalent, "trace": trace or None}, text)
     return 0 if verdict.equivalent else 1
 
 
@@ -269,12 +231,15 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"cannot read {exc.filename}", file=sys.stderr)
         return 2
+    except EffectTypeError as exc:  # the answer of `check`; `translate`, `run` and `equiv` stop at it
+        _emit(args, {"ok": False, "error": str(exc), "kind": exc.kind}, f"type error: {exc}", args.func is not cmd_check)
+        return 1
+    except SessionTypeError as exc:  # the answer of `pi-check`
+        _emit(args, {"ok": False, "kind": exc.kind, "error": str(exc)}, f"session type error ({exc.kind}): {exc}")
+        return 1
     except tuple(_NO_ANSWER_KINDS) as exc:
         kind = _NO_ANSWER_KINDS[type(exc)]
-        if args.json:
-            print(json.dumps({"schema": SCHEMA, "ok": False, "kind": kind, "error": str(exc)}))
-        else:
-            print(f"no answer ({kind}): {exc}", file=sys.stderr)
+        _emit(args, {"ok": False, "kind": kind, "error": str(exc)}, f"no answer ({kind}): {exc}", True)
         return NO_ANSWER
 
 

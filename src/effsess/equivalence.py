@@ -56,36 +56,25 @@ def build_lts(
     index: dict[tuple, int] = {initial.key: 0}
     configs, depths = [initial], [steps]
     edges: list[dict[M.TransitionLabel, frozenset[int]]] = []
-    frontier = [0]
     partial = False
     folded = steps
-    while frontier:
-        next_frontier: list[int] = []
-        for state in frontier:
-            while len(edges) <= state:
-                edges.append({})
-            depth = depths[state]
-            if depth >= fuel:
-                partial = True
-                continue
-            out: dict[M.TransitionLabel, set[int]] = {}
-            for label, target in M.transitions(configs[state], value_domain):
+    while len(edges) < len(configs):  # states are expanded in the order found
+        depth, out = depths[len(edges)], {}
+        if depth >= fuel:
+            partial = True
+        else:
+            for label, target in M.transitions(configs[len(edges)], value_domain):
                 target, steps = M.fold_chain(target, depth + 1, fuel)
                 folded += steps - depth - 1
                 tid = index.get(target.key)
                 if tid is None:
                     if len(configs) >= cap:
                         raise M.StateCapExceeded(f"more than {cap} states in the LTS")
-                    tid = len(configs)
-                    index[target.key] = tid
+                    tid = index[target.key] = len(configs)
                     configs.append(target)
                     depths.append(steps)
-                    next_frontier.append(tid)
                 out.setdefault(label, set()).add(tid)
-            edges[state] = {label: frozenset(ts) for label, ts in out.items()}
-        frontier = next_frontier
-    while len(edges) < len(configs):
-        edges.append({})
+        edges.append({label: frozenset(ts) for label, ts in out.items()})
     return LTS(0, edges, [c.key for c in configs], observables, partial, folded)
 
 
@@ -187,20 +176,24 @@ def weak_bisimilar(a: LTS, b: LTS, weak: bool = True) -> BisimResult:
                 return rnd
         return len(history)
 
-    def explain(s: int, t: int) -> list[M.TransitionLabel]:
-        rnd = first_diff_round(s, t)
-        prev = history[rnd - 1]
+    def unmatched(s: int, t: int):
+        """A move of ``s`` or ``t`` that the other cannot match in the round
+        before they split: its label, its target, and the other's moves."""
+        prev = history[first_diff_round(s, t) - 1]
         for who, them in ((s, t), (t, s)):
             for label in labels:
+                candidates = weak_succ[them].get(label, frozenset())
                 for s2 in weak_succ[who].get(label, frozenset()):
-                    candidates = weak_succ[them].get(label, frozenset())
-                    matching = [t2 for t2 in candidates if prev[t2] == prev[s2]]
-                    if matching:
-                        continue
-                    if not candidates:
-                        return [label]
-                    best = min(candidates, key=lambda t2: first_diff_round(s2, t2))
-                    return [label] + explain(s2, best)
-        return []
+                    if all(prev[t2] != prev[s2] for t2 in candidates):
+                        return label, s2, candidates
+        return None
 
-    return BisimResult(False, explain(init_a, init_b))
+    # follow unmatched moves, each to the pair that splits earliest, in a loop
+    trace, s, t = [], init_a, init_b
+    while (move := unmatched(s, t)) is not None:
+        label, s, candidates = move
+        trace.append(label)
+        if not candidates:
+            break
+        t = min(candidates, key=lambda t2: first_diff_round(s, t2))
+    return BisimResult(False, trace)

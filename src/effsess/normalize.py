@@ -3,7 +3,9 @@
 A normal form flattens parallel composition, drops nil and unused
 restrictions, hoists restrictions to the top of their parallel context,
 sorts the components and drops type annotations.  Congruent inputs, alpha
-variants included, have one normal form.
+variants included, have one normal form.  Definition names count as
+spelled, as free names do: `def X` and `def Y` variants keep their names,
+and their normal forms differ.
 
 An `InternTable` holds each distinct node once, as a `Shape`: its
 constructor and fields with no name spelled.  A free name is a hole,
@@ -36,7 +38,10 @@ name of a symmetric term rebuilds it, a binder above it hides its names
 and a normal form whose restrictions such a component uses tries every
 order of them (`InternTable.normal`).  So no spelling of a bound name
 decides an order, except that a normal form formed again after a
-substitution keeps the order its restrictions were given.
+substitution keeps the order its restrictions were given.  A value or a
+merge of names can tie components that only the binders above them order,
+innermost first, as `term` hides them: a rebuild that meets such a tie is
+formed again as `term` forms it, from the process read back.
 
 Putting a value in, or merging two names, changes a term's shape, and
 `InternTable.subst` forms each such result once per table.  Its memo maps
@@ -218,6 +223,7 @@ class InternTable:
         self.hits = self.misses = 0
         self.memo_hits = self.memo_misses = 0
         self.view_hits = self.view_misses = 0
+        self._ties = 0  # spines `_nest` formed where names left components tied
 
     # ------------------------------------------------------------ nodes
 
@@ -269,10 +275,10 @@ class InternTable:
             key.append(x)
         return Term(self._intern(tuple(key)), tuple(holes))
 
-    def view(self, t: Term, names=None) -> P.Process:
+    def view(self, t: Term) -> P.Process:
         """The root node of ``t``, spelled: its subterms are terms, and its
-        bound names come from the iterator ``names``, or are stand-ins."""
-        return t.shape.key[0](*self._spell(t, names)[0])
+        bound names are stand-ins."""
+        return t.shape.key[0](*self._spell(t)[0])
 
     def _spell(self, t: Term, names=None) -> tuple[list, list[Term]]:
         """The fields of `view`, and the terms among them in order."""
@@ -383,7 +389,15 @@ class InternTable:
                 key.append(x)
             return Term(self._intern(tuple(key)), tuple(holes))
 
-        return fold(t, None, enter, leave)
+        ties = self._ties
+        out = fold(t, None, enter, leave)
+        if self._ties > ties:
+            args, filled = _moved(t.args, mapping)
+            if filled or len({n for n, _ in args}) < len({n for n, _ in t.args}):
+                # a value or a merge tied components that only the binders
+                # over them order, innermost first: formed as `term` forms it
+                return self.term(P.substitute(self.process(t), mapping))
+        return out
 
     def term(self, root: P.Process) -> Term:
         """The normal form of the process ``root``: a `terms.fold` that
@@ -467,7 +481,10 @@ class InternTable:
             for name in reversed(list(dict.fromkeys(n for n, _ in body.args if n in restricted))):
                 body = self.node(P.New(name, None, P.NIL), [body])
             forms.append(body)
-        best = min(forms, key=lambda t: _ordered(t, _spelled))
+        keys = [_ordered(t, _spelled) for t in forms]
+        least = min(keys)
+        best = forms[keys.index(least)]
+        self._ties += len({t for t, k in zip(forms, keys) if k == least}) > 1
         if named or len(set(forms)) > 1:
             best.shape.symmetric = True
         return best

@@ -190,18 +190,6 @@ class Configuration:
     def key(self) -> tuple:
         return self.ordered[0]
 
-    def all_names(self) -> set[str]:
-        """Names a fresh name must avoid: the live restricted and observable
-        names, the definitions, and the free names of the components and of
-        the definition bodies."""
-        names = set(self.ordered[2]) | self.observables
-        for comp in self.components:
-            names.update(name for name, _ in comp.args)
-        for name, (_, _, body) in self.defs:
-            names.add(name)
-            names.update(n for n, _ in body.args)
-        return names
-
     def residual_process(self) -> P.Process:
         """The configuration as a process, in key order: restrictions are
         spelled `#k` by first occurrence, and binders `%k` in pre-order
@@ -271,16 +259,23 @@ def _assemble(
     return Configuration(tuple(restricted), kept + tuple(flat), defs, observables, table)
 
 
-def _fresh(restricted, groups, defs, observables: frozenset[str]) -> Iterator[str]:
-    """The names ``#k`` that no restriction, observable, definition or
-    component in ``groups`` uses, gathered on the first draw: a step that
-    surfaces no restriction gathers none."""
+def _taken(restricted, groups, defs, observables: frozenset[str]) -> set[str]:
+    """The names a fresh name must avoid: the restrictions and observables,
+    the definitions and the free names of their bodies, and the free names
+    of the components in ``groups``."""
     taken = {*restricted, *observables}
     for name, (_, _, body) in defs:
         taken.add(name)
         taken.update(n for n, _ in body.args)
     for term in (t for group in groups for t in group):
         taken.update(name for name, _ in term.args)
+    return taken
+
+
+def _fresh(restricted, groups, defs, observables: frozenset[str]) -> Iterator[str]:
+    """The names ``#k`` that are not `_taken`, gathered on the first draw: a
+    step that surfaces no restriction gathers none."""
+    taken = _taken(restricted, groups, defs, observables)
     yield from (name for name in (f"#{k}" for k in count()) if name not in taken)
 
 
@@ -370,26 +365,17 @@ _ACTIVE_HEADS = (*_SEND_HEADS, P.Select)  # the side that counts a synchronizati
 
 
 def _sync_mismatch(a: P.Process, b: P.Process) -> str | None:
-    """A reason string when two dual heads cannot synchronize safely."""
-    if isinstance(a, _SEND_HEADS):
-        if isinstance(b, _RECV_HEADS):
-            return None
-        return f"send on {a.chan} meets {type(b).__name__}"
-    if isinstance(a, _RECV_HEADS):
-        if isinstance(b, _SEND_HEADS):
-            return None
-        return f"receive on {a.chan} meets {type(b).__name__}"
+    """A reason string when the send or select ``a`` cannot synchronize
+    safely with the head ``b`` on the dual endpoint."""
     if isinstance(a, P.Select):
-        if isinstance(b, P.Branch):
-            if b.get(a.label) is None:
-                return f"selected label {a.label} is not offered on {b.chan}"
-            return None
-        return f"select on {a.chan} meets {type(b).__name__}"
-    if isinstance(a, P.Branch):
-        if isinstance(b, P.Select):
-            return _sync_mismatch(b, a)
-        return f"branch on {a.chan} meets {type(b).__name__}"
-    return f"{type(a).__name__} meets {type(b).__name__}"
+        if not isinstance(b, P.Branch):
+            return f"select on {a.chan} meets {type(b).__name__}"
+        if b.get(a.label) is None:
+            return f"selected label {a.label} is not offered on {b.chan}"
+        return None
+    if isinstance(b, _RECV_HEADS):
+        return None
+    return f"send on {a.chan} meets {type(b).__name__}"
 
 
 def _exchange(table: InternTable, a: P.Process, b: P.Process) -> tuple[Term, Term]:
@@ -441,7 +427,7 @@ def transitions(
         """The first ``template.format(k)`` that is no name of ``cfg``; the
         names are gathered once per call."""
         if not taken:
-            taken.update(cfg.all_names())
+            taken.update(_taken(live, (comps,), cfg.defs, cfg.observables))
         k = 0
         while template.format(k) in taken:
             k += 1
@@ -569,6 +555,8 @@ def _eligible_step(cfg: Configuration) -> Configuration | None:
         a, b = table.head(comps[i]), table.head(comps[j])
         if isinstance(b, _ACTIVE_HEADS):
             a, b = b, a
+        elif not isinstance(a, _ACTIVE_HEADS):  # two passive heads: no step
+            continue
         if _sync_mismatch(a, b) is not None:
             continue
         conts = _exchange(table, a, b)
@@ -648,7 +636,6 @@ def run(
     fuel: int = 10_000,
     cap: int = 100_000,
     observables: frozenset[str] = frozenset({"r"}),
-    value_domain: tuple[P.Value, ...] = (P.NatLit(0), P.NatLit(1)),
     store_reader=None,
 ) -> tuple[Outcome, ...]:
     """Execute to quiescence; internal steps are taus, shared-channel
@@ -679,11 +666,8 @@ def run(
         return Outcome(emitted, store, P.format_process(cfg.residual_process()), steps)
 
     def steps_of(cfg: Configuration) -> list[tuple[TransitionLabel, Configuration]]:
-        return [
-            (label, target)
-            for label, target in transitions(cfg, value_domain)
-            if _executable(label, observables)
-        ]
+        # an execution takes no input, so no input value is offered
+        return [(label, target) for label, target in transitions(cfg, ()) if _executable(label, observables)]
 
     if mode == "one":
         rng = random.Random(seed)

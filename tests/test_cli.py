@@ -257,3 +257,93 @@ def test_deep_program_json_record(deep, capsys, monkeypatch):
     assert main(["--json", "check", deep]) == 3
     record = json.loads(capsys.readouterr().out.strip())
     assert record["schema"] == 1 and record["ok"] is False and record["kind"] == "depth"
+
+
+# Every command's output, frozen: each command and mode, answering or not.
+_PROGRAMS = {
+    "sample.eff": SAMPLE,
+    "bad.eff": "store nat init 0\nsuc get\n",
+    "unparsed.eff": "store nat init 0\nput\n",
+    "let.eff": "store nat init 0\nlet x = get in x\n",
+    "get.eff": "store nat init 0\nget\n",
+    "put0.eff": "store nat init 0\nput zero\n",
+    "put1.eff": "store nat init 0\nput (suc zero)\n",
+}
+_SAMPLE_DELTA = "+{get: ?[nat]. +{put: ![nat]. end}}"
+_SAMPLE_PROCESS = (
+    "new ei: ?[+{get: ?[nat]. +{put: ![nat]. end}}]. end. new eo: ?[end]. end. (new q: ![nat]. end. "
+    "new ea: ?[+{put: ![nat]. end}]. end. (ei?(c). c <+ get. c?(x1). q!<x1>. ~ea!<c> | ~q?(x). "
+    "new q1: ![nat]. end. (new q2: ![nat]. end. (q2!<x> | ~q2?(x3). q1!<suc x3>) | ea?(c1). ~q1?(x2). "
+    "c1 <+ put. c1!<x2>. r!<unit>. ~eo!<c1>)) | ~ei!<eff>. eo?(c2))"
+)
+_SAMPLE_TRANSLATION = f"-- delta eff : {_SAMPLE_DELTA}\n-- delta r : ![unit]. end\n{_SAMPLE_PROCESS}\n"
+_TYPE_ERROR = "argument of suc must be pure, but get has effect [G nat]"
+_SAMPLE_RUN = '{"schema": 1, "result_values": ["unit"], "residual_hash": "3425f5ea34ec", "steps": 14, "store": 1}\n'
+
+FROZEN_OUTPUTS = [
+    # argv, exit code, stdout, stderr
+    (["check", "sample.eff"], 0, "unit, [G nat, P nat]\n", ""),
+    (["check", "bad.eff"], 1, f"type error: {_TYPE_ERROR}\n", ""),
+    (["check", "unparsed.eff"], 2, "", "parse error: 2:1: put requires an argument\n"),
+    (["translate", "sample.eff"], 0, _SAMPLE_TRANSLATION, ""),
+    (["translate", "bad.eff"], 1, "", f"type error: {_TYPE_ERROR}\n"),
+    (["pi-check", "sample.pi"], 0, "OK\n", ""),
+    (["pi-check", "tampered.pi"], 1, "session type error (shape): c selects but its type is end\n", ""),
+    (["equiv", "let.eff", "get.eff"], 0, "BISIMILAR\n", ""),
+    (["equiv", "put0.eff", "put1.eff"], 1, "NOT BISIMILAR\n  eff<+put\n  eff!<0>\n", ""),
+    (["equiv", "let.eff", "let.eff", "--fuel", "2"], 3, "",
+     "no answer (partial-lts): bisimulation requires complete transition systems\n"),
+    (["run", "sample.eff"], 0, "result=[unit] store=1 steps=14 residual=3425f5ea34ec\n", ""),
+    (["run", "sample.eff", "--all-schedules", "--send-stop"], 0, "result=[unit] steps=15 residual=5feceb66ffc8\n", ""),
+    (["run", "bad.eff"], 1, "", f"type error: {_TYPE_ERROR}\n"),
+    (["run", "sample.eff", "--fuel", "3"], 3, "", "no answer (fuel): no quiescence within 3 steps\n"),
+    (["--json", "check", "sample.eff"], 0, '{"schema": 1, "ok": true, "type": "unit", "effect": "[G nat, P nat]"}\n', ""),
+    (["--json", "check", "bad.eff"], 1,
+     f'{{"schema": 1, "ok": false, "error": "{_TYPE_ERROR}", "kind": "impure-argument"}}\n', ""),
+    (["--json", "check", "unparsed.eff"], 2, "", "parse error: 2:1: put requires an argument\n"),
+    (["--json", "translate", "sample.eff"], 0,
+     f'{{"schema": 1, "process": "{_SAMPLE_PROCESS}", "delta": {{"r": "![unit]. end", "eff": "{_SAMPLE_DELTA}"}}, '
+     '"gamma": {}}\n', ""),
+    (["--json", "pi-check", "sample.pi"], 0, '{"schema": 1, "ok": true}\n', ""),
+    (["--json", "pi-check", "tampered.pi"], 1,
+     '{"schema": 1, "ok": false, "kind": "shape", "error": "c selects but its type is end"}\n', ""),
+    (["--json", "equiv", "let.eff", "get.eff"], 0, '{"schema": 1, "bisimilar": true, "trace": null}\n', ""),
+    (["--json", "equiv", "put0.eff", "put1.eff"], 1,
+     '{"schema": 1, "bisimilar": false, "trace": ["eff<+put", "eff!<0>"]}\n', ""),
+    (["--json", "equiv", "let.eff", "let.eff", "--fuel", "2"], 3,
+     '{"schema": 1, "ok": false, "kind": "partial-lts", "error": "bisimulation requires complete transition systems"}\n',
+     ""),
+    (["--json", "run", "sample.eff"], 0, _SAMPLE_RUN, ""),
+    (["--json", "run", "sample.eff", "--all-schedules"], 0, _SAMPLE_RUN, ""),
+    (["--json", "run", "sample.eff", "--fuel", "3"], 3,
+     '{"schema": 1, "ok": false, "kind": "fuel", "error": "no quiescence within 3 steps"}\n', ""),
+]
+
+
+@pytest.fixture
+def programs(tmp_path, monkeypatch):
+    for name, text in _PROGRAMS.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "sample.pi").write_text(_SAMPLE_TRANSLATION)
+    (tmp_path / "tampered.pi").write_text(_SAMPLE_TRANSLATION.replace(_SAMPLE_DELTA, "end"))
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv, code, out, err", FROZEN_OUTPUTS, ids=[" ".join(case[0]) for case in FROZEN_OUTPUTS])
+def test_frozen_output(programs, capsys, argv, code, out, err):
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("command", [["check"], ["translate"], ["run"], ["equiv", "get.eff"]])
+def test_json_type_error_is_a_record(programs, capsys, command):
+    # every command that infers a type reports a type error as `check` does
+    assert main(["--json", command[0], "bad.eff", *command[1:]]) == 1
+    record = f'{{"schema": 1, "ok": false, "error": "{_TYPE_ERROR}", "kind": "impure-argument"}}\n'
+    assert capsys.readouterr() == (record, "")
+
+
+def test_equiv_type_error_is_reported(programs, capsys):
+    # on stderr, as `translate` and `run` report theirs
+    assert main(["equiv", "bad.eff", "get.eff"]) == 1
+    assert capsys.readouterr() == ("", f"type error: {_TYPE_ERROR}\n")

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -166,3 +167,24 @@ def test_step_that_drops_a_received_name_is_not_folded():
     )))
     full, reduced = full_lts(p, {"ei", "eo"}), build_lts(p, {"ei", "eo"})
     assert weak_bisimilar(full, reduced).equivalent
+
+
+def test_a_trace_longer_than_the_recursion_limit():
+    # r!<0>. ... r!<0>. r!<b> for b = 0 and 1: only the last of 300 outputs
+    # tells them apart, so the witness is 300 labels long
+    from effsess.process import NIL, SendVal
+
+    ltss = []
+    for last in (0, 1):
+        p = SendVal(Endpoint("r"), NatLit(last), NIL)
+        for _ in range(299):
+            p = SendVal(Endpoint("r"), NatLit(0), p)
+        ltss.append(build_lts(p, {"r"}))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        result = weak_bisimilar(*ltss)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not result.equivalent
+    assert result.formatted_trace() == ["r!<0>"] * 300

@@ -259,3 +259,23 @@ def test_memoized_substitution_agrees_with_the_rebuild(shape, beside, data):
     # capture-avoiding `substitute`, and interned again
     for u, m in ((t, mapping), (t, mapping), (table.subst(t, respell), other), (t, swapped)):
         assert table.subst(u, m) == table.term(P.substitute(table.process(u), m))
+
+
+# def D(v0; ) = def D(v1; ) = (D<a; v0> | D<b; v1>) in 0 in 0: once a and b
+# become one value or one name, the two calls tie, and only the binders
+# over them order them
+NESTED_TIE = ("def", ("def", ("par", ("call", ("free", 0), ("bound", 1)), ("call", ("free", 1), ("bound", 0))), ("nil",)), ("nil",))
+
+
+def test_a_substitution_that_ties_components_under_nested_binders_agrees_with_the_rebuild():
+    processes = [build(NESTED_TIE, spell) for spell in (plain, tricky, clashing)]
+    # calls of two shapes, which one value makes one
+    processes.append(P.parse_process("def D(v0; ) = def D(v1; ) = (D<0; v0> | D<a; v1>) in 0 in 0"))
+    for p in processes:
+        for x, y in (("a", "b"), ("b", "a"), ("z1", "z0"), ("c", "d")):
+            q = P.substitute(p, {"a": P.VarRef(x), "b": P.VarRef(y)})
+            for target in (P.NatLit(0), P.VarRef("e")):
+                table = InternTable()
+                t = table.term(q)
+                m = {n: target for n, _ in t.args}
+                assert table.subst(t, m) == table.term(P.substitute(table.process(t), m)), (P.format_process(q), m)

@@ -625,3 +625,46 @@ def test_build_lts_after_run_matches_a_fresh_system():
         run(p, "all", observables=observables)
         warm, fresh = build_lts(p, observables), build_lts(compose(), observables)
         assert (warm.keys, warm.edges, warm.n_states) == (fresh.keys, fresh.edges, fresh.n_states)
+
+
+def test_a_sent_restricted_name_is_extruded():
+    # r!<c> sends the restricted c: it leaves as the first fresh name @0,
+    # which the other component then receives on from outside
+    lts = build_lts(parse_process("new c. (r!<c> | ~c?(x). r!<x>)"), {"r"})
+    edges = [{format_label(l): sorted(ts) for l, ts in out.items()} for out in lts.edges]
+    assert edges == [{"r!<@0>": [1]}, {"~@0?(0)": [2], "~@0?(1)": [3]}, {"r!<0>": [4]}, {"r!<1>": [4]}, {}]
+    assert lts.folded == 0
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("new c. (c <+ m | ~c >> {l: 0})", "selected label m is not offered on ~#0"),
+        ("new c. (c <+ l | ~c?(y))", "select on #0 meets RecvVal"),
+        ("new c. (~c?(y) | c <+ l)", "select on #0 meets RecvVal"),  # the select listed second
+    ],
+)
+def test_a_select_its_partner_cannot_take_is_a_violation(text, reason):
+    p = parse_process(text)
+    cfg = make_configuration(p)
+    assert M.fold_chain(cfg, 0, 100)[1] == 0
+    with pytest.raises(RuntimeSafetyViolation, match=reason):
+        transitions(cfg)
+    with pytest.raises(RuntimeSafetyViolation, match=reason):
+        build_lts(p, frozenset())
+    for mode in ("one", "all"):
+        with pytest.raises(RuntimeSafetyViolation, match=reason):
+            run(p, mode, observables=frozenset())
+
+
+@pytest.mark.parametrize("text", ["new c. (c?(x) | ~c?(y))", "new c. (c >> {l: 0} | ~c?(y))"])
+def test_two_passive_ends_are_stuck(text):
+    # neither end sends or selects: no step, no violation, nothing folded
+    p = parse_process(text)
+    cfg = make_configuration(p)
+    assert transitions(cfg) == []
+    assert M.fold_chain(cfg, 0, 100) == (cfg, 0)
+    lts = build_lts(p, frozenset())
+    assert (lts.n_states, lts.edges, lts.folded) == (1, [{}], 0)
+    (outcome,) = run(p, "all", observables=frozenset())
+    assert outcome.steps == 0 and outcome.residual.startswith("new #0. ")

@@ -355,3 +355,33 @@ def test_deep_recursive_type_checks_at_default_recursion_limit():
         sys.setrecursionlimit(limit)
     assert exc.value.kind == "leftover"
     assert str(exc.value).startswith("endpoint c still owes mu a. ![nat]. ")
+
+
+@pytest.mark.parametrize(
+    "text, plain",
+    [
+        # a branch on c gives c a branch type, an unused arm `end`
+        ("new c. (c >> {l: c!<0>, m: 0} | ~c <+ l. ~c?(y))", "&{l: ![nat]. end, m: end}"),
+        # a branch elsewhere whose arms use c alike, or not at all
+        ("new c. (d >> {l: c!<0>, m: c!<1>} | ~c?(y))", "![nat]. end"),
+        ("new c. (d >> {l: 0, m: 0} | c!<0> | ~c?(y))", "![nat]. end"),
+    ],
+)
+def test_restriction_synthesis_through_a_branch(text, plain):
+    from effsess.session_check import _synthesize
+    from effsess.sessions import format_session_type
+
+    p = parse_process(text, known_channels={"d"})
+    eps = (Endpoint("c"), Endpoint("c", True))
+    types = _synthesize({}, {}, {}, eps, p.body)
+    assert [format_session_type(s) for s in types] == [plain, format_session_type(dual(parse_session_type(plain)))]
+    delta = {Endpoint("d"): parse_session_type("&{l: end, m: end}")} if "d >>" in text else {}
+    session_check(ProcEnv(), delta, p)
+
+
+@pytest.mark.parametrize("arm", ["0", "c <+ l"])
+def test_restriction_synthesis_through_disagreeing_arms_needs_an_annotation(arm):
+    p = parse_process(f"new c. (d >> {{l: c!<0>, m: {arm}}} | ~c?(y))", known_channels={"d"})
+    with pytest.raises(SessionTypeError) as exc:
+        session_check(ProcEnv(), {Endpoint("d"): parse_session_type("&{l: end, m: end}")}, p)
+    assert exc.value.kind == "annotation"
