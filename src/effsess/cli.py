@@ -8,9 +8,13 @@ limit (kinds ``fuel``, ``state-cap``, ``runtime-safety``, ``partial-lts``
 and ``depth``).  ``--json`` switches every subcommand to versioned
 machine-readable records (schema 1), one emitter writing them all: a type
 error prints ``{"schema": 1, "ok": false, "error": ..., "kind": ...}``, and
-an exit code 3 ``{"schema": 1, "ok": false, "kind": ..., "error": ...}``.
-Without it, a type error of `translate`, `run` or `equiv` and a ``no answer
-(kind): ...`` line go to stderr.
+a parse error, a file that cannot be read (both exit 2) and an exit code 3
+``{"schema": 1, "ok": false, "kind": ..., "error": ...}``, with kind
+``parse`` or ``read`` for the first two.  Without it, a type error of
+`translate`, `run` or `equiv`, a parse or read error and a ``no answer
+(kind): ...`` line go to stderr.  A usage error (an unknown subcommand or
+option, a missing argument, a fuel that is not positive) is argparse's:
+text on stderr, exit 2, in either mode.
 """
 
 from __future__ import annotations
@@ -226,10 +230,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        _emit(args, {"ok": False, "kind": "parse", "error": str(exc)}, f"parse error: {exc}", True)
         return 2
     except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
+        error = f"cannot read {exc.filename}"
+        _emit(args, {"ok": False, "kind": "read", "error": error}, error, True)
         return 2
     except EffectTypeError as exc:  # the answer of `check`; `translate`, `run` and `equiv` stop at it
         _emit(args, {"ok": False, "error": str(exc), "kind": exc.kind}, f"type error: {exc}", args.func is not cmd_check)

@@ -28,20 +28,25 @@ spelled by its `FORMS` tag, a child by its digest and wiring, a value by
 alone, not on the table, and distinct shapes are assumed to have distinct
 digests (a 128-bit collision is not detected).  Components sort by digest,
 then by their free names as spelled: the normal form's restrictions as
-`<nu>`, other free names alike whatever their polarity.  That order is
-canonical.  Components that tie sort again with free names spelled, and
-any that still tie are arranged every way (up to 720 arrangements) for the
-least result.
-A shape whose order names decided is marked ``symmetric``: renaming a free
-name of a symmetric term rebuilds it, a binder above it hides its names
-(spelled by position at the binder, sorting before every visible name),
-and a normal form whose restrictions such a component uses tries every
-order of them (`InternTable.normal`).  So no spelling of a bound name
-decides an order, except that a normal form formed again after a
-substitution keeps the order its restrictions were given.  A value or a
-merge of names can tie components that only the binders above them order,
-innermost first, as `term` hides them: a rebuild that meets such a tie is
-formed again as `term` forms it, from the process read back.
+`<nu>`, other free names alike whatever their polarity; then with free
+names spelled.  A shape whose order names decided is marked ``symmetric``:
+renaming a free name of a symmetric term rebuilds it, and a binder above it
+hides its names.  A stand-in is spelled by its binder's height, so those of
+nested binders never print alike, and sorts before every visible name.
+
+Components still tied, and the inside of a symmetric one that uses a
+restriction, are ordered by the restricted names alone.  For them one
+search, `InternTable.canonical`, serves normal forms and `semantics` state
+keys: a canonical labeling of those names by individualization and
+refinement (McKay & Piperno, *Practical graph isomorphism, II*, 2014).
+Components are coloured by their sort keys (symmetric ones all alike, no
+position read), names by where they occur, both refined until stable; a
+cell of names left is split by individualizing each member in turn, or all
+at once if each exchanges with the first.  At a leaf every name is renamed
+by its label and the least sorted leaf wins.  A member is skipped if its
+exchange with one tried, or an automorphism that fixes the names above,
+maps it onto one tried.  Two equal leaves show an automorphism; one equal
+to the first sends the search back to the first path.  There is no bound.
 
 Putting a value in, or merging two names, changes a term's shape, and
 `InternTable.subst` forms each such result once per table.  Its memo maps
@@ -52,12 +57,12 @@ receives, and the index of its own name, which a shared occurrence keeps.
 The wiring spells each argument of the result as such an index and a kind,
 and a hit fills it with the real names and looks up no node.  Invariant:
 the result depends on the pattern alone.  Outside symmetric shapes the
-rebuild is name-blind: `_nest` spells free names ``#``, and marks every
-tie that names decide.  So the memo declines where names may decide: a
-symmetric term, and a result that is symmetric or has been marked so
+rebuild is name-blind: `normal` spells free names ``#`` first, and marks
+every tie that names decide.  So the memo declines where names may decide:
+a symmetric term, and a result that is symmetric or has been marked so
 since, are rebuilt as if there were no memo.  A miss rebuilds from shape
 keys and builds no process: a hole takes its new name or value, a binder
-stays a position, and a spine is formed again by `_nest`.
+stays a position, and a spine is formed again by `normal`.
 
 `view` spells a node afresh on every call, with fresh stand-ins for its
 binders.  `InternTable.head` views a term once per table and keeps the
@@ -69,18 +74,18 @@ count the heads found and the ones viewed.
 """
 from __future__ import annotations
 
+from collections import Counter
 from hashlib import blake2b
-from itertools import count, groupby, permutations, product
-from math import factorial, prod
+from itertools import count
 from typing import NamedTuple
 
 from . import process as P
 from .terms import fold
 
-_MAX_TIE_ARRANGEMENTS = 720
 # Names that stand in for bound names start with this character, which no
-# parsed or generated name contains: "\0<j>:<k>" for the binder in position
-# j of its node, "\0:<k>" for a restriction; k is a serial number of the
+# parsed or generated name contains: "\0<h>:<k>" for a binder at height h
+# (its node's base and its position there), "\0:<k>" for a restriction, and
+# "\0r<j>:<k>" for a restriction labelled j; k is a serial number of the
 # table, so no two stand-ins are spelled alike.
 _HIDDEN = "\x00"
 _SPINE = (P.Par, P.New, P.Nil)
@@ -179,30 +184,32 @@ def _ordered(t: Term, free) -> tuple[bytes, tuple[str, ...]]:
     return t.shape.digest, tuple([free(n, "~" if k == 2 else "") for n, k in t.args])
 
 
-def _tied(comps: list[Term], free) -> list[list[Term]]:
-    """``comps`` sorted by `_ordered` under ``free``, in runs that tie."""
-    key = lambda t: _ordered(t, free)
-    return [list(run) for _, run in groupby(sorted(comps, key=key), key)]
+def _sorted(comps, key) -> tuple[list, list[Term]]:
+    """The keys of ``comps`` in order, and ``comps`` sorted by them."""
+    keys = [key(c) for c in comps]
+    order = sorted(range(len(comps)), key=keys.__getitem__)
+    return [keys[i] for i in order], [comps[i] for i in order]
 
 
-def arrangements(comps: list[Term], free, names=None) -> tuple[list[list[Term]], bool]:
-    """``comps`` sorted by `_ordered` under ``free``, runs that tie sorted
-    again under ``names`` if given; then every arrangement of what still
-    ties, or the sorted order past the bound, and whether ``names`` ordered."""
-    groups = _tied(comps, free)
-    named = names is not None and any(len(set(g)) > 1 for g in groups)
-    if named:
-        groups = [sub for g in groups for sub in (_tied(g, names) if len(set(g)) > 1 else [g])]
-    tied = [g for g in groups if len(set(g)) > 1]
-    if not tied or prod(factorial(len(g)) for g in tied) > _MAX_TIE_ARRANGEMENTS:
-        return [[c for g in groups for c in g]], named
-    orders = (permutations(g) if len(set(g)) > 1 else (g,) for g in groups)
-    return [[c for g in combo for c in g] for combo in product(*orders)], named
+def _ties(keys: list, comps: list[Term]) -> bool:
+    """Whether two distinct components sorted next to each other tie."""
+    return any(k == l and c != d for k, l, c, d in zip(keys, keys[1:], comps, comps[1:]))
+
+
+def _ranks(signatures: list) -> list[int]:
+    """Each signature's rank among the distinct ones."""
+    rank = {sig: r for r, sig in enumerate(sorted(set(signatures)))}
+    return [rank[sig] for sig in signatures]
+
+
+def _split(colours: list[int], other: list[int], incidence: list) -> list[int]:
+    """``colours`` refined by the colours in ``other`` of what each meets, where, at which kind."""
+    return _ranks([(c, tuple(sorted((p, other[x], k) for x, p, k in row))) for c, row in zip(colours, incidence)])
 
 
 def _spelled(name: str, mark: str) -> str:
-    """A free name for a tie-break; a stand-in shows only its position, and
-    sorts before every name."""
+    """A free name for a tie-break; a stand-in shows only its height, or its
+    label, and sorts before every name."""
     return mark + ("!" + name[1:name.index(":")] if name.startswith(_HIDDEN) else name)
 
 
@@ -223,7 +230,6 @@ class InternTable:
         self.hits = self.misses = 0
         self.memo_hits = self.memo_misses = 0
         self.view_hits = self.view_misses = 0
-        self._ties = 0  # spines `_nest` formed where names left components tied
 
     # ------------------------------------------------------------ nodes
 
@@ -241,23 +247,24 @@ class InternTable:
         a normal form or not: interning a process node by node, with no spine
         normalized, gives its alpha-invariant encoding."""
         holes: dict[tuple[str, int], int] = {}
-        key, bound, binders, kids = [type(q)], {}, 0, iter(kids)
+        key, bound, binders, rest = [type(q)], {}, 0, iter(kids)
         for field, role in P.FORMS[type(q)].fields:
             x = getattr(q, field)
             if role is P.ENDPOINT or role is P.ENDPOINTS:
                 x = (x,) if role is P.ENDPOINT else x
                 x = tuple([holes.setdefault((e.name, 2 if e.dual else 1), len(holes)) for e in x])
             elif role is P.SCOPED:
-                t = next(kids)
+                t = next(rest)
                 if t.shape.symmetric and not all(n.startswith(_HIDDEN) for n in bound):
                     # names ordered components under here: hide the bound
                     # ones, which every spelling of them orders alike
-                    hidden = {n: f"{_HIDDEN}{j}:{next(self._serial)}" for n, j in bound.items()}
+                    base = max(k.shape.height for k in kids)
+                    hidden = {n: f"{_HIDDEN}{base + j}:{next(self._serial)}" for n, j in bound.items()}
                     t = self.subst(t, {n: P.Endpoint(h) for n, h in hidden.items()})
                     bound = {hidden[n]: j for n, j in bound.items()}
                 x = _wired(t, holes, bound)
             elif role is P.OPEN:
-                x = _wired(next(kids), holes, {})
+                x = _wired(next(rest), holes, {})
             elif role is P.VALUE or role is P.VALUES:
                 hole = lambda n: P.VarRef(holes.setdefault((n, 0), len(holes)))
                 x = _vars(x, hole) if role is P.VALUE else tuple([_vars(v, hole) for v in x])
@@ -268,7 +275,7 @@ class InternTable:
                     bound[name], binders = binders, binders + 1
                 x = len(x) if role in P._PARAMS else None
             elif role is P.ARMS:  # arms, and the holes they number, in label order: it carries no meaning
-                arms = sorted(zip([label for label, _ in x], kids), key=lambda arm: arm[0])
+                arms = sorted(zip([label for label, _ in x], rest), key=lambda arm: arm[0])
                 x = tuple([(label, _wired(t, holes, {})) for label, t in arms])
             elif role is P.ANNOTATION:
                 x = None
@@ -284,7 +291,7 @@ class InternTable:
         """The fields of `view`, and the terms among them in order."""
         shape, args = t
         if names is None:
-            names = (f"{_HIDDEN}{j}:{next(self._serial)}" for j in count())
+            names = (f"{_HIDDEN}{h}:{next(self._serial)}" for h in count(shape.base))
         form, *fields = shape.key
         out, bound, kids = [], [], []
         for (_, role), x in zip(P.FORMS[form].fields, fields):
@@ -359,14 +366,14 @@ class InternTable:
             for c in u.shape.children:
                 if any(w >= 0 and u.args[w][0] in mapping for w in c[1]):
                     if not bound:
-                        bound = [f"{_HIDDEN}{j}:{next(self._serial)}" for j in range(u.shape.height - u.shape.base)]
+                        bound = [f"{_HIDDEN}{h}:{next(self._serial)}" for h in range(u.shape.base, u.shape.height)]
                     c = _spelled_child(c, u.args, bound)
                 kids.append((c, None))
             return {name: j for j, name in enumerate(bound)}, kids
 
         def leave(u, bound, kids: list) -> Term:
             if type(bound) is not dict:  # a term kept whole, or a spine
-                return u if bound is None else self._nest(bound, kids)
+                return u if bound is None else self.normal(bound, kids)
             args, holes, kids = u.args, {}, iter(kids)
             moved = _moved(args, mapping)[0]
             # an endpoint or shared occurrence keeps its name where a value comes in
@@ -389,15 +396,7 @@ class InternTable:
                 key.append(x)
             return Term(self._intern(tuple(key)), tuple(holes))
 
-        ties = self._ties
-        out = fold(t, None, enter, leave)
-        if self._ties > ties:
-            args, filled = _moved(t.args, mapping)
-            if filled or len({n for n, _ in args}) < len({n for n, _ in t.args}):
-                # a value or a merge tied components that only the binders
-                # over them order, innermost first: formed as `term` forms it
-                return self.term(P.substitute(self.process(t), mapping))
-        return out
+        return fold(t, None, enter, leave)
 
     def term(self, root: P.Process) -> Term:
         """The normal form of the process ``root``: a `terms.fold` that
@@ -438,13 +437,13 @@ class InternTable:
 
     def open(self, t: Term, names=None) -> tuple[list[str], list[Term]]:
         """The restricted names and the components of the normal form ``t``,
-        read from its keys; the restrictions are spelled as `view` spells binders."""
+        read from its keys; the restrictions are named from ``names``, or else stand-ins."""
         restricted, comps, stack = [], [], [t]
         while stack:
             u = stack.pop()
             form = u.shape.key[0]
             if form is P.New:
-                restricted.append(next(names) if names is not None else f"{_HIDDEN}0:{next(self._serial)}")
+                restricted.append(next(names) if names is not None else f"{_HIDDEN}:{next(self._serial)}")
             if form is P.Par or form is P.New:  # a restriction binds in position 0
                 stack += reversed([_spelled_child(c, u.args, restricted[-1:]) for c in u.shape.children])
             elif form is not P.Nil:
@@ -453,41 +452,81 @@ class InternTable:
 
     def normal(self, restricted, comps: list[Term]) -> Term:
         """The normal form of ``new restricted. (comps)``, where no
-        component has `Par`, `New` or `Nil` at its root.  Where names
-        ordered components inside some of ``comps``, the restrictions among
-        those names are spelled by position in every order, and the least
-        result is kept, so that no spelling of theirs decides."""
+        component has `Par`, `New` or `Nil` at its root.  Where distinct
+        components tie, or a symmetric one uses a restriction, every
+        restriction is first spelled by a `canonical` labeling."""
         if not comps:
             return self.node(P.NIL, [])
         restricted = set(restricted)
-        tied = [n for n in dict.fromkeys(n for c in comps if c.shape.symmetric for n, _ in c.args) if n in restricted]
-        if not tied or factorial(len(tied)) > _MAX_TIE_ARRANGEMENTS:
-            return self._nest(restricted, comps)
-        forms = []
-        for order in permutations(range(len(tied))):
-            spelled = {n: P.Endpoint(f"{_HIDDEN}{j}:{next(self._serial)}") for n, j in zip(tied, order)}
-            inner = (restricted - set(tied)) | {e.name for e in spelled.values()}
-            forms.append(self._nest(inner, [self.subst(c, spelled) for c in comps]))
-        return min(forms, key=lambda t: _ordered(t, _spelled))
+        blind = lambda n, mark: f"<nu{mark}>" if n in restricted else "#"
+        keys, comps = _sorted(comps, lambda c: _ordered(c, blind))
+        symmetric = _ties(keys, comps)  # names ordered components
+        if symmetric:
+            keys, comps = _sorted(comps, lambda c: (_ordered(c, blind), _ordered(c, _spelled)))
+        tied = symmetric and _ties(keys, comps)
+        if tied or any(c.shape.symmetric and any(n in restricted for n, _ in c.args) for c in comps):
+            serial = next(self._serial)
+            labels = [f"{_HIDDEN}r{j}:{serial}" for j in range(len(restricted))]
+            comps, restricted = self.canonical(comps, keys, restricted, labels), set(labels)
+        body = comps[-1]
+        for c in reversed(comps[:-1]):
+            body = self.node(_PAR, [c, body])
+        for name in reversed(list(dict.fromkeys(n for n, _ in body.args if n in restricted))):
+            body = self.node(P.New(name, None, P.NIL), [body])
+        body.shape.symmetric |= symmetric
+        return body
 
-    def _nest(self, restricted: set[str], comps: list[Term]) -> Term:
-        """`normal` once the order of the restrictions cannot matter."""
-        orders, named = arrangements(comps, lambda n, mark: f"<nu{mark}>" if n in restricted else "#", _spelled)
-        forms = []
-        for arranged in orders:
-            body = arranged[-1]
-            for c in reversed(arranged[:-1]):
-                body = self.node(_PAR, [c, body])
-            for name in reversed(list(dict.fromkeys(n for n, _ in body.args if n in restricted))):
-                body = self.node(P.New(name, None, P.NIL), [body])
-            forms.append(body)
-        keys = [_ordered(t, _spelled) for t in forms]
-        least = min(keys)
-        best = forms[keys.index(least)]
-        self._ties += len({t for t, k in zip(forms, keys) if k == least}) > 1
-        if named or len(set(forms)) > 1:
-            best.shape.symmetric = True
-        return best
+    def canonical(self, comps: list[Term], keys: list, restricted, targets: list[str]) -> list[Term]:
+        """``comps`` renamed by a canonical labeling of the ``restricted`` names, label j to ``targets[j]``,
+        and sorted; their ``keys``, spelling those names alike, colour them first (see the module docstring)."""
+        names = list(dict.fromkeys(n for c in comps for n, _ in c.args if n in restricted))
+        # each component's restricted occurrences, and each name's: the other, position (none if symmetric), kind
+        incident = [[(names.index(n), -1 if c.shape.symmetric else p, k)
+                     for p, (n, k) in enumerate(c.args) if n in restricted] for c in comps]
+        occurs = [[(i, p, k) for i, row in enumerate(incident) for x, p, k in row if x == j] for j in range(len(names))]
+        automorphisms, seen, best = [], {}, []  # found as lists of name indices; leaves by keys; the least leaf
+
+        def swaps(u: int, w: int) -> bool:  # whether exchanging two names maps the components onto themselves
+            swap = {names[u]: names[w], names[w]: names[u]}
+            touched = [comps[i] for i in {i for i, _, _ in occurs[u] + occurs[w]}]
+            return Counter(touched) == Counter(Term(c.shape, tuple([(swap.get(n, n), k) for n, k in c.args]))
+                                               for c in touched)
+
+        def search(ncol: list[int], ccol: list[int]) -> bool:  # whether to go back to the first path
+            first = not seen  # on the path to the first leaf
+            while True:
+                cells = -1  # refine both colourings until they are stable
+                while cells < (cells := len(set(ncol)) + len(set(ccol))):
+                    ncol, ccol = _split(ncol, ccol, occurs), _split(ccol, ncol, incident)
+                cell = min((c for c, size in Counter(ncol).items() if size > 1), default=None)
+                members = [j for j, c in enumerate(ncol) if c == cell]
+                if cell is None or not all(swaps(members[0], w) for w in members[1:]):
+                    break  # else each member exchanges with the first, so they take labels in any order
+                ncol = _ranks([(c, members.index(j) if c == cell else 0) for j, c in enumerate(ncol)])
+            if cell is None:  # a leaf: every name has a label of its own
+                mapping = {n: P.Endpoint(targets[ncol[j]]) for j, n in enumerate(names)}
+                cert, out = _sorted([self.subst(c, mapping) for c in comps], lambda c: _ordered(c, lambda n, m: m + n))
+                other = seen.setdefault(tuple(cert), ncol)
+                if other is not ncol:  # each name to the one labelled alike in the other leaf
+                    automorphisms.append([other.index(c) for c in ncol])
+                if not best or cert < best[0]:
+                    best[:] = cert, out
+                return not first and other is next(iter(seen.values()))  # all below is a copy of the first path's
+            tried: list[int] = []
+            for w in members:
+                kept = [g for g in automorphisms if all(ncol[x] == c for x, c in zip(g, ncol))]  # fix the names above
+                orbit, grown = set(), {w}
+                while grown:
+                    orbit |= grown
+                    grown = {g[x] for g in kept for x in grown} - orbit
+                if orbit.isdisjoint(tried) and not any(swaps(u, w) for u in tried):
+                    tried.append(w)
+                    if search(_ranks([(c, j != w) for j, c in enumerate(ncol)]), ccol) and not first:
+                        return True
+            return False
+
+        search([0] * len(names), _ranks([() if c.shape.symmetric else k for c, k in zip(comps, keys)]))
+        return best[1]
 
     # ------------------------------------------------------- processes
 

@@ -21,17 +21,18 @@ a binder with a name rewrites a term's arguments, and only a value or a
 merge of two names rebuilds the nodes on the way to their occurrences.  No
 component has a `Par`, `New`, `Nil` or `Def` root, so a successor keeps the
 untouched components as they are and opens only the new continuations
-(`_assemble`).  A surfacing restriction gets a fresh name, and
-restricted names are never renamed.  Only the state key abstracts them: it
-sorts the components as `normalize` does (unrestricted names spelled),
-numbers the restrictions by first occurrence, and lists each component's
-shape digest and wiring (a restricted hole's number, an unrestricted hole's
-name and kind), then the definitions' names.  So exploration is finite
-whenever the process is, and a key does not depend on the table.  The
-table's ``hits`` and ``misses`` count the nodes steps looked up and the
-ones they interned; an untouched component costs neither, and nor does a
-value put in where the same value went before: `InternTable.subst` finds
-the result in the table's memo (``memo_hits``, ``memo_misses``).
+(`_assemble`).  A surfacing restriction gets a fresh name, and restricted
+names are renamed only among themselves, to order tied components
+(`InternTable.canonical`).  The state key abstracts them: it sorts
+components as `normalize` does, numbers the restrictions by first
+occurrence, and lists each component's shape digest and wiring (a restricted
+hole's number, an unrestricted hole's name and kind), then the definitions'
+names.  So exploration is finite whenever the process is, and a key does not
+depend on the table.  The table's ``hits`` and ``misses`` count the nodes
+steps looked up and the ones they interned; an untouched component costs
+neither, and nor does a value put in where the same value went before:
+`InternTable.subst` finds the result in the table's memo (``memo_hits``,
+``memo_misses``).
 
 Keys are computed for kept states only.  A configuration computes its key
 on first read and keeps it (`Configuration.ordered`), and its
@@ -74,7 +75,7 @@ from itertools import count
 from typing import Iterator
 
 from . import process as P
-from .normalize import InternTable, Term, arrangements
+from .normalize import InternTable, Term, _ordered, _sorted, _ties
 
 
 class RuntimeSafetyViolation(Exception):
@@ -183,7 +184,7 @@ class Configuration:
     def ordered(self) -> tuple[tuple, tuple[Term, ...], tuple[str, ...]]:
         """The state key, and the components and live restrictions in its
         order; computed on first read, and kept."""
-        key, comps, live = _key(set(self.restricted), self.components, self.defs)
+        key, comps, live = _key(set(self.restricted), self.components, self.defs, self.table)
         return key, tuple(comps), tuple(live)
 
     @property
@@ -287,32 +288,27 @@ def _without(comps: tuple[Term, ...], *drop: int) -> tuple[Term, ...]:
     return out + comps[start:]
 
 
-def _key(restricted: set[str], comps: tuple[Term, ...], defs) -> tuple:
+def _key(restricted: set[str], comps: tuple[Term, ...], defs, table: InternTable) -> tuple:
     """The state key, and the components and live restrictions in its order.
     A component is listed by its shape's digest and its wiring, so the key
-    does not depend on the table.  Of the arrangements of components that
-    tie, the least key wins.  Tied components have one shape and spell
-    their free names alike, so arrangements differ only where a restricted
-    hole's number stands."""
-
-    def free(name: str, mark: str) -> str:
-        return f"<nu{mark}>" if name in restricted else mark + name
-
-    best = None
-    for arranged in arrangements(comps, free)[0] if comps else [[]]:
-        numbers: dict[str, int] = {}
-        key = [len(arranged)]
-        for comp in arranged:
-            key.append(comp.shape.digest)
-            for name, kind in comp.args:
-                if name in restricted:
-                    key.append(-1 - 3 * numbers.setdefault(name, len(numbers)) - kind)
-                else:
-                    key.append((name, kind))
-        key += [name for name, _ in defs]
-        if best is None or key < best[0]:
-            best = (key, arranged, list(numbers))
-    return tuple(best[0]), best[1], best[2]
+    does not depend on the table.  Components sort by digest and free names,
+    restricted ones alike; a tie, or a symmetric component that uses a
+    restriction, is left to `InternTable.canonical`, which renames them."""
+    free = lambda name, mark: f"<nu{mark}>" if name in restricted else mark + name
+    keys, comps = _sorted(comps, lambda c: _ordered(c, free))
+    if _ties(keys, comps) or any(c.shape.symmetric and any(n in restricted for n, _ in c.args) for c in comps):
+        comps = table.canonical(comps, keys, restricted, sorted(restricted))
+    numbers: dict[str, int] = {}
+    key = [len(comps)]
+    for comp in comps:
+        key.append(comp.shape.digest)
+        for name, kind in comp.args:
+            if name in restricted:
+                key.append(-1 - 3 * numbers.setdefault(name, len(numbers)) - kind)
+            else:
+                key.append((name, kind))
+    key += [name for name, _ in defs]
+    return tuple(key), comps, list(numbers)
 
 
 def _define(d: P.Def, restricted: list[str], defs: dict[str, DefClosure], table: InternTable) -> Term:

@@ -28,26 +28,48 @@ def parse_value_type(text: str) -> ValueType:
     raise ValueError(f"unknown value type {text!r}")
 
 
-@dataclass(frozen=True)
-class Var:
+class _Node:
+    """Base of the term constructors.  Two terms are equal when their
+    constructors and fields are, compared with an explicit stack, and the
+    hash is that of the printed text; neither recurses, so deep terms
+    compare and key a dict."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                if type(a) is not type(b) or getattr(a, _LEAF_FIELD[type(a)]) != getattr(b, _LEAF_FIELD[type(b)]):
+                    return False
+                stack += zip(subterms(a), subterms(b))
+        return True
+
+    def __hash__(self):
+        return hash(format_term(self))
+
+
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Let:
+@dataclass(frozen=True, eq=False)
+class Let(_Node):
     name: str
     bound: "Term"
     body: "Term"
 
 
-@dataclass(frozen=True)
-class OpApp:
+@dataclass(frozen=True, eq=False)
+class OpApp(_Node):
     op: str
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Const:
+@dataclass(frozen=True, eq=False)
+class Const(_Node):
     const: str
 
 
@@ -71,8 +93,9 @@ class Program:
     root: Term
 
 
-# The fields of each constructor that hold subterms, in preorder.
+# The fields of each constructor that hold subterms, in preorder, and the one that does not.
 _SUBTERM_FIELDS = {Var: (), Const: (), Let: ("bound", "body"), OpApp: ("arg",)}
+_LEAF_FIELD = {Var: "name", Const: "const", Let: "name", OpApp: "op"}
 
 
 def subterms(t: Term) -> tuple[Term, ...]:

@@ -300,7 +300,11 @@ FROZEN_OUTPUTS = [
     (["--json", "check", "sample.eff"], 0, '{"schema": 1, "ok": true, "type": "unit", "effect": "[G nat, P nat]"}\n', ""),
     (["--json", "check", "bad.eff"], 1,
      f'{{"schema": 1, "ok": false, "error": "{_TYPE_ERROR}", "kind": "impure-argument"}}\n', ""),
-    (["--json", "check", "unparsed.eff"], 2, "", "parse error: 2:1: put requires an argument\n"),
+    (["--json", "check", "unparsed.eff"], 2,
+     '{"schema": 1, "ok": false, "kind": "parse", "error": "2:1: put requires an argument"}\n', ""),
+    (["check", "missing.eff"], 2, "", "cannot read missing.eff\n"),
+    (["--json", "check", "missing.eff"], 2,
+     '{"schema": 1, "ok": false, "kind": "read", "error": "cannot read missing.eff"}\n', ""),
     (["--json", "translate", "sample.eff"], 0,
      f'{{"schema": 1, "process": "{_SAMPLE_PROCESS}", "delta": {{"r": "![unit]. end", "eff": "{_SAMPLE_DELTA}"}}, '
      '"gamma": {}}\n', ""),
@@ -326,6 +330,7 @@ def programs(tmp_path, monkeypatch):
         (tmp_path / name).write_text(text)
     (tmp_path / "sample.pi").write_text(_SAMPLE_TRANSLATION)
     (tmp_path / "tampered.pi").write_text(_SAMPLE_TRANSLATION.replace(_SAMPLE_DELTA, "end"))
+    (tmp_path / "unparsed.pi").write_text("-- delta r : ![nat]. end\nr!<0> |\n")
     monkeypatch.chdir(tmp_path)
 
 
@@ -340,6 +345,25 @@ def test_json_type_error_is_a_record(programs, capsys, command):
     # every command that infers a type reports a type error as `check` does
     assert main(["--json", command[0], "bad.eff", *command[1:]]) == 1
     record = f'{{"schema": 1, "ok": false, "error": "{_TYPE_ERROR}", "kind": "impure-argument"}}\n'
+    assert capsys.readouterr() == (record, "")
+
+
+@pytest.mark.parametrize("argv", [["check", "unparsed.eff"], ["translate", "unparsed.eff"], ["run", "unparsed.eff"],
+                                  ["equiv", "get.eff", "unparsed.eff"], ["pi-check", "unparsed.pi"]], ids=" ".join)
+def test_json_parse_error_is_a_record(programs, capsys, argv):
+    # on stdout, and still exit 2; text mode prints the same error on stderr
+    assert main(argv) == 2
+    error = capsys.readouterr().err.removeprefix("parse error: ").rstrip("\n")
+    assert main(["--json", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out) == {"schema": 1, "ok": False, "kind": "parse", "error": error}
+    assert out.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["check"], ["translate"], ["pi-check"], ["run"], ["equiv", "get.eff"]])
+def test_json_read_error_is_a_record(programs, capsys, command):
+    assert main(["--json", command[0], "missing.eff", *command[1:]]) == 2
+    record = '{"schema": 1, "ok": false, "kind": "read", "error": "cannot read missing.eff"}\n'
     assert capsys.readouterr() == (record, "")
 
 

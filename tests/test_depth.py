@@ -1,7 +1,8 @@
 """Depth safety at the default recursion limit: each value form and each
 term slot nested 1,500 deep, through every function that walks values or
 terms by `terms.fold`, and through the parsers' `suc` loops.  Terms are
-compared by their printed text, since term `==` still recurses."""
+mostly compared by their printed text; term `==` and `hash` are checked on
+their own."""
 
 import sys
 
@@ -156,6 +157,17 @@ def test_terms_print_and_parse():
         assert format_term(t) == text, slot
         if slot != "Let.bound":  # a `let` in binding position still recurses in the parser
             assert format_term(parse_term(text)) == text, slot
+
+
+def test_terms_compare_and_hash():
+    # the parsed 2,000-let chain, and each slot nested N deep
+    text = " ".join(f"let x{i} = get in" for i in range(2000)) + " get"
+    chain, again, other = parse_term(text), parse_term(text), parse_term(text.replace("x1999", "y"))
+    assert chain == again and hash(chain) == hash(again) and len({chain, again}) == 1
+    assert chain != other and other != again
+    for slot, (t, _) in terms().items():
+        u, changed = terms()[slot][0], substitute(t, "y", Const("zero"))
+        assert t == u and hash(t) == hash(u) and t != changed, slot
 
 
 def test_terms_free_vars():

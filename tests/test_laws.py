@@ -16,9 +16,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from effsess import process as P
 from effsess.equivalence import build_lts, weak_bisimilar
 from effsess.normalize import InternTable, normalize
-from effsess.semantics import RuntimeSafetyViolation, StateCapExceeded
+from effsess.semantics import RuntimeSafetyViolation, StateCapExceeded, make_configuration
 
 from oracle import alpha_key
+from test_normalize import _spellings
 
 N = import_module("effsess.normalize")  # the package exports its function `normalize`
 FREE = ("a", "b")
@@ -181,7 +182,7 @@ def test_normalize_preserves_weak_bisimilarity(shape):
 @given(shapes, st.lists(shapes, max_size=3))
 def test_digests_do_not_depend_on_the_table(shape, others):
     # interned after unrelated processes, a process gets the digests, and
-    # its components tie in the runs, that it gets in a table of its own
+    # its components the sort keys, that it gets in a table of its own
     seen = []
     for before in ((), others):
         table = InternTable()
@@ -190,7 +191,7 @@ def test_digests_do_not_depend_on_the_table(shape, others):
         t = table.term(build(shape, plain))
         restricted, comps = table.open(t)
         free = lambda n, mark: f"<nu{mark}>" if n in restricted else mark + n
-        runs = [[N._ordered(c, free) for c in run] for run in N._tied(comps, free)]
+        runs = sorted(N._ordered(c, free) for c in comps)
         digests = [s.digest for s in table._shapes.values()]
         assert len(set(digests)) == len(digests)
         seen.append(((t.shape.digest, t.args, runs), set(digests)))
@@ -279,3 +280,32 @@ def test_a_substitution_that_ties_components_under_nested_binders_agrees_with_th
                 t = table.term(q)
                 m = {n: target for n, _ in t.args}
                 assert table.subst(t, m) == table.term(P.substitute(table.process(t), m)), (P.format_process(q), m)
+
+
+# A component of a spine: prefixes on its holes 0-2, each a send of 0 or
+# of a hole, or a receive, and then nothing or two sends in parallel.
+prefixes = st.tuples(st.sampled_from(("send", "sendch", "recv")), st.integers(0, 2), st.integers(0, 2))
+forks = st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2))
+templates = st.tuples(st.lists(prefixes, min_size=1, max_size=3), forks)
+SPINE_NAMES = ("n0", "n1", "n2", "n3", "n4", "a")  # all but `a` restricted
+
+
+def _component(template, holes: tuple[str, ...]) -> str:
+    """The component ``template`` over ``holes``, restricted ones as format fields."""
+    spelled = [n if n == "a" else "{" + n + "}" for n in holes]
+    chain, fork = template
+    parts = [f"{spelled[i]}!<0>" if tag == "send" else f"{spelled[i]}!<{spelled[j]}>" if tag == "sendch"
+             else f"~{spelled[i]}?(y{j})" for tag, i, j in chain]
+    return ". ".join(parts + [f"({spelled[fork[0]]}!<1> | {spelled[fork[1]]}!<1>)" if fork else "0"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(templates, min_size=1, max_size=3), st.data())
+def test_spines_of_few_shapes_have_one_normal_form_and_one_key(kinds, data):
+    # up to 10 components of at most 3 shapes, shuffled, their restrictions
+    # renamed: many tie, and only a canonical labeling tells them apart
+    holes = st.tuples(*[st.sampled_from(SPINE_NAMES)] * 3)
+    comps = data.draw(st.lists(st.tuples(st.sampled_from(kinds), holes), min_size=1, max_size=10))
+    spellings = _spellings(list(SPINE_NAMES[:-1]), [_component(*c) for c in comps], data.draw(st.integers(0, 9)), 3)
+    assert len({P.format_process(normalize(p)) for p in spellings}) == 1
+    assert len({make_configuration(p, frozenset({"a"})).key for p in spellings}) == 1

@@ -1,6 +1,8 @@
 import hashlib
 import random
+from functools import partial
 
+import pytest
 from test_scoping import _chain_system
 
 from effsess.normalize import InternTable, normalize
@@ -251,3 +253,69 @@ def test_chain_composes_only_the_prefixes_its_comparisons_read():
     printed = format_process(table.process(table.term(_chain_system(40))))
     assert len(printed) == 10_263
     assert hashlib.sha256(printed.encode()).hexdigest() == "96d043ece473f1341356923d5d0b34ca3cc33ba07b6b529b5259aa27ea11b37c"
+
+
+def _spellings(restricted: list[str], comps: list[str], seed, count: int = 10) -> list:
+    """``count`` spellings of ``new restricted. (comps)``, each component a
+    format string over the restricted names: the components shuffled, and
+    the restrictions renamed and bound in a shuffled order."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        names = {n: f"q{j}" for n, j in zip(restricted, rng.sample(range(1000), len(restricted)))}
+        binders = "".join(f"new {names[n]}. " for n in rng.sample(restricted, len(restricted)))
+        shuffled = [c.format(**names) for c in rng.sample(comps, len(comps))]
+        out.append(parse_process(binders + "(" + " | ".join(shuffled) + ")"))
+    return out
+
+
+def _ring(k: int, first: int = 0) -> tuple[list[str], list[str]]:
+    """``x0!<x1> | x1!<x2> | ... | x(k-1)!<x0>``."""
+    names = [f"x{first + i}" for i in range(k)]
+    return names, [f"{{{a}}}!<{{{b}}}>" for a, b in zip(names, names[1:] + names[:1])]
+
+
+def _rings(*sizes: int) -> tuple[list[str], list[str]]:
+    """Disjoint rings of the given sizes."""
+    rings = [_ring(k, sum(sizes[:j])) for j, k in enumerate(sizes)]
+    return [n for names, _ in rings for n in names], [c for _, comps in rings for c in comps]
+
+
+def _clients(k: int, private: int) -> tuple[list[str], list[str]]:
+    """``k`` pairs ``c_i!<0>. r!<0> | ~c_i?(y). 0``, or with a second private
+    channel ``c_i!<0>. d_i!<0>. r!<0> | ~c_i?(y). ~d_i?(z). 0``; ``r`` is free."""
+    names = [f"{c}{i}" for i in range(k) for c in "cd"[:private]]
+    sends = [". ".join(f"{{{c}{i}}}!<0>" for c in "cd"[:private]) + ". r!<0>" for i in range(k)]
+    receives = [". ".join(f"~{{{c}{i}}}?({v})" for c, v in zip("cd"[:private], "yz")) + ". 0" for i in range(k)]
+    return names, sends + receives
+
+
+def _hub(k: int) -> tuple[list[str], list[str]]:
+    """A hub ``~h?(q). ~h?(w). 0`` and ``k`` pairs ``h!<c_i>. d_i!<0>. r!<0> |
+    ~c_i?(y). ~d_i?(z). 0``, every name restricted."""
+    names = ["h", "r", *(f"{c}{i}" for i in range(k) for c in "cd")]
+    sends = [f"{{h}}!<{{c{i}}}>. {{d{i}}}!<0>. {{r}}!<0>" for i in range(k)]
+    receives = [f"~{{c{i}}}?(y). ~{{d{i}}}?(z). 0" for i in range(k)]
+    return names, ["~{h}?(q). ~{h}?(w). 0", *sends, *receives]
+
+
+# components that tie in runs past any bound on their arrangements, each
+# with the restrictions that tell them apart
+TIED = {
+    **{f"ring-{k}": partial(_ring, k) for k in (7, 8, 10, 12)},
+    **{f"clients-{k}": partial(_clients, k, 1) for k in (5, 6, 8, 10)},
+    **{f"private-pairs-{k}": partial(_clients, k, 2) for k in (5, 6, 8)},
+    **{f"rings-{r}": partial(_rings, *[3] * r) for r in range(3, 7)},
+    # a search that jumps back at a leaf equal to any earlier one, not only
+    # at one equal to the first, gives two normal forms here
+    "rings-4-4-5-5": partial(_rings, 4, 4, 5, 5),
+    **{f"hub-{k}": partial(_hub, k) for k in range(4, 9)},
+}
+
+
+@pytest.mark.parametrize("label", sorted(TIED))
+def test_tied_components_have_one_normal_form(label):
+    forms = {normalize(p) for p in _spellings(*TIED[label](), label)}
+    assert len(forms) == 1
+    (form,) = forms
+    assert normalize(form) == form

@@ -40,6 +40,7 @@ from effsess.semantics import (
 from effsess.terms import ValueType, parse_program
 
 from oracle import corpus, embedded_corpus, full_lts, full_run, reference_configuration
+from test_normalize import TIED, _spellings
 
 NAT = ValueType.NAT
 
@@ -668,3 +669,20 @@ def test_two_passive_ends_are_stuck(text):
     assert (lts.n_states, lts.edges, lts.folded) == (1, [{}], 0)
     (outcome,) = run(p, "all", observables=frozenset())
     assert outcome.steps == 0 and outcome.residual.startswith("new #0. ")
+
+
+@pytest.mark.parametrize("label", sorted(TIED))
+def test_tied_components_have_one_state_key(label):
+    keys = {make_configuration(p, frozenset({"r"})).key for p in _spellings(*TIED[label](), label)}
+    assert len(keys) == 1
+
+
+@pytest.mark.parametrize("k", [6, 7, 8, 10])
+def test_independent_clients_have_one_state_per_multiset_of_positions(k):
+    # each client sends on r, then passes 0 to its partner, which sends it
+    # on s: up to congruence a state is how many clients are at each of
+    # three positions, in every spelling
+    names = [f"c{i}" for i in range(k)]
+    pairs = [f"r!<0>. {{c{i}}}!<0>. 0" for i in range(k)] + [f"~{{c{i}}}?(y). s!<y>. 0" for i in range(k)]
+    for p in _spellings(names, pairs, k, count=3):
+        assert build_lts(p, {"r", "s"}).n_states == (k + 1) * (k + 2) // 2
