@@ -46,7 +46,9 @@ def infer(env: TypeEnv, store_type: ValueType, t: Term) -> tuple[ValueType, Effe
     """The type and effect of ``t``.  A chain of ``let``s is followed in a
     loop that extends one copy of ``env``, since each binder is in scope
     for the rest of the chain; the effects compose left to right, their
-    tokens collected in order and the annotation built once."""
+    tokens collected in order and the annotation built once.  A chain of
+    operations is peeled in a loop too, and checked from the innermost
+    argument out."""
     tokens = []
     if isinstance(t, Let):
         env = dict(env)
@@ -64,21 +66,28 @@ def infer(env: TypeEnv, store_type: ValueType, t: Term) -> tuple[ValueType, Effe
             raise EffectTypeError("unknown", f"unknown constant {t.const!r}")
         tau, g = CONSTANTS[t.const](store_type)
     elif isinstance(t, OpApp):
-        if t.op not in OPERATIONS:
-            raise EffectTypeError("unknown", f"unknown operation {t.op!r}")
-        arg_type, tau, g = OPERATIONS[t.op](store_type)
-        actual, arg_effect = infer(env, store_type, t.arg)
-        if arg_effect != IDENTITY:
-            raise EffectTypeError(
-                "impure-argument",
-                f"argument of {t.op} must be pure, but {format_term(t.arg)} "
-                f"has effect {format_effect(arg_effect)}",
-            )
-        if actual is not arg_type:
-            raise EffectTypeError(
-                "mismatch",
-                f"{t.op} expects a {arg_type} argument, got {actual}",
-            )
+        apps = []
+        while isinstance(t, OpApp):
+            if t.op not in OPERATIONS:
+                raise EffectTypeError("unknown", f"unknown operation {t.op!r}")
+            apps.append(t)
+            t = t.arg
+        tau, g = infer(env, store_type, t)
+        while apps:
+            app = apps.pop()
+            arg_type, result, effect = OPERATIONS[app.op](store_type)
+            if g != IDENTITY:
+                raise EffectTypeError(
+                    "impure-argument",
+                    f"argument of {app.op} must be pure, but {format_term(app.arg)} "
+                    f"has effect {format_effect(g)}",
+                )
+            if tau is not arg_type:
+                raise EffectTypeError(
+                    "mismatch",
+                    f"{app.op} expects a {arg_type} argument, got {tau}",
+                )
+            tau, g = result, effect
     else:
         raise TypeError(f"not a term: {t!r}")
     return tau, (*tokens, *g)

@@ -11,8 +11,9 @@ supply.
 Components are terms of one `normalize.InternTable` per system, which
 `make_configuration` creates, walking the spine of the process (no normal
 form of the whole is built), and every derived configuration carries.
-`run` keeps that first configuration on the process object, so later runs
-of the same object share its table rather than build one per exploration;
+`run` keeps that first configuration on the process object, with the end
+of its chain, so later runs of the same object share its table rather than
+build one per exploration;
 `make_configuration` and `equivalence.build_lts` build a fresh one.  A
 head is viewed one node deep once per table (`InternTable.head`, counted by
 the table's ``view_hits`` and ``view_misses``), so a step views only the
@@ -41,27 +42,33 @@ links of a chain are never keyed, and a target of `transitions` only if
 it is read.  `transitions` and `Configuration.residual_process` take the
 components in key order; `find_store_value` takes them in any.
 
-Exploration folds eligible chains.  A tau step is *eligible* when it
-synchronizes a send or select with its matching receive or branch on a
-restricted name that occurs free in those two components and in no other,
-`_sync_mismatch` finds nothing, and the two continuations keep every name
-of the fresh supply (``@k``) that the two components use; call unfolding
-and accept/request pairing never are.  (A channel input draws the first
-unused ``@k``, so a step that drops the last occurrence of one would
-change the label of every later input.)  Each of the two heads can take
-only that step, so an eligible step commutes with every other step, which
-keeps its label, and stays enabled after them; it consumes two prefixes,
-so chains of them are finite, and every maximal chain from a
-configuration ends at one state key after one number of steps (Newman's
-lemma).  Folding such steps keeps branching, hence weak,
+Exploration folds eligible chains.  A tau step is *eligible* in two
+cases.  It synchronizes a send or select with its matching receive or
+branch on a restricted name that occurs free in those two components and
+in no other, and `_sync_mismatch` finds nothing; or it unfolds a call of a
+known definition with the right arity (`_unfold`, which `transitions`
+shares).  Either way its continuations keep every name of the fresh supply
+(``@k``) that the components it consumes use.  (A channel input draws the
+first unused ``@k``, so a step that drops the last occurrence of one would
+change the label of every later input.)  Accept/request pairing never is.
+A head that an eligible step consumes can take only that step, so the
+step commutes with every other step, which keeps its label, and stays
+enabled after them.  Folding such steps keeps branching, hence weak,
 bisimilarity (Groote & Sellink, *Confluence for process verification*,
-1996).  `run` and `equivalence.build_lts` follow eligible steps from every
-configuration they reach to the end of its chain (`fold_chain`), counting
-each against fuel; the links between are never keyed, and only chain ends
-are deduplicated.  `transitions` stays the full one-step relation.
-`_eligible_step` finds the first eligible pair by scanning the arguments
-of every component, so it still reads the components a step leaves
-untouched.
+1996; Groote & van de Pol, *State space reduction using partial
+tau-confluence*, 2000).  A chain unfolds each definition at most once
+(`fold_chain` keeps the names it has unfolded): a call that would repeat
+one is left to `transitions`, where its unfolding starts a chain of its
+own.  That proviso rules out an endless chain of unfoldings, as the cycle
+condition of ample sets does (Godefroid, 1996), and a synchronization
+consumes two prefixes, so every chain is finite.  `fold_chain` takes the
+first eligible step in component order, so a configuration has one chain.
+`run` and `equivalence.build_lts` follow it from every configuration they
+reach to its end, counting each step against fuel; the links between are
+never keyed, and only chain ends are deduplicated.  `transitions` stays
+the full one-step relation.  `_eligible_step` finds the first eligible
+step by scanning the arguments of every component, so it still reads the
+components a step leaves untouched.
 
 """
 
@@ -395,6 +402,20 @@ def _receive(table: InternTable, head: P.Process, payload: P.Replacement) -> Ter
     return table.subst(head.cont, {x: payload})
 
 
+def _unfold(table: InternTable, call: P.Call, defs: dict[str, DefClosure]) -> Term:
+    """The body of the definition ``call`` names, the call's arguments in
+    its parameters."""
+    closure = defs.get(call.name)
+    if closure is None:
+        raise RuntimeSafetyViolation(f"call to unknown definition {call.name!r}")
+    val_names, chan_names, body = closure
+    if len(val_names) != len(call.val_args) or len(chan_names) != len(call.chan_args):
+        raise RuntimeSafetyViolation(f"arity mismatch calling {call.name!r}")
+    mapping: dict[str, P.Replacement] = {name: P.eval_value(value) for name, value in zip(val_names, call.val_args)}
+    mapping.update(zip(chan_names, call.chan_args))
+    return table.subst(body, mapping)
+
+
 def transitions(
     cfg: Configuration, value_domain: tuple[P.Value, ...] = (P.NatLit(0), P.NatLit(1))
 ) -> list[tuple[TransitionLabel, Configuration]]:
@@ -478,18 +499,7 @@ def transitions(
 
     # call unfolding
     for i in calls:
-        a = heads[i]
-        closure = defs.get(a.name)
-        if closure is None:
-            raise RuntimeSafetyViolation(f"call to unknown definition {a.name!r}")
-        val_names, chan_names, body = closure
-        if len(val_names) != len(a.val_args) or len(chan_names) != len(a.chan_args):
-            raise RuntimeSafetyViolation(f"arity mismatch calling {a.name!r}")
-        mapping: dict[str, P.Replacement] = {
-            name: P.eval_value(value) for name, value in zip(val_names, a.val_args)
-        }
-        mapping.update(zip(chan_names, a.chan_args))
-        out.append((TAU, rebuild(_without(comps, i), table.subst(body, mapping))))
+        out.append((TAU, rebuild(_without(comps, i), _unfold(table, heads[i], defs))))
 
     # visible actions on observable free endpoints; names drawn from the
     # canonical fresh supply (@k) are observable by construction
@@ -532,14 +542,36 @@ def transitions(
 _SYNC_HEADS = frozenset({*_SEND_HEADS, *_RECV_HEADS, P.Select, P.Branch})
 
 
-def _eligible_step(cfg: Configuration) -> Configuration | None:
+def _drops_supply(used: tuple[Term, ...], conts: tuple[Term, ...]) -> bool:
+    """Whether a name of the fresh supply (``@k``) in the terms ``used`` is
+    in none of the continuations ``conts``."""
+    kept = {n for t in conts for n, _ in t.args}
+    return any(n[0] == "@" and n not in kept for t in used for n, _ in t.args)
+
+
+def _eligible_step(cfg: Configuration, unfolded: set[str]) -> Configuration | None:
     """The target of the first eligible step of ``cfg`` (see the module
-    docstring), or None if it has none."""
+    docstring), or None if it has none.  ``unfolded`` holds the definitions
+    its chain has unfolded so far, and an eligible call unfolding adds its
+    own; a call that `transitions` reports unsafe is not eligible."""
     comps, table = cfg.components, cfg.table
     restricted = set(cfg.restricted)
     waiting: dict[tuple[str, int], int] = {}
     for j, comp in enumerate(comps):
-        if comp.shape.key[0] not in _SYNC_HEADS:
+        head = comp.shape.key[0]
+        if head is P.Call:
+            call = table.head(comp)
+            if call.name in unfolded:
+                continue
+            try:
+                body = _unfold(table, call, dict(cfg.defs))
+            except RuntimeSafetyViolation:  # `transitions` raises it
+                continue
+            if _drops_supply((comp,), (body,)):
+                continue
+            unfolded.add(call.name)
+            return _assemble(list(cfg.restricted), _without(comps, j), (body,), cfg.defs, cfg.observables, table)
+        if head not in _SYNC_HEADS:
             continue
         name, kind = comp.args[0]  # a head's subject is its first hole
         i = waiting.get((name, 3 - kind))
@@ -556,8 +588,7 @@ def _eligible_step(cfg: Configuration) -> Configuration | None:
         if _sync_mismatch(a, b) is not None:
             continue
         conts = _exchange(table, a, b)
-        kept = {n for t in conts for n, _ in t.args}
-        if any(n[0] == "@" and n not in kept for c in (comps[i], comps[j]) for n, _ in c.args):
+        if _drops_supply((comps[i], comps[j]), conts):
             continue
         return _assemble(list(cfg.restricted), _without(comps, i, j), conts, cfg.defs, cfg.observables, table)
     return None
@@ -566,9 +597,11 @@ def _eligible_step(cfg: Configuration) -> Configuration | None:
 def fold_chain(cfg: Configuration, steps: int, fuel: int) -> tuple[Configuration, int]:
     """Fire eligible steps from ``cfg``, reached after ``steps`` steps, to
     the end of their chain, or until ``steps`` reaches ``fuel``; the end,
-    and its step count.  The links between are never keyed."""
+    and its step count.  The chain unfolds each definition at most once,
+    and the links between are never keyed."""
+    unfolded: set[str] = set()
     while steps < fuel:
-        link = _eligible_step(cfg)
+        link = _eligible_step(cfg, unfolded)
         if link is None:
             break
         cfg, steps = link, steps + 1
@@ -639,13 +672,20 @@ def run(
 
     ``mode`` is "one" (a seeded deterministic schedule) or "all"
     (exhaustive over internal nondeterminism, deduplicated by canonical
-    configuration).  Both fold eligible chains (see the module docstring),
-    and ``steps`` and ``fuel`` count the folded steps.
+    configuration).  Both fold eligible chains, call unfoldings among them
+    (see the module docstring), and ``steps`` and ``fuel`` count the folded
+    steps.  An unfolding is folded, not chosen, so on a nondeterministic
+    system ``run(p, "one", seed=s)`` can take another schedule than it did
+    when unfoldings were choices; its outcome is one of ``run(p, "all")``.
 
     The first configuration of ``p``, before its chain is folded, is kept
-    on ``p`` per ``observables`` set, and with it its `InternTable`; it
-    lives as long as ``p`` does.  A later call on the same object starts
-    from it, and from the table that earlier calls filled.
+    on ``p`` per ``observables`` set, and with it its `InternTable`; so is
+    the end of that chain with its step count, if the chain ended on its
+    own below the fuel of the call that folded it.  They live as long as
+    ``p`` does.  A later call on the same object starts from the kept end
+    if its step count is below the call's fuel, and otherwise folds the
+    first configuration again; either way it shares the table that earlier
+    calls filled.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
@@ -655,7 +695,13 @@ def run(
     kept = p.__dict__.setdefault("_configurations", {})
     if observables not in kept:
         kept[observables] = make_configuration(p, observables=observables)
-    initial, start = fold_chain(kept[observables], 0, fuel)
+    ends = p.__dict__.setdefault("_chain_ends", {})
+    if observables in ends and ends[observables][1] < fuel:
+        initial, start = ends[observables]
+    else:
+        initial, start = fold_chain(kept[observables], 0, fuel)
+        if start < fuel:  # the chain ended on its own
+            ends[observables] = initial, start
 
     def outcome(cfg: Configuration, emitted: tuple[P.Value, ...], steps: int) -> Outcome:
         store = store_reader(cfg) if store_reader is not None else None

@@ -1,6 +1,7 @@
 """Depth safety at the default recursion limit: each value form and each
 term slot nested 1,500 deep, through every function that walks values or
-terms by `terms.fold`, and through the parsers' `suc` loops.  Terms are
+terms by `terms.fold`, through the parsers' `suc` loops and through
+`infer`, which peels a chain of operations in a loop.  Terms are
 mostly compared by their printed text; term `==` and `hash` are checked on
 their own."""
 
@@ -11,8 +12,10 @@ import pytest
 from effsess import process as P
 from effsess import semantics as M
 from effsess.cli import main
+from effsess.effects import IDENTITY
+from effsess.infer import EffectTypeError, infer
 from effsess.normalize import InternTable, normalize
-from effsess.terms import Const, Let, OpApp, Var, format_term, free_vars, parse_term, substitute
+from effsess.terms import Const, Let, OpApp, ValueType, Var, format_term, free_vars, parse_term, substitute
 
 N = 1500
 C, D, R = P.Endpoint("c"), P.Endpoint("d"), P.Endpoint("r")
@@ -179,3 +182,22 @@ def test_terms_substitute():
     for slot, (t, text) in terms().items():
         assert format_term(substitute(t, "y", Const("zero"))) == text.replace("y", "zero"), slot
         assert format_term(substitute(t, "x", Const("zero"))) == text, slot
+
+
+def test_infer_peels_an_operation_chain():
+    (t, _), nat = terms()["OpApp.arg"], ValueType.NAT
+    assert infer({"y": nat}, nat, t) == (nat, IDENTITY)
+    # the innermost operation still fails first
+    deep = parse_term("put (" + "suc " * N + "get)")
+    with pytest.raises(EffectTypeError, match="argument of suc must be pure, but get has effect"):
+        infer({}, nat, deep)
+    deep = parse_term("suc " * N + "unit")
+    with pytest.raises(EffectTypeError, match="suc expects a nat argument, got unit"):
+        infer({}, nat, deep)
+
+
+def test_check_reads_a_deep_put(tmp_path, capsys):
+    path = tmp_path / "deep.eff"
+    path.write_text("store nat init 0\nput (" + "suc " * N + "zero)\n")
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "unit, [P nat]"

@@ -5,7 +5,7 @@ import pytest
 
 from effsess import embedding
 from effsess import semantics as M
-from effsess.equivalence import build_lts
+from effsess.equivalence import build_lts, weak_bisimilar
 from effsess.normalize import _HIDDEN
 from effsess.process import (
     Call,
@@ -40,6 +40,7 @@ from effsess.semantics import (
 from effsess.terms import ValueType, parse_program
 
 from oracle import corpus, embedded_corpus, full_lts, full_run, reference_configuration
+from test_golden import CASES
 from test_normalize import TIED, _spellings
 
 NAT = ValueType.NAT
@@ -273,7 +274,7 @@ def _fold_costs(p) -> list[tuple[int, int]]:
     opened = _counting_opens(table)
     while True:
         misses, opens = table.view_misses, len(opened)
-        link = M._eligible_step(cfg)
+        link = M._eligible_step(cfg, set())
         if link is None:
             return costs
         cfg = link
@@ -556,8 +557,9 @@ def _exhausted(p, mode: str, fuel: int, **kw) -> M.Outcome:
 
 
 def test_fuel_is_counted_afresh_on_one_system():
-    # the kept configuration is the one before its chain is folded, so a
-    # run at another fuel folds it again
+    # a run keeps the end of its first configuration's chain only if the
+    # chain ended on its own, and a later run reuses it only below its own
+    # fuel; else it folds the kept first configuration again
     kw = {"store_reader": find_store_value}
     tried = 0
     for compose in _composers():
@@ -686,3 +688,142 @@ def test_independent_clients_have_one_state_per_multiset_of_positions(k):
     pairs = [f"r!<0>. {{c{i}}}!<0>. 0" for i in range(k)] + [f"~{{c{i}}}?(y). s!<y>. 0" for i in range(k)]
     for p in _spellings(names, pairs, k, count=3):
         assert build_lts(p, {"r", "s"}).n_states == (k + 1) * (k + 2) // 2
+
+
+# ------------------------------------------------------------ call unfolding
+
+def _expanded(monkeypatch, explore) -> list[tuple[M.Configuration, list]]:
+    """Each configuration ``explore`` calls `transitions` on, and its steps."""
+    real, seen = M.transitions, []
+
+    def recorded(cfg, *args):
+        out = real(cfg, *args)
+        seen.append((cfg, out))
+        return out
+
+    monkeypatch.setattr(M, "transitions", recorded)
+    explore()
+    monkeypatch.setattr(M, "transitions", real)
+    return seen
+
+
+def _only_unfolding(cfg: M.Configuration, out: list) -> bool:
+    """Whether the one step of ``cfg`` unfolds a call: a call head always
+    has its unfolding among the steps."""
+    return len(out) == 1 and any(type(cfg.table.head(c)) is Call for c in cfg.components)
+
+
+@pytest.mark.parametrize("label", ["intro-race", "private-worlds"])
+def test_no_expanded_state_only_unfolds_a_call(monkeypatch, label):
+    # a call unfolding is folded into the chain that reaches it, so no
+    # state is kept whose one step is that unfolding; the full relation has
+    # such states, so the check is not vacuous
+    build, run_obs, lts_obs = CASES[label]
+    explorations = {
+        "run": lambda: run(build(), "all", observables=run_obs),
+        "build_lts": lambda: build_lts(build(), lts_obs),
+        "full_lts": lambda: full_lts(build(), lts_obs),
+    }
+    found = {name: [_only_unfolding(*s) for s in _expanded(monkeypatch, x)] for name, x in explorations.items()}
+    assert any(found["full_lts"])
+    assert found["run"] and found["build_lts"]
+    assert not any(found["run"]) and not any(found["build_lts"])
+
+
+DIVERGENT = ["def X(;) = X<;> in X<;>", "def X(;) = new c. (c!<0>. 0 | ~c?(y). X<;>) in X<;>"]
+
+
+@pytest.mark.parametrize("text", DIVERGENT)
+def test_a_definition_that_calls_itself_diverges(text):
+    # a chain unfolds a definition once, so it ends, and the loop shows as
+    # a cycle of kept states
+    p = parse_process(text)
+    with pytest.raises(FuelExhausted, match="execution diverges"):
+        run(p, "all", observables=frozenset())
+    with pytest.raises(FuelExhausted):
+        run(p, "one", fuel=60, observables=frozenset())
+    lts = build_lts(p, frozenset())
+    assert not lts.partial
+    assert weak_bisimilar(lts, full_lts(p, frozenset())).equivalent
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("Y<;>", "unknown definition 'Y'"),
+    ("def X(v;) = r!<v>. 0 in X<;>", "arity mismatch calling 'X'"),
+])
+def test_an_unsafe_call_is_not_folded_but_reported(text, reason):
+    p = parse_process(text)
+    assert M.fold_chain(make_configuration(p, frozenset({"r"})), 0, 100)[1] == 0
+    for mode in ("one", "all"):
+        with pytest.raises(RuntimeSafetyViolation, match=reason):
+            run(p, mode)
+    with pytest.raises(RuntimeSafetyViolation, match=reason):
+        build_lts(p, frozenset({"r"}))
+
+
+@pytest.mark.parametrize("body, folded", [("0", False), ("c!<0>. 0", True)])
+def test_an_unfolding_that_drops_a_received_name_is_not_folded(body, folded):
+    # dropping @0 would let the second input draw @0 again, not @1
+    p = parse_process(f"def X(; c) = {body} in r?(c). (X<; c> | r?(d). d!<0>)")
+    lts = build_lts(p, {"r"})
+    assert weak_bisimilar(lts, full_lts(p, {"r"})).equivalent
+    (received,) = [t for label, t in transitions(make_configuration(p, frozenset({"r"}))) if str(label.name) == "@0"]
+    assert M.fold_chain(received, 0, 100)[1] == folded
+
+
+def _counting_eligible(monkeypatch) -> list:
+    """A list that grows by one on each `_eligible_step` call from now on."""
+    real, calls = M._eligible_step, []
+    monkeypatch.setattr(M, "_eligible_step", lambda *args: calls.append(None) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("label", ["corpus-0", "corpus-4", "corpus-9", "intro-race", "private-worlds"])
+def test_a_later_run_starts_from_the_kept_chain_end(monkeypatch, label):
+    # a second run of one system folds its initial chain no more: it calls
+    # `_eligible_step` as often as a first run less the calls of that chain
+    build, run_obs, _ = CASES[label]
+    start = M.fold_chain(make_configuration(build(), run_obs), 0, 10_000)[1]
+    calls = _counting_eligible(monkeypatch)
+    first = run(build(), "all", observables=run_obs)
+    alone = len(calls)
+    for before in ("all", "one"):
+        p = build()
+        run(p, before, observables=run_obs)
+        calls.clear()
+        assert run(p, "all", observables=run_obs) == first
+        assert len(calls) == alone - (start + 1)
+
+
+def _answer(p, mode: str, **kw):
+    """The outcomes of ``run``, or the message and partial outcome of the
+    `FuelExhausted` it raises."""
+    try:
+        return run(p, mode, **kw)
+    except FuelExhausted as exhausted:
+        return str(exhausted), exhausted.partial
+
+
+@pytest.mark.parametrize("label", ["corpus-0", "corpus-4", "corpus-9"])
+@pytest.mark.parametrize("fuel", [1, 3, 8])
+def test_a_kept_chain_end_is_reused_only_below_the_fuel(monkeypatch, label, fuel):
+    # a chain cut by a small fuel is not kept, and a kept end is not reused
+    # by a run whose fuel it reaches: each answer is a fresh system's, and
+    # so is the number of states it expands
+    build, run_obs, _ = CASES[label]
+    kw = {"observables": run_obs, "store_reader": find_store_value}
+
+    def answer(p, mode: str, **more):
+        got = []
+        expanded = _expanded(monkeypatch, lambda: got.append(_answer(p, mode, **kw, **more)))
+        return got[0], len(expanded)
+
+    assert M.fold_chain(make_configuration(build(), run_obs), 0, 10_000)[1] > 0
+    for mode in ("all", "one"):
+        short, default = answer(build(), mode, fuel=fuel), answer(build(), mode)
+        p = build()
+        assert answer(p, mode) == default
+        assert answer(p, mode, fuel=fuel) == short
+        q = build()
+        assert answer(q, mode, fuel=fuel) == short
+        assert answer(q, mode) == default
